@@ -3,13 +3,27 @@
 Only the library calls are timed (no I/O), on the monotonic clock, with one
 discarded warm-up call per operation.  Reports the per-operation mean and
 sample standard deviation; a single run reports a standard deviation of 0.
+
+BLAS runs on one thread while a level is set up and timed (where the BLAS
+library lets itself be told so at run time).  A multithreaded GEMM hands part
+of every product to a second core.  When that core has been idle, as on a
+small or shared virtual machine, each hand-off can wait for the core to be
+scheduled: short products such as those of KG and Enc then take 8-16 ms
+instead of 0.5 ms for as long as the core stays cold.  OpenBLAS's helper
+threads also busy-wait for a while after a product, which shows as 4 ms
+stalls in the next timed calls.  With one thread each timing holds the
+call's own work only.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import statistics
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .matrix import RngHandle, gen_public_matrix
 from .params import ParamSet, UnknownParamSetError, load_paramset
@@ -45,6 +59,44 @@ def paramset_for(level: str, mode: str) -> ParamSet:
         raise UnknownBenchTargetError(str(exc)) from None
 
 
+# OpenBLAS thread-control entry points, by build: numpy >= 2 wheels,
+# numpy 1.x wheels, system OpenBLAS
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_calls():
+    """(get, set) thread-count calls of the OpenBLAS numpy links to, or None."""
+    core = getattr(np, "_core", None) or np.core
+    try:
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            return getattr(lib, get_name), getattr(lib, set_name)
+    return None
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run BLAS on one thread inside the block; other BLAS builds are left alone."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get_threads, set_threads = calls
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def _time_op(fn, runs: int) -> tuple[float, float]:
     fn()  # warm-up, discarded
     samples = []
@@ -57,6 +109,7 @@ def _time_op(fn, runs: int) -> tuple[float, float]:
     return mean, std
 
 
+@_single_blas_thread()
 def bench_level(level: str, mode: str, runs: int,
                 seed: bytes = b"frue-bench") -> list[BenchResult]:
     if runs < 1:

@@ -136,7 +136,8 @@ def params_show(name, out_path):
 
 @main.command()
 @click.option("--params", "params_name", required=True, help="Parameter set name.")
-@click.option("--epoch", type=click.IntRange(min=0), required=True)
+@click.option("--epoch", type=click.IntRange(min=0, max=2**32 - 1), required=True,
+              help="Epoch index, 0 <= e < 2**32 (stored as 32 bits).")
 @click.option("--seed", "seed_hex", default=None,
               help="Hex seed; reuse one seed across epochs to share the public matrix.")
 @click.option("--out-key", type=click.Path(), required=True)

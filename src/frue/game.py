@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix import MatrixZq, RngHandle
+from .matrix import DimensionMismatchError, MatrixZq, RngHandle
 from .params import ParamSet
 from .pke import bytes_from_bits
-from .ue import (EpochKey, UeCiphertext, UpdateToken, ue_dec, ue_enc,
-                 ue_kg, ue_tg, ue_upd)
+from .ue import (EpochKey, EpochMismatchError, UeCiphertext, UpdateToken,
+                 ue_dec, ue_enc, ue_kg, ue_tg, ue_upd)
 
 
 @dataclass
@@ -85,7 +85,7 @@ class SecurityGame:
         plaintexts.  CPA-model stub: never used by the experiment verdict."""
         try:
             m = ue_dec(self.p, self.keys[self.e], ct)
-        except Exception:
+        except (EpochMismatchError, DimensionMismatchError):
             self.trace.append(("dec", "reject"))
             return None
         if (bytes_from_bits(m), self.e) in self.Q_tilde_star:

@@ -10,6 +10,12 @@ in float64, which is exact as long as every accumulated sum stays below
 2**53; with entries < 2**16 that holds for inner dimensions up to ~2 million,
 far beyond anything a registered parameter set produces.  A uint64 fallback
 covers the rest (wraparound mod 2**64 is congruent mod 2**D).
+
+The float64 operand of a matrix is built once, the first time the BLAS path
+uses that matrix, and kept (read-only) for the matrix's lifetime; matrices
+are immutable, so it never goes stale.  A token reused across many updates,
+or the public matrix reused across many products, is converted only once.
+The price is memory: the float64 copy is four times the uint16 words.
 """
 
 from __future__ import annotations
@@ -33,7 +39,9 @@ _MATRIX_HEADER = struct.Struct("<IIB")  # rows, cols, D
 class MatrixZq:
     """Immutable dense matrix over Z_{2**D}."""
 
-    __slots__ = ("data", "D")
+    # _f64: float64 copy of data for the BLAS path; left unset until the
+    # first such product, so constructing a matrix costs nothing extra
+    __slots__ = ("data", "D", "_f64")
 
     def __init__(self, data, D: int):
         if not (1 <= D <= 16):
@@ -146,12 +154,22 @@ class MatrixZq:
             prod = self.data.astype(np.int64) @ other.data.astype(np.int64)
             out = (prod & (q - 1)).astype(np.uint16)
         elif mask_ok:
-            prod = self.data.astype(np.float64) @ other.data.astype(np.float64)
+            prod = self._float64() @ other._float64()
             out = (prod.astype(np.int64) & (q - 1)).astype(np.uint16)
         else:
             prod = self.data.astype(np.uint64) @ other.data.astype(np.uint64)
             out = (prod & np.uint64(q - 1)).astype(np.uint16)
         return MatrixZq._new(out, self.D)
+
+    def _float64(self) -> np.ndarray:
+        """Read-only float64 copy of data, built on first use and kept."""
+        try:
+            return self._f64
+        except AttributeError:
+            arr = self.data.astype(np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, "_f64", arr)
+            return arr
 
     def scale_pow2(self, k: int) -> "MatrixZq":
         """Multiply every entry by 2**k (mod q)."""

@@ -140,6 +140,19 @@ def test_deployment_mismatch_rejected(runner, tmp_path):
     assert res.exit_code == EXIT_MALFORMED
 
 
+def test_keygen_epoch_out_of_range_is_usage_error(runner, tmp_path):
+    out = ["--out-key", str(tmp_path / "k.frue"), "--out-pub", str(tmp_path / "p.frue")]
+    for epoch in ("4294967296", "-1"):
+        res = runner.invoke(main, ["keygen", "--params", "toy-16", "--epoch", epoch,
+                                   "--seed", "aa11", *out])
+        assert res.exit_code == 2, res.output          # usage error, no traceback
+        assert "--epoch" in res.output
+    assert not (tmp_path / "k.frue").exists()
+    res = invoke(runner, "keygen", "--params", "toy-16", "--epoch", "4294967295",
+                 "--seed", "aa11", *out)
+    assert res.exit_code == 0, res.output
+
+
 def test_params_commands(runner):
     res = invoke(runner, "params", "list")
     assert res.exit_code == 0

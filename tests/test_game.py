@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from frue.game import (LeakageSets, cstar, gs_setup, kstar_op_uni,
                        run_experiment, tstar_op_uni)
-from frue.matrix import RngHandle
+from frue.matrix import MatrixZq, RngHandle
 from frue.pke import random_message_bits
-from frue.ue import ue_dec
+from frue.ue import UeCiphertext, ue_dec
 
 
 from oracles import cstar_brute, kstar_brute, tstar_brute
@@ -118,6 +118,24 @@ def test_scripted_trace_enc_next_upd_dec(game):
     out = g.o_dec(ct1)
     assert np.array_equal(out, m)
     assert g.twf == 0
+
+
+def test_dec_rejects_only_what_ue_dec_raises(game, monkeypatch):
+    g, d = game
+    p = d["p"]
+    ct = g.o_enc(random_message_bits(g.rng, p))
+    g.o_next()
+    assert g.o_dec(ct) is None                       # epoch 0 under the epoch-1 key
+    short = UeCiphertext(g.e, MatrixZq.zeros(1, p.n, p.D), MatrixZq.zeros(1, p.n_bar, p.D))
+    assert g.o_dec(short) is None                    # not m_bar rows
+    assert g.trace[-2:] == [("dec", "reject")] * 2
+
+    def broken(*args):
+        raise RuntimeError("not a decryption failure")
+
+    monkeypatch.setattr("frue.game.ue_dec", broken)
+    with pytest.raises(RuntimeError):
+        g.o_dec(ct)
 
 
 def test_upd_rejects_unrecorded_ciphertext(game):

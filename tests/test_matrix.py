@@ -68,17 +68,25 @@ def test_transpose_reverses_products(r, k, c, D, seed):
 
 
 def test_matmul_float_path_agrees_with_plain_integers():
-    # the BLAS fast path must match schoolbook arithmetic over Python ints
+    # the BLAS fast path must match schoolbook arithmetic over Python ints,
+    # also when an operand's cached float64 copy is reused, on either side
     rng = RngHandle(b"paths")
     p16 = adhoc_paramset(D=16)
-    a = sample_uniform(rng, 4, 3000, p16)   # big enough to leave the small-product path
-    b = sample_uniform(rng, 3000, 2, p16)
-    fast = (a @ b).data
-    ints_a, ints_b = a.data.tolist(), b.data.tolist()
-    for i in range(4):
-        for j in range(2):
-            ref = sum(ints_a[i][k] * ints_b[k][j] for k in range(3000)) % 2**16
-            assert fast[i][j] == ref
+    a = sample_uniform(rng, 4, 3000, p16)
+    b = sample_uniform(rng, 3000, 12, p16)
+    c = sample_uniform(rng, 12, 4, p16)
+    # every product below is 144000 madds: past the small-product path
+    assert 4 * 3000 * 12 > MatrixZq._SMALL_MATMUL
+
+    def ref(x, y):
+        xs, ys = x.data.tolist(), y.data.tolist()
+        return [[sum(xi[k] * ys[k][j] for k in range(len(ys))) % 2**16
+                 for j in range(y.cols)] for xi in xs]
+
+    expected = [(x, y, ref(x, y)) for x, y in ((a, b), (b, c), (c, a))]
+    for _ in range(2):
+        for x, y, want in expected:
+            assert (x @ y).data.tolist() == want
 
 
 def test_entries_validated_on_construction():
@@ -94,6 +102,17 @@ def test_matrices_immutable():
         m.D = 5
     with pytest.raises(ValueError):
         m.data[0, 0] = 3
+    # the float64 copy a BLAS-path product keeps is as read-only as data
+    rng = RngHandle(b"immutable")
+    p16 = adhoc_paramset(D=16)
+    a, b = sample_uniform(rng, 64, 64, p16), sample_uniform(rng, 64, 64, p16)
+    before = a @ b
+    for arr in (a._f64, b._f64):                # set by the product above
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        a._f64 = np.zeros((64, 64))
+    assert a @ b == before
 
 
 # -- signed representative and norm ------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frue.matrix import MatrixZq, RngHandle, sample_chi, sample_uniform
-from frue.pke import PkeCiphertext, pke_dec, random_message_bits
+from frue.params import load_paramset
+from frue.pke import PkeCiphertext, pke_dec, pke_setup, random_message_bits
 from frue.ue import (EpochMismatchError, NoValidPlaneError,
                      derive_prev_secret, ord_bits, select_recovery_plane,
                      tensor_d, ue_dec, ue_enc, ue_kg, ue_tg,
@@ -215,6 +216,31 @@ def test_updated_ciphertext_unreadable_under_old_key(deployment16):
         old_view = pke_dec(p, d["keys"][0].sk_S, PkeCiphertext(C1=ct1.C1, C2=ct1.C2))
         wrong += not np.array_equal(old_view, m)
     assert wrong >= 99
+
+
+def test_one_token_many_ciphertexts_exact_at_frodo640():
+    # frodo-640 products take the float64 BLAS path, where each token matrix
+    # is converted once and reused; every update must still be bit-exact
+    p = load_paramset("frodo-640-shake")
+    rng = RngHandle(b"upd640")
+    _, A = pke_setup(rng, p)
+    k0, k1 = ue_kg(rng, p, A, 0), ue_kg(rng, p, A, 1)
+    tok = ue_tg(rng, p, A, k0.sk_S, k1.pk_B, 1)
+    mask = p.q - 1
+    d2_a, d2_b = tok.d2_a.data.astype(np.int64), tok.d2_b.data.astype(np.int64)
+    for i in range(3):
+        ct = ue_enc(rng, p, A, k0, random_message_bits(rng, p))
+        got = ue_upd(RngHandle(b"upd640-%d" % i), p, tok, ct)
+        R = sample_chi(RngHandle(b"upd640-%d" % i), p.m_bar, p.n, p).data.astype(np.int64)
+        # O @ X as row selection: row i of O marks bit k of C1[i, j] at k*n + j
+        c1 = ct.C1.data.astype(np.int64)
+        O = ((c1[:, None, :] >> np.arange(p.D)[None, :, None]) & 1).reshape(p.m_bar, -1) == 1
+        o_d1a = np.stack([tok.d1_a.data[row].sum(axis=0, dtype=np.int64) for row in O])
+        o_d1b = np.stack([tok.d1_b.data[row].sum(axis=0, dtype=np.int64) for row in O])
+        assert got.epoch == 1
+        assert np.array_equal(got.C1.data, (o_d1a + R @ d2_a) & mask)
+        assert np.array_equal(got.C2.data,
+                              (ct.C2.data.astype(np.int64) + o_d1b + R @ d2_b) & mask)
 
 
 # -- backward-leak key derivation ---------------------------------------------
