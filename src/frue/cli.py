@@ -2,8 +2,9 @@
 benchmarks, and the test-oracle commands.
 
 Exit codes are stable: 0 success, 2 usage error (bad flags or values),
-3 malformed envelope or mismatched input files, 4 epoch mismatch,
-5 message length error, 6 unknown parameter-set name or bench target.
+3 malformed envelope, game-run script record or mismatched input files,
+4 epoch mismatch, 5 message length error, 6 unknown parameter-set name or
+bench target.
 
 File encryption frames the plaintext inside the ell-bit message block as an
 8-byte little-endian length followed by the raw bytes and zero padding, so
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import envelope as env
-from .game import cstar, gs_setup, kstar_op_uni, tstar_op_uni
+from .game import run_experiment, starred_sets
 from .hybrids import (high_bits_projection, hyb_update_sampler,
                       make_update_instance, real_update_sampler, sim_ue_enc,
                       smudging_estimate, statistical_distance_estimate)
@@ -31,8 +32,7 @@ from .matrix import DimensionMismatchError, RngHandle, gen_public_matrix
 from .params import (UnknownParamSetError, bound_sides, empirical_chain_epochs,
                      load_paramset, max_certified_epochs, params_dump,
                      registered_names, validate_correctness_bound)
-from .pke import (MessageLengthError, bits_from_bytes, bytes_from_bits,
-                  pke_enc, pke_setup)
+from .pke import MessageLengthError, bits_from_bytes, bytes_from_bits, pke_enc
 from .ue import (EpochKey, EpochMismatchError, UeCiphertext, ue_dec, ue_kg,
                  ue_tg, ue_upd)
 
@@ -42,9 +42,15 @@ EXIT_EPOCH = 4
 EXIT_MSGLEN = 5
 EXIT_UNKNOWN_NAME = 6
 
+
+class ScriptRecordError(ValueError):
+    """A game-run script line that is not a well-formed oracle call."""
+
+
 _ERROR_CODES = (
     (env.MalformedEnvelopeError, EXIT_MALFORMED),
     (DimensionMismatchError, EXIT_MALFORMED),
+    (ScriptRecordError, EXIT_MALFORMED),
     (EpochMismatchError, EXIT_EPOCH),
     (MessageLengthError, EXIT_MSGLEN),
     (UnknownParamSetError, EXIT_UNKNOWN_NAME),
@@ -203,11 +209,7 @@ def decrypt(key_path, ct_path, out):
         if ke.p.paramset_id != ce.p.paramset_id:
             raise env.MalformedEnvelopeError("key and ciphertext use different parameter sets")
         key, _ = ke.payload
-        ct = ce.payload
-        if ct.epoch != key.epoch:
-            raise EpochMismatchError(
-                f"ciphertext epoch {ct.epoch} != key epoch {key.epoch}")
-        bits = ue_dec(ke.p, key, ct)
+        bits = ue_dec(ke.p, key, ce.payload)
         data = unpack_message(bits, ke.p)
         with open(out, "wb") as fh:
             fh.write(data)
@@ -308,64 +310,75 @@ def bench(levels, modes, runs, out_csv):
 
 # -- scripted security-game runner -------------------------------------------
 
-def _run_game_script(records: list[dict], p, rng: RngHandle, b: int) -> dict:
-    _, A = pke_setup(rng, p)
-    game = gs_setup(rng, p, A, b)
-    by_qid: dict[int, object] = {}
-    guess = 0
-    lines = []
+def _message_bits(i: int, hexmsg: str, p) -> np.ndarray:
+    """Record i's hex message as ell bits; it must be exactly ell/8 bytes."""
+    try:
+        raw = bytes.fromhex(hexmsg)
+    except ValueError:
+        raise ScriptRecordError(f"script record {i}: message is not hex") from None
+    if 8 * len(raw) != p.ell:
+        raise MessageLengthError(f"script record {i}: message of {len(raw)} bytes, "
+                                 f"{p.name} takes exactly {p.ell // 8}")
+    return bits_from_bytes(raw, p.ell)
 
-    for i, rec in enumerate(records):
-        op = rec.get("op")
-        if op == "enc":
-            ct = game.o_enc(bits_from_bytes(bytes.fromhex(rec["message"]), p.ell))
-            by_qid[game.qid] = ct
-            lines.append(f"[{i}] enc -> qid {game.qid} at epoch {game.e}")
-        elif op == "next":
-            game.o_next()
-            lines.append(f"[{i}] next -> epoch {game.e}")
-        elif op == "upd":
-            prev = by_qid.get(rec["qid"])
-            out = game.o_upd(prev) if prev is not None else None
-            if out is not None:
-                by_qid[rec["qid"]] = out
-            lines.append(f"[{i}] upd qid {rec['qid']} -> "
-                         + ("ok" if out is not None else "reject"))
-        elif op == "corr":
-            out = game.o_corr(rec["inp"], rec["epoch"])
-            lines.append(f"[{i}] corr {rec['inp']} @ {rec['epoch']} -> "
-                         + ("ok" if out is not None else "reject"))
-        elif op == "chall":
-            prev = by_qid.get(rec["qid"])
-            out = game.o_chall(
-                bits_from_bytes(bytes.fromhex(rec["message"]), p.ell), prev) \
-                if prev is not None else None
-            lines.append(f"[{i}] chall -> " + ("ok" if out is not None else "reject"))
-        elif op == "upd-ct":
-            out = game.o_upd_ct()
-            lines.append(f"[{i}] upd-ct -> " + ("ok" if out is not None else "reject"))
-        elif op == "dec":
-            target = by_qid.get(rec["qid"]) if "qid" in rec else game.chall_ct
-            out = game.o_dec(target) if target is not None else None
-            lines.append(f"[{i}] dec -> " + ("reject" if out is None
-                                             else bytes_from_bits(out).hex()))
-        elif op == "guess":
-            guess = int(rec["bit"])
-            lines.append(f"[{i}] guess {guess}")
-        else:
-            raise click.ClickException(f"script record {i}: unknown op {op!r}")
 
+def _run_game_script(script, p, rng: RngHandle, b: int) -> None:
+    """Replay the JSON-lines script as the adversary of one run_experiment
+    game, checking each record as it is read and echoing its oracle result;
+    then echo the leakage sets, their closures and the verdict."""
+    game, guess = None, 0
+
+    def adversary(g) -> int:
+        nonlocal game, guess
+        game, by_qid = g, {}
+        said = lambda out: "ok" if out is not None else "reject"
+        for i, line in enumerate(ln for ln in script if ln.strip()):
+            try:
+                rec = json.loads(line)
+            except (ValueError, RecursionError):
+                rec = None                              # falls to the last case
+            match rec:
+                case dict() if any(type(rec.get(f)) is bool for f in ("qid", "epoch", "bit")):
+                    raise ScriptRecordError(f"script record {i}: a boolean is not an integer")
+                case {"op": "enc", "message": str(hexmsg)}:
+                    ct = g.o_enc(_message_bits(i, hexmsg, p))
+                    by_qid[g.qid] = ct
+                    click.echo(f"[{i}] enc -> qid {g.qid} at epoch {g.e}")
+                case {"op": "next"}:
+                    g.o_next()
+                    click.echo(f"[{i}] next -> epoch {g.e}")
+                case {"op": "upd", "qid": int(qid)}:
+                    out = g.o_upd(by_qid[qid]) if qid in by_qid else None
+                    if out is not None:
+                        by_qid[qid] = out
+                    click.echo(f"[{i}] upd qid {qid} -> {said(out)}")
+                case {"op": "corr", "inp": "key" | "token" as inp, "epoch": int(e_hat)}:
+                    click.echo(f"[{i}] corr {inp} @ {e_hat} -> {said(g.o_corr(inp, e_hat))}")
+                case {"op": "chall", "message": str(hexmsg), "qid": int(qid)}:
+                    m_bar = _message_bits(i, hexmsg, p)
+                    out = g.o_chall(m_bar, by_qid[qid]) if qid in by_qid else None
+                    click.echo(f"[{i}] chall -> {said(out)}")
+                case {"op": "upd-ct"}:
+                    click.echo(f"[{i}] upd-ct -> {said(g.o_upd_ct())}")
+                case {"op": "dec"} if type(rec.get("qid", 0)) is int:
+                    target = by_qid.get(rec["qid"]) if "qid" in rec else g.chall_ct
+                    out = g.o_dec(target) if target is not None else None
+                    click.echo(f"[{i}] dec -> " + ("reject" if out is None
+                                                   else bytes_from_bits(out).hex()))
+                case {"op": "guess", "bit": int(0 | 1 as guess)}:
+                    click.echo(f"[{i}] guess {guess}")
+                case _:
+                    raise ScriptRecordError(f"script record {i}: not a well-formed oracle "
+                                            f"call: {line.strip()[:80]}")
+        return guess
+
+    returned = run_experiment(adversary, b, rng, p)
     ls = game.leakage
-    ks = kstar_op_uni(ls)
-    ts = tstar_op_uni(ls, ks)
-    cs = cstar(ls, ts, cc="uni")
-    twf = game.twf or (1 if ks & cs else 0)
-    returned = game.rng.bit() if twf else guess
-    return {
-        "lines": lines, "K": sorted(ls.K), "T": sorted(ls.T), "C": sorted(ls.C),
-        "K*": sorted(ks), "T*": sorted(ts), "C*": sorted(cs),
-        "twf": twf, "guess": guess, "returned": returned,
-    }
+    for name, s in zip(("K", "T", "C", "K*", "T*", "C*"),
+                       (ls.K, ls.T, ls.C, *starred_sets(ls))):
+        click.echo(f"{name:3}= {sorted(s)}")
+    click.echo(f"twf={game.twf} verdict={'trivial-win' if game.twf else 'clean'} "
+               f"guess={guess} returned={returned}")
 
 
 @main.command("game-run")
@@ -378,16 +391,8 @@ def game_run(script_path, params_name, bit, seed_hex):
     """Replay a scripted oracle trace and report leakage sets and the verdict."""
     def body():
         p = load_paramset(params_name)
-        with open(script_path) as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
-        report = _run_game_script(records, p, _rng_from(seed_hex, "game"), bit)
-        for line in report["lines"]:
-            click.echo(line)
-        for key in ("K", "T", "C", "K*", "T*", "C*"):
-            click.echo(f"{key:3}= {report[key]}")
-        click.echo(f"twf={report['twf']} "
-                   f"verdict={'trivial-win' if report['twf'] else 'clean'} "
-                   f"guess={report['guess']} returned={report['returned']}")
+        with open(script_path, encoding="utf-8", errors="replace") as fh:
+            _run_game_script(fh, p, _rng_from(seed_hex, "game"), bit)
     _run(body)
 
 
@@ -405,11 +410,12 @@ def hybrids_test(params_name, samples, seed_hex):
 
         pairs = min(500, samples)
         agree = 0
+        key_next = EpochKey(epoch=1, sk_S=inst.sk_next, pk_B=inst.pk_next)
         real = real_update_sampler(inst, rng.derive("agree-real"))
         hyb = hyb_update_sampler(inst, rng.derive("agree-hyb"))
         for _ in range(pairs):
-            a = ue_dec(p, _key_next(inst), real())
-            b = ue_dec(p, _key_next(inst), hyb())
+            a = ue_dec(p, key_next, real())
+            b = ue_dec(p, key_next, hyb())
             agree += bool(np.array_equal(a, b) and np.array_equal(a, inst.m))
         click.echo(f"decrypt agreement      : {agree}/{pairs}")
 
@@ -434,10 +440,6 @@ def hybrids_test(params_name, samples, seed_hex):
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         click.echo(f"sim uniformity chi2(15): {chi2:.2f} (alpha=0.001 cutoff 37.70)")
     _run(body)
-
-
-def _key_next(inst) -> EpochKey:
-    return EpochKey(epoch=1, sk_S=inst.sk_next, pk_B=inst.pk_next)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import numpy as np
 
 from .matrix import DimensionMismatchError, MatrixZq, RngHandle
 from .params import ParamSet
-from .pke import bytes_from_bits
+from .pke import bytes_from_bits, pke_setup
 from .ue import (EpochKey, EpochMismatchError, UeCiphertext, UpdateToken,
                  ue_dec, ue_enc, ue_kg, ue_tg, ue_upd)
 
@@ -81,8 +81,8 @@ class SecurityGame:
         return ct
 
     def o_dec(self, ct: UeCiphertext):
-        """Decrypt under the current key; flags a trivial win on challenge
-        plaintexts.  CPA-model stub: never used by the experiment verdict."""
+        """Decrypt under the current key.  A challenge plaintext coming back
+        flags a trivial win, so run_experiment answers with a coin."""
         try:
             m = ue_dec(self.p, self.keys[self.e], ct)
         except (EpochMismatchError, DimensionMismatchError):
@@ -119,7 +119,7 @@ class SecurityGame:
         return ct
 
     def o_corr(self, inp: str, e_hat: int):
-        if e_hat > self.e:
+        if not 0 <= e_hat <= self.e:
             self.trace.append(("corr", "reject"))
             return None
         if inp == "key":
@@ -211,6 +211,14 @@ def cstar(ls: LeakageSets, tstar: set[int], cc: str = "uni") -> set[int]:
     return known
 
 
+def starred_sets(ls: LeakageSets) -> tuple[set[int], set[int], set[int]]:
+    """(K*, T*, C*): every key, token and challenge-equal epoch the adversary
+    knows or can infer from ls, for uni-directional ciphertext updates."""
+    ks = kstar_op_uni(ls)
+    ts = tstar_op_uni(ls, ks)
+    return ks, ts, cstar(ls, ts, cc="uni")
+
+
 def run_experiment(adversary, b: int, rng: RngHandle, p: ParamSet,
                    A: MatrixZq | None = None) -> int:
     """Drive one experiment: Setup, adversary against the oracles, verdict.
@@ -220,13 +228,10 @@ def run_experiment(adversary, b: int, rng: RngHandle, p: ParamSet,
     epoch), the adversary's answer is replaced by a fresh uniform bit.
     """
     if A is None:
-        from .pke import pke_setup
         _, A = pke_setup(rng, p)
     game = gs_setup(rng, p, A, b)
     b_prime = int(adversary(game))
-    ks = kstar_op_uni(game.leakage)
-    ts = tstar_op_uni(game.leakage, ks)
-    cs = cstar(game.leakage, ts, cc="uni")
+    ks, _, cs = starred_sets(game.leakage)
     if ks & cs:
         game.twf = 1
     if game.twf == 1:

@@ -12,7 +12,6 @@ The Sim procedures replace outputs with uniform samples of the right shape.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,9 +107,7 @@ def sim_ue_tg(rng: RngHandle, p: ParamSet, epoch: int = 1) -> UpdateToken:
 
 
 def sim_ue_upd(rng: RngHandle, p: ParamSet, epoch: int = 1) -> UeCiphertext:
-    return UeCiphertext(epoch=epoch,
-                        C1=sample_uniform(rng, p.m_bar, p.n, p),
-                        C2=sample_uniform(rng, p.m_bar, p.n_bar, p))
+    return sim_ue_enc(rng, p, epoch)
 
 
 def sim_ue_enc(rng: RngHandle, p: ParamSet, epoch: int = 0) -> UeCiphertext:
@@ -125,14 +122,13 @@ def statistical_distance_estimate(sampler_a: Callable[[], object],
                                   projection: Callable[[object], int]) -> float:
     """Empirical total-variation distance between two projected sample streams.
 
-    Both samplers are drawn num_samples times; the projection must land in a
-    small finite alphabet or the estimate is dominated by sampling noise.
+    Both samplers are drawn num_samples times; the projection must map each
+    sample to an integer in a small range, or sampling noise dominates.
     """
-    counts_a = Counter(projection(sampler_a()) for _ in range(num_samples))
-    counts_b = Counter(projection(sampler_b()) for _ in range(num_samples))
-    support = set(counts_a) | set(counts_b)
-    total = sum(abs(counts_a.get(r, 0) - counts_b.get(r, 0)) for r in support)
-    return total / (2.0 * num_samples)
+    xs, ys = [np.fromiter((projection(draw()) for _ in range(num_samples)),
+                          dtype=np.int64, count=num_samples)
+              for draw in (sampler_a, sampler_b)]
+    return _empirical_tv(xs, ys)
 
 
 # -- canned instances for the distribution checks ---------------------------

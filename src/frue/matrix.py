@@ -171,11 +171,6 @@ class MatrixZq:
             object.__setattr__(self, "_f64", arr)
             return arr
 
-    def scale_pow2(self, k: int) -> "MatrixZq":
-        """Multiply every entry by 2**k (mod q)."""
-        out = (self.data.astype(np.uint32) << np.uint32(k)) & np.uint32(self.q - 1)
-        return MatrixZq._new(out.astype(np.uint16), self.D)
-
     # -- norms ----------------------------------------------------------
 
     def signed(self) -> np.ndarray:

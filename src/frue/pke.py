@@ -27,7 +27,6 @@ class MessageLengthError(ValueError):
 class PkeKeyPair:
     pk_B: MatrixZq          # n x n_bar, equals A @ sk_S + E with E chi-bounded
     sk_S: MatrixZq          # n x n_bar
-    a_seed: bytes = b""     # regenerates the public matrix A
 
 
 @dataclass(frozen=True)
@@ -95,13 +94,13 @@ def pke_setup(rng: RngHandle, p: ParamSet) -> tuple[bytes, MatrixZq]:
     return a_seed, gen_public_matrix(a_seed, p)
 
 
-def pke_keygen(rng: RngHandle, p: ParamSet, A: MatrixZq, a_seed: bytes = b"") -> PkeKeyPair:
+def pke_keygen(rng: RngHandle, p: ParamSet, A: MatrixZq) -> PkeKeyPair:
     """Sample S, E from chi and publish B = A @ S + E."""
     if A.shape != (p.n, p.n):
         raise DimensionMismatchError(f"A must be {p.n}x{p.n}")
     S = sample_chi(rng, p.n, p.n_bar, p)
     E = sample_chi(rng, p.n, p.n_bar, p)
-    return PkeKeyPair(pk_B=A @ S + E, sk_S=S, a_seed=a_seed)
+    return PkeKeyPair(pk_B=A @ S + E, sk_S=S)
 
 
 def pke_enc_traced(rng: RngHandle, p: ParamSet, A: MatrixZq, pk_B: MatrixZq,

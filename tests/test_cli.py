@@ -2,6 +2,7 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from frue.cli import (EXIT_EPOCH, EXIT_MALFORMED, EXIT_MSGLEN,
                       EXIT_UNKNOWN_NAME, main, message_capacity, pack_message,
@@ -213,6 +214,82 @@ def test_game_run_clean_and_trivial(runner, tmp_path, toy16):
     assert res.exit_code == 0
     assert "verdict=trivial-win" in res.output
     assert "K  = [1]" in res.output
+
+
+HEX16 = "00" * 16                  # one toy-16 message: ell = 128 bits
+
+
+@pytest.mark.parametrize("bad, code", [
+    ("not json", EXIT_MALFORMED),
+    ("[1, 2]", EXIT_MALFORMED),
+    ('"enc"', EXIT_MALFORMED),
+    ('{"op": "bogus"}', EXIT_MALFORMED),
+    ('{"qid": 1}', EXIT_MALFORMED),
+    ('{"op": "enc"}', EXIT_MALFORMED),
+    ('{"op": "upd"}', EXIT_MALFORMED),
+    ('{"op": "enc", "message": 7}', EXIT_MALFORMED),
+    ('{"op": "enc", "message": "zz"}', EXIT_MALFORMED),
+    ('{"op": "chall", "message": "zz", "qid": 1}', EXIT_MALFORMED),
+    (f'{{"op": "chall", "message": "{HEX16}"}}', EXIT_MALFORMED),
+    ('{"op": "upd", "qid": "1"}', EXIT_MALFORMED),
+    ('{"op": "upd", "qid": true}', EXIT_MALFORMED),
+    ('{"op": "dec", "qid": 1.0}', EXIT_MALFORMED),
+    ('{"op": "corr", "inp": "key"}', EXIT_MALFORMED),
+    ('{"op": "corr", "inp": "key", "epoch": "0"}', EXIT_MALFORMED),
+    ('{"op": "corr", "inp": "bogus", "epoch": 0}', EXIT_MALFORMED),
+    ('{"op": "guess", "bit": "x"}', EXIT_MALFORMED),
+    ('{"op": "guess", "bit": 2}', EXIT_MALFORMED),
+    ('{"op": "guess", "bit": true}', EXIT_MALFORMED),
+    ('{"op": "enc", "message": "00"}', EXIT_MSGLEN),
+    (f'{{"op": "enc", "message": "{HEX16}00"}}', EXIT_MSGLEN),    # one byte too long
+    ('{"op": "chall", "message": "00", "qid": 1}', EXIT_MSGLEN),
+])
+def test_game_run_rejects_bad_record(runner, tmp_path, bad, code):
+    script = tmp_path / "bad.jsonl"
+    # blank lines are not records, so the bad line is record 2
+    script.write_text(f'{{"op": "enc", "message": "{HEX16}"}}\n\n{{"op": "next"}}\n{bad}\n')
+    res = runner.invoke(main, ["game-run", "--script", str(script), "--seed", "0abc"])
+    assert res.exit_code == code
+    assert isinstance(res.exception, SystemExit)          # reported, not a traceback
+    assert "script record 2: " in res.stderr
+
+
+_FUZZ_VALUE = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                        st.text(max_size=4), st.lists(st.integers(), max_size=2))
+_FUZZ_MESSAGE = st.one_of(st.just(HEX16), st.just(HEX16), st.just(HEX16),
+                          st.binary(min_size=15, max_size=17).map(bytes.hex))
+_FUZZ_QID = st.integers(0, 4)
+_VALID_RECORD = st.one_of(
+    st.fixed_dictionaries({"op": st.just("enc"), "message": _FUZZ_MESSAGE}),
+    st.just({"op": "next"}),
+    st.fixed_dictionaries({"op": st.just("upd"), "qid": _FUZZ_QID}),
+    st.fixed_dictionaries({"op": st.just("corr"), "inp": st.sampled_from(["key", "token"]),
+                           "epoch": st.integers(-1, 4)}),
+    st.fixed_dictionaries({"op": st.just("chall"), "message": _FUZZ_MESSAGE,
+                           "qid": _FUZZ_QID}),
+    st.just({"op": "upd-ct"}),
+    st.fixed_dictionaries({"op": st.just("dec")}, optional={"qid": _FUZZ_QID}),
+    st.fixed_dictionaries({"op": st.just("guess"), "bit": st.integers(0, 1)}),
+)
+_JUNK_RECORD = st.fixed_dictionaries(
+    {"op": st.one_of(st.sampled_from(["enc", "upd", "corr", "chall", "dec", "guess"]),
+                     _FUZZ_VALUE)},
+    optional={name: _FUZZ_VALUE for name in ("message", "qid", "inp", "epoch", "bit")})
+_JUNK_LINE = st.one_of(_JUNK_RECORD.map(json.dumps), st.text(max_size=12))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_VALID_RECORD.map(json.dumps), max_size=10),
+       st.one_of(st.none(), _JUNK_LINE), st.integers(0, 10))
+def test_game_run_fuzzed_script_exits_cleanly(runner, tmp_path, lines, junk, at):
+    if junk is not None:
+        lines.insert(at, junk)
+    script = tmp_path / "fuzz.jsonl"
+    script.write_text("\n".join(lines), encoding="utf-8")
+    res = runner.invoke(main, ["game-run", "--script", str(script), "--seed", "0abc"])
+    assert res.exit_code in (0, EXIT_MALFORMED, EXIT_MSGLEN), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
 def test_hybrids_test_command(runner):

@@ -1,4 +1,7 @@
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frue import envelope as env
 from frue.matrix import RngHandle, sample_uniform
@@ -108,3 +111,29 @@ def test_read_envelope_file_kind_check(tmp_path, toy16):
     assert env.read_envelope_file(path, expect_kind=env.KIND_TOKEN).payload == tok
     with pytest.raises(env.MalformedEnvelopeError):
         env.read_envelope_file(path, expect_kind=env.KIND_CIPHERTEXT)
+
+
+@functools.cache
+def _toy16_blobs() -> tuple[bytes, ...]:
+    """One valid toy-16 envelope of each kind."""
+    p = load_paramset("toy-16")
+    key, tok, ct = synthetic_objects(p, b"env-fuzz")
+    a_seed = bytes(range(16))
+    return (env.pack_paramset(p), env.pack_epoch_key(p, key, a_seed),
+            env.pack_public_key(p, 2, key.pk_B, a_seed), env.pack_token(p, tok),
+            env.pack_ciphertext(p, ct))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.integers(0, 4),
+       st.lists(st.tuples(st.one_of(st.integers(0, 40), st.integers(0, 2**16)),
+                          st.integers(0, 255)), max_size=4),
+       st.one_of(st.none(), st.integers(0, 2**16)), st.binary(max_size=3))
+def test_mutated_envelope_raises_only_malformed(kind, edits, cut, tail):
+    blob = bytearray(_toy16_blobs()[kind])
+    for pos, byte in edits:
+        blob[pos % len(blob)] = byte
+    try:
+        env.read_envelope(bytes(blob[:cut]) + tail)
+    except env.MalformedEnvelopeError:
+        pass

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frue.game import (LeakageSets, cstar, gs_setup, kstar_op_uni,
-                       run_experiment, tstar_op_uni)
+                       run_experiment, starred_sets, tstar_op_uni)
 from frue.matrix import MatrixZq, RngHandle
 from frue.pke import random_message_bits
 from frue.ue import UeCiphertext, ue_dec
@@ -69,6 +69,7 @@ def test_starred_sets_contain_bases_and_grow_monotonically(K, T, C, l):
     ks = kstar_op_uni(ls)
     ts = tstar_op_uni(ls, ks)
     cs = cstar(ls, ts, "uni")
+    assert starred_sets(ls) == (ks, ts, cs)
     assert K <= ks and T <= ts and C <= cs
     bigger = LeakageSets(K=K | {l}, T=T | {l}, C=C, l=l)
     ks2 = kstar_op_uni(bigger)
@@ -151,6 +152,10 @@ def test_upd_rejects_unrecorded_ciphertext(game):
 def test_corr_guards_and_recording(game):
     g, _ = game
     assert g.o_corr("key", 1) is None          # future epoch
+    assert g.o_corr("key", -1) is None         # negative epoch
+    assert g.o_corr("token", -1) is None
+    assert g.leakage.K == set() and g.leakage.T == set()
+    assert g.trace[-3:] == [("corr", "reject")] * 3
     g.o_next()
     key = g.o_corr("key", 1)
     assert key is not None and g.leakage.K == {1}

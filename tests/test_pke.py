@@ -13,8 +13,8 @@ from oracles import dc_reference as dc
 
 def setup_scene(p, seed=b"pke-scene"):
     rng = RngHandle(seed)
-    a_seed, A = pke_setup(rng, p)
-    kp = pke_keygen(rng, p, A, a_seed)
+    _, A = pke_setup(rng, p)
+    kp = pke_keygen(rng, p, A)
     return rng, A, kp
 
 
