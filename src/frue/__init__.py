@@ -15,11 +15,11 @@ from .params import (ParamSet, UnknownParamSetError, bound_sides,
 from .pke import (MessageLengthError, PkeCiphertext, PkeKeyPair,
                   bits_from_bytes, bytes_from_bits, decode, encode, pke_dec,
                   pke_enc, pke_keygen, pke_setup, random_message_bits)
-from .ue import (EpochKey, EpochMismatchError, NoValidPlaneError, UeCiphertext,
-                 UpdateToken, derive_prev_secret, ord_bits, select_recovery_plane,
-                 tensor_d, ue_dec, ue_enc, ue_kg, ue_tg, ue_upd)
-from .hybrids import (TokenRandomness, hyb_ue_upd, sample_token_randomness,
-                      sim_ue_enc, sim_ue_kg, sim_ue_tg, sim_ue_upd,
+from .ue import (EpochKey, EpochMismatchError, NoValidPlaneError, TokenRandomness,
+                 UeCiphertext, UpdateToken, derive_prev_secret, ord_bits,
+                 sample_token_randomness, select_recovery_plane, tensor_d, ue_dec,
+                 ue_enc, ue_kg, ue_tg, ue_upd)
+from .hybrids import (hyb_ue_upd, sim_ue_enc, sim_ue_kg, sim_ue_tg, sim_ue_upd,
                       statistical_distance_estimate)
 from .game import (LeakageSets, SecurityGame, cstar, gs_setup, kstar_op_uni,
                    run_experiment, tstar_op_uni)

@@ -69,9 +69,16 @@ def _run(fn):
         raise
 
 
-def _rng_from(seed_hex: str | None, label: str) -> RngHandle:
-    raw = bytes.fromhex(seed_hex) if seed_hex else secrets.token_bytes(32)
-    return RngHandle(raw).derive(label)
+def _hex_seed(ctx, param, value: str | None) -> bytes | None:
+    """Click callback for --seed: hex text to bytes; not hex is a usage error."""
+    try:
+        return bytes.fromhex(value) if value else None
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not a hex string") from None
+
+
+def _rng_from(seed: bytes | None, label: str) -> RngHandle:
+    return RngHandle(seed or secrets.token_bytes(32)).derive(label)
 
 
 # -- message framing --------------------------------------------------------
@@ -144,15 +151,15 @@ def params_show(name, out_path):
 @click.option("--params", "params_name", required=True, help="Parameter set name.")
 @click.option("--epoch", type=click.IntRange(min=0, max=2**32 - 1), required=True,
               help="Epoch index, 0 <= e < 2**32 (stored as 32 bits).")
-@click.option("--seed", "seed_hex", default=None,
+@click.option("--seed", callback=_hex_seed,
               help="Hex seed; reuse one seed across epochs to share the public matrix.")
 @click.option("--out-key", type=click.Path(), required=True)
 @click.option("--out-pub", type=click.Path(), required=True)
-def keygen(params_name, epoch, seed_hex, out_key, out_pub):
+def keygen(params_name, epoch, seed, out_key, out_pub):
     """Generate an epoch key; writes the secret key file and the public-key file."""
     def body():
         p = load_paramset(params_name)
-        master = bytes.fromhex(seed_hex) if seed_hex else secrets.token_bytes(32)
+        master = seed or secrets.token_bytes(32)
         a_seed = RngHandle(master).derive("a-seed").bytes(env.A_SEED_LEN)
         A = gen_public_matrix(a_seed, p)
         key = ue_kg(RngHandle(master).derive(f"epoch:{epoch}"), p, A, epoch)
@@ -180,9 +187,9 @@ def _load_key_material(path):
 @main.command()
 @click.option("--key", "key_path", type=click.Path(exists=True), required=True)
 @click.option("--message-file", type=click.Path(exists=True), required=True)
-@click.option("--seed", "seed_hex", default=None)
+@click.option("--seed", callback=_hex_seed)
 @click.option("--out", type=click.Path(), required=True)
-def encrypt(key_path, message_file, seed_hex, out):
+def encrypt(key_path, message_file, seed, out):
     """Encrypt a file under an epoch key (public-key file suffices)."""
     def body():
         p, epoch, pk_B, a_seed = _load_key_material(key_path)
@@ -190,7 +197,7 @@ def encrypt(key_path, message_file, seed_hex, out):
             data = fh.read()
         bits = pack_message(data, p)
         A = gen_public_matrix(a_seed, p)
-        ct = pke_enc(_rng_from(seed_hex, "encrypt"), p, A, pk_B, bits)
+        ct = pke_enc(_rng_from(seed, "encrypt"), p, A, pk_B, bits)
         with open(out, "wb") as fh:
             fh.write(env.pack_ciphertext(p, UeCiphertext(epoch, ct.C1, ct.C2)))
         click.echo(f"wrote {out} (epoch {epoch})")
@@ -222,9 +229,9 @@ def decrypt(key_path, ct_path, out):
               help="Epoch-key file for epoch e.")
 @click.option("--next-pub", type=click.Path(exists=True), required=True,
               help="Public-key file for epoch e+1.")
-@click.option("--seed", "seed_hex", default=None)
+@click.option("--seed", callback=_hex_seed)
 @click.option("--out", type=click.Path(), required=True)
-def token(prev_key, next_pub, seed_hex, out):
+def token(prev_key, next_pub, seed, out):
     """Generate the update token from the old secret key and new public key."""
     def body():
         ke = env.read_envelope_file(prev_key, expect_kind=env.KIND_EPOCH_KEY)
@@ -240,7 +247,7 @@ def token(prev_key, next_pub, seed_hex, out):
             raise EpochMismatchError(
                 f"need consecutive epochs, got {ke.epoch} -> {pe.epoch}")
         A = gen_public_matrix(a_seed_prev, ke.p)
-        tok = ue_tg(_rng_from(seed_hex, "token"), ke.p, A, key.sk_S, pk_next, pe.epoch)
+        tok = ue_tg(_rng_from(seed, "token"), ke.p, A, key.sk_S, pk_next, pe.epoch)
         with open(out, "wb") as fh:
             fh.write(env.pack_token(ke.p, tok))
         click.echo(f"wrote {out} (token into epoch {pe.epoch})")
@@ -250,16 +257,16 @@ def token(prev_key, next_pub, seed_hex, out):
 @main.command()
 @click.option("--token", "token_path", type=click.Path(exists=True), required=True)
 @click.option("--ct", "ct_path", type=click.Path(exists=True), required=True)
-@click.option("--seed", "seed_hex", default=None)
+@click.option("--seed", callback=_hex_seed)
 @click.option("--out", type=click.Path(), required=True)
-def update(token_path, ct_path, seed_hex, out):
+def update(token_path, ct_path, seed, out):
     """Re-encrypt a ciphertext file to the token's target epoch."""
     def body():
         te = env.read_envelope_file(token_path, expect_kind=env.KIND_TOKEN)
         ce = env.read_envelope_file(ct_path, expect_kind=env.KIND_CIPHERTEXT)
         if te.p.paramset_id != ce.p.paramset_id:
             raise env.MalformedEnvelopeError("token and ciphertext use different parameter sets")
-        ct2 = ue_upd(_rng_from(seed_hex, "update"), te.p, te.payload, ce.payload)
+        ct2 = ue_upd(_rng_from(seed, "update"), te.p, te.payload, ce.payload)
         with open(out, "wb") as fh:
             fh.write(env.pack_ciphertext(te.p, ct2))
         click.echo(f"wrote {out} (epoch {ct2.epoch})")
@@ -386,25 +393,25 @@ def _run_game_script(script, p, rng: RngHandle, b: int) -> None:
               help="JSON-lines trace: one {\"op\": ..., ...} record per line.")
 @click.option("--params", "params_name", default="toy-16", show_default=True)
 @click.option("--bit", type=click.IntRange(0, 1), default=0, show_default=True)
-@click.option("--seed", "seed_hex", default=None)
-def game_run(script_path, params_name, bit, seed_hex):
+@click.option("--seed", callback=_hex_seed)
+def game_run(script_path, params_name, bit, seed):
     """Replay a scripted oracle trace and report leakage sets and the verdict."""
     def body():
         p = load_paramset(params_name)
         with open(script_path, encoding="utf-8", errors="replace") as fh:
-            _run_game_script(fh, p, _rng_from(seed_hex, "game"), bit)
+            _run_game_script(fh, p, _rng_from(seed, "game"), bit)
     _run(body)
 
 
 @main.command("hybrids-test")
 @click.option("--params", "params_name", default="toy-16", show_default=True)
 @click.option("--samples", type=click.IntRange(min=100), default=20000, show_default=True)
-@click.option("--seed", "seed_hex", default=None)
-def hybrids_test(params_name, samples, seed_hex):
+@click.option("--seed", callback=_hex_seed)
+def hybrids_test(params_name, samples, seed):
     """Run the hybrid/simulator statistical checks and print the distances."""
     def body():
         p = load_paramset(params_name)
-        rng = _rng_from(seed_hex or "1bad5eed", "hybrids")
+        rng = _rng_from(seed or bytes.fromhex("1bad5eed"), "hybrids")
         inst = make_update_instance(p)
         proj = high_bits_projection(p)
 

@@ -119,18 +119,17 @@ class SecurityGame:
         return ct
 
     def o_corr(self, inp: str, e_hat: int):
+        if inp not in ("key", "token"):
+            raise ValueError("inp must be 'key' or 'token'")
         if not 0 <= e_hat <= self.e:
             self.trace.append(("corr", "reject"))
             return None
+        self.trace.append(("corr", inp, e_hat))
         if inp == "key":
             self.leakage.K.add(e_hat)
-            self.trace.append(("corr", "key", e_hat))
             return self.keys[e_hat]
-        if inp == "token":
-            self.leakage.T.add(e_hat)
-            self.trace.append(("corr", "token", e_hat))
-            return self.tokens.get(e_hat)      # epoch 0 has no token
-        raise ValueError("inp must be 'key' or 'token'")
+        self.leakage.T.add(e_hat)
+        return self.tokens.get(e_hat)          # epoch 0 has no token
 
     def o_chall(self, m_bar, ct_bar: UeCiphertext):
         """Start the challenge phase: fresh encryption of m_bar (b = 0) or an

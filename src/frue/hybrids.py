@@ -1,8 +1,9 @@
 """Hybrid and simulator procedures, used as statistical test oracles.
 
 hyb_ue_upd re-derives an updated ciphertext directly from the plaintext, the
-next public key, and the token's noise samples, instead of pushing the old
-ciphertext through the token.  Up to a bounded cross-noise term (the product
+next public key, and the token's noise samples (drawn by
+frue.ue.sample_token_randomness, as ue_tg draws them), instead of pushing the
+old ciphertext through the token.  Up to a bounded cross-noise term (the product
 of encryption noise with key material, which the real update drags along),
 the two routes produce the same distribution; tests quantify the gap with
 an empirical total-variation estimate on projected marginals.
@@ -20,47 +21,9 @@ import numpy as np
 from .matrix import MatrixZq, RngHandle, sample_chi, sample_uniform
 from .params import ParamSet
 from .pke import encode, pke_setup, random_message_bits
-from .ue import (UeCiphertext, UpdateToken, ord_bits, ue_enc_traced, ue_kg,
-                 ue_tg_from_randomness, ue_upd)
-
-
-@dataclass(frozen=True)
-class TokenRandomness:
-    """Every noise sample a token generation consumes, plus the public-key
-    noise E_pk of the target epoch (recoverable as pk_B - A @ sk_S)."""
-    S1p: MatrixZq           # nD x n
-    E1p: MatrixZq           # nD x n
-    E1pp: MatrixZq          # nD x n_bar
-    S2p: MatrixZq           # n x n
-    E2p: MatrixZq           # n x n
-    E2pp: MatrixZq          # n x n_bar
-    E_pk: MatrixZq          # n x n_bar
-
-
-def sample_token_randomness(rng: RngHandle, p: ParamSet, E_pk: MatrixZq) -> TokenRandomness:
-    """Draw the six token noise matrices (jointly distributed as in ue_tg).
-
-    Drawn as one flat chi batch and sliced, which keeps repeated-sampling
-    loops cheap; entries are i.i.d. so the joint law matches per-matrix draws.
-    """
-    nD = p.n * p.D
-    shapes = ((nD, p.n), (nD, p.n), (nD, p.n_bar),
-              (p.n, p.n), (p.n, p.n), (p.n, p.n_bar))
-    total = sum(r * c for r, c in shapes)
-    flat = sample_chi(rng, 1, total, p).data
-    mats, off = [], 0
-    for r, c in shapes:
-        mats.append(MatrixZq._new(flat[0, off:off + r * c].reshape(r, c), p.D))
-        off += r * c
-    return TokenRandomness(S1p=mats[0], E1p=mats[1], E1pp=mats[2],
-                           S2p=mats[3], E2p=mats[4], E2pp=mats[5], E_pk=E_pk)
-
-
-def token_from_randomness(p: ParamSet, A: MatrixZq, sk_prev: MatrixZq,
-                          pk_next: MatrixZq, epoch_next: int,
-                          tr: TokenRandomness) -> UpdateToken:
-    return ue_tg_from_randomness(p, A, sk_prev, pk_next, epoch_next,
-                                 tr.S1p, tr.E1p, tr.E1pp, tr.S2p, tr.E2p, tr.E2pp)
+from .ue import (TokenRandomness, UeCiphertext, UpdateToken, ord_bits,
+                 sample_token_randomness, token_from_randomness, ue_enc_traced,
+                 ue_kg, ue_upd)
 
 
 def hyb_ue_upd(rng: RngHandle, p: ParamSet, A: MatrixZq, ct: UeCiphertext,
@@ -76,12 +39,6 @@ def hyb_ue_upd(rng: RngHandle, p: ParamSet, A: MatrixZq, ct: UeCiphertext,
     is the C2 noise of the ciphertext being updated (caller-instrumented).
     """
     R = sample_chi(rng, p.m_bar, p.n, p)
-    return hyb_ue_upd_with_randomness(p, A, ct, pk_next, m, E_ct, tr, R)
-
-
-def hyb_ue_upd_with_randomness(p: ParamSet, A: MatrixZq, ct: UeCiphertext,
-                               pk_next: MatrixZq, m, E_ct: MatrixZq,
-                               tr: TokenRandomness, R: MatrixZq) -> UeCiphertext:
     O = ord_bits(ct.C1)
     s_dag = O @ tr.S1p + R @ tr.S2p
     e_dag = O @ tr.E1p + R @ tr.E2p
@@ -145,7 +102,6 @@ class UpdateInstance:
     m: object
     ct: UeCiphertext
     E_ct: MatrixZq
-    E_pk: MatrixZq
 
 
 def make_update_instance(p: ParamSet, seed: bytes = b"frue-upd-instance") -> UpdateInstance:
@@ -156,14 +112,13 @@ def make_update_instance(p: ParamSet, seed: bytes = b"frue-upd-instance") -> Upd
     m = random_message_bits(rng, p)
     ct, e_ct = ue_enc_traced(rng, p, A, k0, m)
     return UpdateInstance(p=p, A=A, sk_prev=k0.sk_S, pk_next=k1.pk_B,
-                          sk_next=k1.sk_S, m=m, ct=ct, E_ct=e_ct,
-                          E_pk=k1.pk_B - A @ k1.sk_S)
+                          sk_next=k1.sk_S, m=m, ct=ct, E_ct=e_ct)
 
 
 def real_update_sampler(inst: UpdateInstance, rng: RngHandle) -> Callable[[], UeCiphertext]:
     """One draw = fresh token randomness, then the real update route."""
     def draw() -> UeCiphertext:
-        tr = sample_token_randomness(rng, inst.p, inst.E_pk)
+        tr = sample_token_randomness(rng, inst.p)
         tok = token_from_randomness(inst.p, inst.A, inst.sk_prev, inst.pk_next, 1, tr)
         return ue_upd(rng, inst.p, tok, inst.ct)
 
@@ -173,7 +128,7 @@ def real_update_sampler(inst: UpdateInstance, rng: RngHandle) -> Callable[[], Ue
 def hyb_update_sampler(inst: UpdateInstance, rng: RngHandle) -> Callable[[], UeCiphertext]:
     """One draw = fresh token randomness, then the hybrid reconstruction."""
     def draw() -> UeCiphertext:
-        tr = sample_token_randomness(rng, inst.p, inst.E_pk)
+        tr = sample_token_randomness(rng, inst.p)
         return hyb_ue_upd(rng, inst.p, inst.A, inst.ct, inst.pk_next,
                           inst.m, inst.E_ct, tr)
 

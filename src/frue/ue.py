@@ -110,17 +110,53 @@ def ue_dec(p: ParamSet, key: EpochKey, ct: UeCiphertext) -> np.ndarray:
     return pke_dec(p, key.sk_S, PkeCiphertext(C1=ct.C1, C2=ct.C2))
 
 
-def ue_tg_from_randomness(p: ParamSet, A: MatrixZq, sk_prev: MatrixZq,
+@dataclass(frozen=True)
+class TokenRandomness:
+    """Every noise sample one token generation consumes."""
+    S1p: MatrixZq           # nD x n
+    E1p: MatrixZq           # nD x n
+    E1pp: MatrixZq          # nD x n_bar
+    S2p: MatrixZq           # n x n
+    E2p: MatrixZq           # n x n
+    E2pp: MatrixZq          # n x n_bar
+
+
+def sample_token_randomness(rng: RngHandle, p: ParamSet) -> TokenRandomness:
+    """Draw the token noise, in this order, each matrix i.i.d. from chi:
+
+      S'_(1), E'_(1) at nD x n, E''_(1) at nD x n_bar,
+      S'_(2), E'_(2) at n x n,  E''_(2) at n x n_bar.
+
+    This is the one place the layout and order are written down; ue_tg and
+    the hybrid oracles both draw through it.  The six matrices come from one
+    flat chi batch, sliced row-major, which consumes the generator exactly
+    as six separate draws in the same order would.
+    """
+    nD = p.n * p.D
+    shapes = ((nD, p.n), (nD, p.n), (nD, p.n_bar),
+              (p.n, p.n), (p.n, p.n), (p.n, p.n_bar))
+    flat = sample_chi(rng, 1, sum(r * c for r, c in shapes), p).data
+    mats, off = [], 0
+    for r, c in shapes:
+        mats.append(MatrixZq._new(flat[0, off:off + r * c].reshape(r, c), p.D))
+        off += r * c
+    return TokenRandomness(*mats)
+
+
+def token_from_randomness(p: ParamSet, A: MatrixZq, sk_prev: MatrixZq,
                           pk_next: MatrixZq, epoch_next: int,
-                          s1p: MatrixZq, e1p: MatrixZq, e1pp: MatrixZq,
-                          s2p: MatrixZq, e2p: MatrixZq, e2pp: MatrixZq) -> UpdateToken:
-    """Assemble a token from explicit noise samples (shared by tests/oracles)."""
+                          tr: TokenRandomness) -> UpdateToken:
+    """Assemble Delta_{e+1} from explicit noise samples:
+
+      Delta^(1) = (S'_(1) A + E'_(1),  S'_(1) B_next + E''_(1) - tensor_d(S_prev))
+      Delta^(2) = (S'_(2) A + E'_(2),  S'_(2) B_next + E''_(2)).
+    """
     if sk_prev.shape != (p.n, p.n_bar) or pk_next.shape != (p.n, p.n_bar):
         raise DimensionMismatchError("keys must be n x n_bar")
-    d1_a = s1p @ A + e1p
-    d1_b = s1p @ pk_next + e1pp - tensor_d(sk_prev)
-    d2_a = s2p @ A + e2p
-    d2_b = s2p @ pk_next + e2pp
+    d1_a = tr.S1p @ A + tr.E1p
+    d1_b = tr.S1p @ pk_next + tr.E1pp - tensor_d(sk_prev)
+    d2_a = tr.S2p @ A + tr.E2p
+    d2_b = tr.S2p @ pk_next + tr.E2pp
     return UpdateToken(epoch=epoch_next, d1_a=d1_a, d1_b=d1_b, d2_a=d2_a, d2_b=d2_b)
 
 
@@ -128,42 +164,27 @@ def ue_tg(rng: RngHandle, p: ParamSet, A: MatrixZq, sk_prev: MatrixZq,
           pk_next: MatrixZq, epoch_next: int) -> UpdateToken:
     """Token generation; needs only the old secret key and the new public key.
 
-    Draws (in order) S'_(1), E'_(1) from chi at nD x n, E''_(1) at nD x n_bar,
-    then S'_(2), E'_(2) at n x n and E''_(2) at n x n_bar, and sets
-
-      Delta^(1) = (S'_(1) A + E'_(1),  S'_(1) B_next + E''_(1) - tensor_d(S_prev))
-      Delta^(2) = (S'_(2) A + E'_(2),  S'_(2) B_next + E''_(2)).
+    Draws its noise with sample_token_randomness (which fixes the order) and
+    assembles the token with token_from_randomness.
     """
-    nD = p.n * p.D
-    s1p = sample_chi(rng, nD, p.n, p)
-    e1p = sample_chi(rng, nD, p.n, p)
-    e1pp = sample_chi(rng, nD, p.n_bar, p)
-    s2p = sample_chi(rng, p.n, p.n, p)
-    e2p = sample_chi(rng, p.n, p.n, p)
-    e2pp = sample_chi(rng, p.n, p.n_bar, p)
-    return ue_tg_from_randomness(p, A, sk_prev, pk_next, epoch_next,
-                                 s1p, e1p, e1pp, s2p, e2p, e2pp)
+    return token_from_randomness(p, A, sk_prev, pk_next, epoch_next,
+                                 sample_token_randomness(rng, p))
 
 
-def ue_upd_with_randomness(p: ParamSet, tok: UpdateToken, ct: UeCiphertext,
-                           R: MatrixZq) -> UeCiphertext:
-    """Apply a token with an explicit re-randomization matrix R."""
+def ue_upd(rng: RngHandle, p: ParamSet, tok: UpdateToken, ct: UeCiphertext) -> UeCiphertext:
+    """Move a ciphertext to the next epoch; randomized, never idempotent.
+
+    Draws R from chi at m_bar x n, then with O = ord_bits(C1) returns
+    (O d1_a + R d2_a,  C2 + O d1_b + R d2_b).
+    """
+    R = sample_chi(rng, p.m_bar, p.n, p)
     if ct.epoch + 1 != tok.epoch:
         raise EpochMismatchError(
             f"token moves ciphertexts from epoch {tok.epoch - 1} to {tok.epoch}, "
             f"got one at epoch {ct.epoch}")
     O = ord_bits(ct.C1)
-    c1_1 = O @ tok.d1_a
-    c2_1 = O @ tok.d1_b
-    c1_2 = R @ tok.d2_a
-    c2_2 = R @ tok.d2_b
-    return UeCiphertext(epoch=tok.epoch, C1=c1_1 + c1_2, C2=ct.C2 + c2_1 + c2_2)
-
-
-def ue_upd(rng: RngHandle, p: ParamSet, tok: UpdateToken, ct: UeCiphertext) -> UeCiphertext:
-    """Move a ciphertext to the next epoch; randomized, never idempotent."""
-    R = sample_chi(rng, p.m_bar, p.n, p)
-    return ue_upd_with_randomness(p, tok, ct, R)
+    return UeCiphertext(epoch=tok.epoch, C1=O @ tok.d1_a + R @ tok.d2_a,
+                        C2=ct.C2 + O @ tok.d1_b + R @ tok.d2_b)
 
 
 def select_recovery_plane(p: ParamSet) -> int:

@@ -186,12 +186,11 @@ def test_criterion_7_hybrid_equivalence(deployment16):
     p = d["p"]
     rng = RngHandle(b"acceptance-hyb")
     k0, k1 = d["keys"][0], d["keys"][1]
-    e_pk = k1.pk_B - d["A"] @ k1.sk_S
     agree = 0
     for _ in range(1000):
         m = random_message_bits(rng, p)
         ct, e_ct = ue_enc_traced(rng, p, d["A"], k0, m)
-        tr = sample_token_randomness(rng, p, e_pk)
+        tr = sample_token_randomness(rng, p)
         real = ue_upd(rng, p, token_from_randomness(p, d["A"], k0.sk_S, k1.pk_B, 1, tr), ct)
         hyb = hyb_ue_upd(rng, p, d["A"], ct, k1.pk_B, m, e_ct, tr)
         a, b = ue_dec(p, k1, real), ue_dec(p, k1, hyb)

@@ -154,6 +154,24 @@ def test_keygen_epoch_out_of_range_is_usage_error(runner, tmp_path):
     assert res.exit_code == 0, res.output
 
 
+@pytest.mark.parametrize("seed", ["zz", "abc"])            # not hex; odd length
+@pytest.mark.parametrize("args", [
+    ["keygen", "--params", "toy-16", "--epoch", "0", "--out-key", "{d}/k", "--out-pub", "{d}/p"],
+    ["encrypt", "--key", "{d}/f", "--message-file", "{d}/f", "--out", "{d}/o"],
+    ["token", "--prev-key", "{d}/f", "--next-pub", "{d}/f", "--out", "{d}/o"],
+    ["update", "--token", "{d}/f", "--ct", "{d}/f", "--out", "{d}/o"],
+    ["game-run", "--script", "{d}/f"],
+    ["hybrids-test", "--samples", "100"],
+], ids=lambda args: args[0])
+def test_non_hex_seed_is_usage_error(runner, tmp_path, args, seed):
+    (tmp_path / "f").write_bytes(b"")
+    res = runner.invoke(main, [a.format(d=tmp_path) for a in args] + ["--seed", seed])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)          # reported, not a traceback
+    assert "--seed" in res.stderr and "Traceback" not in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+
+
 def test_params_commands(runner):
     res = invoke(runner, "params", "list")
     assert res.exit_code == 0

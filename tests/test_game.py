@@ -163,8 +163,12 @@ def test_corr_guards_and_recording(game):
     assert tok is not None and g.leakage.T == {1}
     assert g.o_corr("token", 0) is None        # no token enters epoch 0
     assert 0 in g.leakage.T
+    logged = len(g.trace)
     with pytest.raises(ValueError):
         g.o_corr("bananas", 0)
+    with pytest.raises(ValueError):            # inp is checked before the epoch
+        g.o_corr("bananas", 3)
+    assert len(g.trace) == logged
 
 
 def test_chall_guards(game):

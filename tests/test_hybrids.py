@@ -1,7 +1,6 @@
 import numpy as np
 
-from frue.hybrids import (high_bits_projection,
-                          hyb_ue_upd, hyb_ue_upd_with_randomness,
+from frue.hybrids import (high_bits_projection, hyb_ue_upd,
                           hyb_update_sampler, make_update_instance,
                           real_update_sampler, sample_token_randomness,
                           sim_ue_enc, sim_ue_kg, sim_ue_tg, sim_ue_upd,
@@ -9,7 +8,7 @@ from frue.hybrids import (high_bits_projection,
                           token_from_randomness)
 from frue.matrix import MatrixZq, RngHandle, sample_chi
 from frue.pke import encode, pke_setup, random_message_bits
-from frue.ue import ue_dec, ue_enc_traced, ue_kg, ue_upd_with_randomness
+from frue.ue import ue_dec, ue_enc_traced, ue_kg, ue_upd
 
 from conftest import adhoc_paramset, noiseless_paramset
 
@@ -25,8 +24,8 @@ def scene(p, seed=b"hyb-scene"):
 
 def test_token_randomness_entries_within_support(toy16):
     rng, A, k0, k1 = scene(toy16)
-    tr = sample_token_randomness(rng, toy16, k1.pk_B - A @ k1.sk_S)
-    for mat in (tr.S1p, tr.E1p, tr.E1pp, tr.S2p, tr.E2p, tr.E2pp, tr.E_pk):
+    tr = sample_token_randomness(rng, toy16)
+    for mat in (tr.S1p, tr.E1p, tr.E1pp, tr.S2p, tr.E2p, tr.E2pp, k1.pk_B - A @ k1.sk_S):
         assert mat.max_norm() <= toy16.s
 
 
@@ -36,7 +35,7 @@ def test_hyb_output_decrypts_to_same_message(toy16):
     for _ in range(200):
         m = random_message_bits(rng, toy16)
         ct, e_ct = ue_enc_traced(rng, toy16, A, k0, m)
-        tr = sample_token_randomness(rng, toy16, k1.pk_B - A @ k1.sk_S)
+        tr = sample_token_randomness(rng, toy16)
         out = hyb_ue_upd(rng, toy16, A, ct, k1.pk_B, m, e_ct, tr)
         assert out.epoch == 1
         ok += np.array_equal(ue_dec(toy16, k1, out), m)
@@ -48,7 +47,7 @@ def test_hyb_noiseless_collapses_to_encoded_message():
     rng, A, k0, k1 = scene(p)
     m = random_message_bits(rng, p)
     ct, e_ct = ue_enc_traced(rng, p, A, k0, m)
-    tr = sample_token_randomness(rng, p, k1.pk_B - A @ k1.sk_S)
+    tr = sample_token_randomness(rng, p)
     out = hyb_ue_upd(rng, p, A, ct, k1.pk_B, m, e_ct, tr)
     assert out.C1 == MatrixZq.zeros(p.m_bar, p.n, p.D)
     assert out.C2 == encode(m, p)
@@ -68,11 +67,10 @@ def test_real_and_hybrid_agree_up_to_garbage_term(toy16):
     msg = encode(m, p)
     from frue.ue import UeCiphertext
     ct = UeCiphertext(0, s1 @ A + e1, s1 @ k0.pk_B + e2 + msg)
-    tr = sample_token_randomness(rng, p, k1.pk_B - A @ k1.sk_S)
+    tr = sample_token_randomness(rng, p)
     tok = token_from_randomness(p, A, k0.sk_S, k1.pk_B, 1, tr)
-    r_mat = sample_chi(rng, p.m_bar, p.n, p)
-    real = ue_upd_with_randomness(p, tok, ct, r_mat)
-    hyb = hyb_ue_upd_with_randomness(p, A, ct, k1.pk_B, m, e2, tr, r_mat)
+    real = ue_upd(RngHandle(b"pairing-R"), p, tok, ct)         # same seed: same R
+    hyb = hyb_ue_upd(RngHandle(b"pairing-R"), p, A, ct, k1.pk_B, m, e2, tr)
     garbage = s1 @ (k0.pk_B - A @ k0.sk_S) - e1 @ k0.sk_S
     assert real.C1 == hyb.C1
     assert real.C2 - hyb.C2 == garbage

@@ -1,14 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frue import envelope as env
+from frue.hybrids import hyb_ue_upd
 from frue.matrix import MatrixZq, RngHandle, sample_chi, sample_uniform
 from frue.params import load_paramset
 from frue.pke import PkeCiphertext, pke_dec, pke_setup, random_message_bits
 from frue.ue import (EpochMismatchError, NoValidPlaneError,
-                     derive_prev_secret, ord_bits, select_recovery_plane,
-                     tensor_d, ue_dec, ue_enc, ue_kg, ue_tg,
-                     ue_tg_from_randomness, ue_upd)
+                     derive_prev_secret, ord_bits, sample_token_randomness,
+                     select_recovery_plane, tensor_d, token_from_randomness,
+                     ue_dec, ue_enc, ue_enc_traced, ue_kg, ue_tg, ue_upd)
 
 from conftest import adhoc_paramset, noiseless_paramset
 
@@ -125,18 +129,10 @@ def test_tg_noiseless_reveals_gadget_structure():
 def test_tg_components_stay_near_their_means(deployment16):
     d = deployment16
     p = d["p"]
-    rng = RngHandle(b"tg-instr")
-    nD = p.n * p.D
-    s1p = sample_chi(rng, nD, p.n, p)
-    e1p = sample_chi(rng, nD, p.n, p)
-    e1pp = sample_chi(rng, nD, p.n_bar, p)
-    s2p = sample_chi(rng, p.n, p.n, p)
-    e2p = sample_chi(rng, p.n, p.n, p)
-    e2pp = sample_chi(rng, p.n, p.n_bar, p)
-    tok = ue_tg_from_randomness(p, d["A"], d["keys"][0].sk_S, d["keys"][1].pk_B, 1,
-                                s1p, e1p, e1pp, s2p, e2p, e2pp)
-    assert (tok.d1_a - s1p @ d["A"]).max_norm() <= p.s
-    assert (tok.d2_a - s2p @ d["A"]).max_norm() <= p.s
+    tr = sample_token_randomness(RngHandle(b"tg-instr"), p)
+    tok = token_from_randomness(p, d["A"], d["keys"][0].sk_S, d["keys"][1].pk_B, 1, tr)
+    assert (tok.d1_a - tr.S1p @ d["A"]).max_norm() <= p.s
+    assert (tok.d2_a - tr.S2p @ d["A"]).max_norm() <= p.s
 
 
 def test_update_chain_decrypts_and_respects_error_budget(deployment16):
@@ -241,6 +237,31 @@ def test_one_token_many_ciphertexts_exact_at_frodo640():
         assert np.array_equal(got.C1.data, (o_d1a + R @ d2_a) & mask)
         assert np.array_equal(got.C2.data,
                               (ct.C2.data.astype(np.int64) + o_d1b + R @ d2_b) & mask)
+
+
+# Pinned key stream: a change to the draw order or dtype of TG, Upd or the
+# hybrid must update these digests on purpose, and say so.
+GOLDEN_SHA256 = {
+    "token": "47cf949a3b5121ae5843f91300831bb46a62d216e4f5867ca82da569fce9475f",
+    "upd": "c4e631de46a5988ebe6e88553ec0ca54f8fea6f66ca115d708a896bce00bdba2",
+    "hyb": "54987571fa5fbba57d81f790bbdeff11fb8c615a9c1fb8be2c6239ae59c0a3ec",
+}
+
+
+def test_key_stream_matches_golden_digests(toy16):
+    p = toy16
+    rng = RngHandle(b"golden-scene")
+    _, A = pke_setup(rng, p)
+    k0, k1 = ue_kg(rng, p, A, 0), ue_kg(rng, p, A, 1)
+    m = random_message_bits(rng, p)
+    ct, e_ct = ue_enc_traced(rng, p, A, k0, m)
+    tok = ue_tg(RngHandle(b"golden-tg"), p, A, k0.sk_S, k1.pk_B, 1)
+    upd = ue_upd(RngHandle(b"golden-upd"), p, tok, ct)
+    tr = sample_token_randomness(RngHandle(b"golden-tg"), p)
+    hyb = hyb_ue_upd(RngHandle(b"golden-upd"), p, A, ct, k1.pk_B, m, e_ct, tr)
+    got = {"token": env.pack_token(p, tok), "upd": env.pack_ciphertext(p, upd),
+           "hyb": env.pack_ciphertext(p, hyb)}
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == GOLDEN_SHA256
 
 
 # -- backward-leak key derivation ---------------------------------------------
