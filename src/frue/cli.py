@@ -1,10 +1,11 @@
 """Command-line surface: key lifecycle, file encryption, bound checks,
 benchmarks, and the test-oracle commands.
 
-Exit codes are stable: 0 success, 2 usage error (bad flags or values),
-3 malformed envelope, game-run script record or mismatched input files,
-4 epoch mismatch, 5 message length error, 6 unknown parameter-set name or
-bench target.
+Exit codes are stable: 0 success, 2 usage error (bad flags or values, or a
+directory given as a file path), 3 malformed envelope, game-run script
+record or mismatched input files, 4 epoch mismatch, 5 message length error,
+6 unknown parameter-set name or bench target.  One place maps exceptions to
+codes: the group class of `main`, so every command shares it.
 
 File encryption frames the plaintext inside the ell-bit message block as an
 8-byte little-endian length followed by the raw bytes and zero padding, so
@@ -47,26 +48,33 @@ class ScriptRecordError(ValueError):
     """A game-run script line that is not a well-formed oracle call."""
 
 
-_ERROR_CODES = (
-    (env.MalformedEnvelopeError, EXIT_MALFORMED),
-    (DimensionMismatchError, EXIT_MALFORMED),
-    (ScriptRecordError, EXIT_MALFORMED),
-    (EpochMismatchError, EXIT_EPOCH),
-    (MessageLengthError, EXIT_MSGLEN),
-    (UnknownParamSetError, EXIT_UNKNOWN_NAME),
-    (bench_mod.UnknownBenchTargetError, EXIT_UNKNOWN_NAME),
-)
+_ERROR_CODES = {
+    env.MalformedEnvelopeError: EXIT_MALFORMED,
+    DimensionMismatchError: EXIT_MALFORMED,
+    ScriptRecordError: EXIT_MALFORMED,
+    EpochMismatchError: EXIT_EPOCH,
+    MessageLengthError: EXIT_MSGLEN,
+    UnknownParamSetError: EXIT_UNKNOWN_NAME,
+    bench_mod.UnknownBenchTargetError: EXIT_UNKNOWN_NAME,
+}
 
 
-def _run(fn):
-    try:
-        fn()
-    except tuple(e for e, _ in _ERROR_CODES) as exc:
-        for err_type, code in _ERROR_CODES:
-            if isinstance(exc, err_type):
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(code)
-        raise
+class _ErrorBoundary(click.Group):
+    """Command group whose commands report an _ERROR_CODES exception as
+    `error: ...` on stderr and exit with its code (SystemExit in-process)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(_ERROR_CODES) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(code for err_type, code in _ERROR_CODES.items()
+                          if isinstance(exc, err_type)))
+
+
+# a directory given for any file option is a usage error, not an OSError
+_IN_FILE = click.Path(exists=True, dir_okay=False)
+_OUT_FILE = click.Path(dir_okay=False)
 
 
 def _hex_seed(ctx, param, value: str | None) -> bytes | None:
@@ -114,7 +122,7 @@ def unpack_message(bits: np.ndarray, p) -> bytes:
 
 # -- command group -----------------------------------------------------------
 
-@click.group()
+@click.group(cls=_ErrorBoundary)
 def main():
     """Updatable encryption tool: rotate keys, update ciphertexts in place."""
 
@@ -134,17 +142,15 @@ def params_list():
 
 @params.command("show")
 @click.argument("name")
-@click.option("--out", "out_path", type=click.Path(), default=None,
+@click.option("--out", "out_path", type=_OUT_FILE, default=None,
               help="Also write the dump as a paramset envelope file.")
 def params_show(name, out_path):
-    def body():
-        p = load_paramset(name)
-        click.echo(params_dump(p), nl=False)
-        if out_path:
-            with open(out_path, "wb") as fh:
-                fh.write(env.pack_paramset(p))
-            click.echo(f"wrote {out_path}")
-    _run(body)
+    p = load_paramset(name)
+    click.echo(params_dump(p), nl=False)
+    if out_path:
+        with open(out_path, "wb") as fh:
+            fh.write(env.pack_paramset(p))
+        click.echo(f"wrote {out_path}")
 
 
 @main.command()
@@ -153,22 +159,20 @@ def params_show(name, out_path):
               help="Epoch index, 0 <= e < 2**32 (stored as 32 bits).")
 @click.option("--seed", callback=_hex_seed,
               help="Hex seed; reuse one seed across epochs to share the public matrix.")
-@click.option("--out-key", type=click.Path(), required=True)
-@click.option("--out-pub", type=click.Path(), required=True)
+@click.option("--out-key", type=_OUT_FILE, required=True)
+@click.option("--out-pub", type=_OUT_FILE, required=True)
 def keygen(params_name, epoch, seed, out_key, out_pub):
     """Generate an epoch key; writes the secret key file and the public-key file."""
-    def body():
-        p = load_paramset(params_name)
-        master = seed or secrets.token_bytes(32)
-        a_seed = RngHandle(master).derive("a-seed").bytes(env.A_SEED_LEN)
-        A = gen_public_matrix(a_seed, p)
-        key = ue_kg(RngHandle(master).derive(f"epoch:{epoch}"), p, A, epoch)
-        with open(out_key, "wb") as fh:
-            fh.write(env.pack_epoch_key(p, key, a_seed))
-        with open(out_pub, "wb") as fh:
-            fh.write(env.pack_public_key(p, epoch, key.pk_B, a_seed))
-        click.echo(f"wrote {out_key} and {out_pub} ({p.name}, epoch {epoch})")
-    _run(body)
+    p = load_paramset(params_name)
+    master = seed or secrets.token_bytes(32)
+    a_seed = RngHandle(master).derive("a-seed").bytes(env.A_SEED_LEN)
+    A = gen_public_matrix(a_seed, p)
+    key = ue_kg(RngHandle(master).derive(f"epoch:{epoch}"), p, A, epoch)
+    with open(out_key, "wb") as fh:
+        fh.write(env.pack_epoch_key(p, key, a_seed))
+    with open(out_pub, "wb") as fh:
+        fh.write(env.pack_public_key(p, epoch, key.pk_B, a_seed))
+    click.echo(f"wrote {out_key} and {out_pub} ({p.name}, epoch {epoch})")
 
 
 def _load_key_material(path):
@@ -184,93 +188,87 @@ def _load_key_material(path):
         f"expected a key file, got {env.KIND_NAMES[e.kind]}")
 
 
+def _read_pair(path_a, kind_a: int, path_b, kind_b: int):
+    """Read two envelope files of the given kinds; they must share a parameter set."""
+    a = env.read_envelope_file(path_a, expect_kind=kind_a)
+    b = env.read_envelope_file(path_b, expect_kind=kind_b)
+    if a.p.paramset_id != b.p.paramset_id:
+        raise env.MalformedEnvelopeError(
+            f"{env.KIND_NAMES[kind_a]} and {env.KIND_NAMES[kind_b]} files use "
+            f"different parameter sets ({a.p.name}, {b.p.name})")
+    return a, b
+
+
 @main.command()
-@click.option("--key", "key_path", type=click.Path(exists=True), required=True)
-@click.option("--message-file", type=click.Path(exists=True), required=True)
+@click.option("--key", "key_path", type=_IN_FILE, required=True)
+@click.option("--message-file", type=_IN_FILE, required=True)
 @click.option("--seed", callback=_hex_seed)
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=_OUT_FILE, required=True)
 def encrypt(key_path, message_file, seed, out):
     """Encrypt a file under an epoch key (public-key file suffices)."""
-    def body():
-        p, epoch, pk_B, a_seed = _load_key_material(key_path)
-        with open(message_file, "rb") as fh:
-            data = fh.read()
-        bits = pack_message(data, p)
-        A = gen_public_matrix(a_seed, p)
-        ct = pke_enc(_rng_from(seed, "encrypt"), p, A, pk_B, bits)
-        with open(out, "wb") as fh:
-            fh.write(env.pack_ciphertext(p, UeCiphertext(epoch, ct.C1, ct.C2)))
-        click.echo(f"wrote {out} (epoch {epoch})")
-    _run(body)
+    p, epoch, pk_B, a_seed = _load_key_material(key_path)
+    with open(message_file, "rb") as fh:
+        data = fh.read()
+    bits = pack_message(data, p)
+    A = gen_public_matrix(a_seed, p)
+    ct = pke_enc(_rng_from(seed, "encrypt"), p, A, pk_B, bits)
+    with open(out, "wb") as fh:
+        fh.write(env.pack_ciphertext(p, UeCiphertext(epoch, ct.C1, ct.C2)))
+    click.echo(f"wrote {out} (epoch {epoch})")
 
 
 @main.command()
-@click.option("--key", "key_path", type=click.Path(exists=True), required=True)
-@click.option("--ct", "ct_path", type=click.Path(exists=True), required=True)
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--key", "key_path", type=_IN_FILE, required=True)
+@click.option("--ct", "ct_path", type=_IN_FILE, required=True)
+@click.option("--out", type=_OUT_FILE, required=True)
 def decrypt(key_path, ct_path, out):
     """Decrypt a ciphertext file with the matching epoch key."""
-    def body():
-        ke = env.read_envelope_file(key_path, expect_kind=env.KIND_EPOCH_KEY)
-        ce = env.read_envelope_file(ct_path, expect_kind=env.KIND_CIPHERTEXT)
-        if ke.p.paramset_id != ce.p.paramset_id:
-            raise env.MalformedEnvelopeError("key and ciphertext use different parameter sets")
-        key, _ = ke.payload
-        bits = ue_dec(ke.p, key, ce.payload)
-        data = unpack_message(bits, ke.p)
-        with open(out, "wb") as fh:
-            fh.write(data)
-        click.echo(f"wrote {out} ({len(data)} bytes)")
-    _run(body)
+    ke, ce = _read_pair(key_path, env.KIND_EPOCH_KEY, ct_path, env.KIND_CIPHERTEXT)
+    key, _ = ke.payload
+    bits = ue_dec(ke.p, key, ce.payload)
+    data = unpack_message(bits, ke.p)
+    with open(out, "wb") as fh:
+        fh.write(data)
+    click.echo(f"wrote {out} ({len(data)} bytes)")
 
 
 @main.command()
-@click.option("--prev-key", type=click.Path(exists=True), required=True,
+@click.option("--prev-key", type=_IN_FILE, required=True,
               help="Epoch-key file for epoch e.")
-@click.option("--next-pub", type=click.Path(exists=True), required=True,
+@click.option("--next-pub", type=_IN_FILE, required=True,
               help="Public-key file for epoch e+1.")
 @click.option("--seed", callback=_hex_seed)
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=_OUT_FILE, required=True)
 def token(prev_key, next_pub, seed, out):
     """Generate the update token from the old secret key and new public key."""
-    def body():
-        ke = env.read_envelope_file(prev_key, expect_kind=env.KIND_EPOCH_KEY)
-        pe = env.read_envelope_file(next_pub, expect_kind=env.KIND_PUBLIC_KEY)
-        if ke.p.paramset_id != pe.p.paramset_id:
-            raise env.MalformedEnvelopeError("key files use different parameter sets")
-        key, a_seed_prev = ke.payload
-        pk_next, a_seed_next = pe.payload
-        if a_seed_prev != a_seed_next:
-            raise env.MalformedEnvelopeError(
-                "keys belong to different deployments (public-matrix seeds differ)")
-        if pe.epoch != ke.epoch + 1:
-            raise EpochMismatchError(
-                f"need consecutive epochs, got {ke.epoch} -> {pe.epoch}")
-        A = gen_public_matrix(a_seed_prev, ke.p)
-        tok = ue_tg(_rng_from(seed, "token"), ke.p, A, key.sk_S, pk_next, pe.epoch)
-        with open(out, "wb") as fh:
-            fh.write(env.pack_token(ke.p, tok))
-        click.echo(f"wrote {out} (token into epoch {pe.epoch})")
-    _run(body)
+    ke, pe = _read_pair(prev_key, env.KIND_EPOCH_KEY, next_pub, env.KIND_PUBLIC_KEY)
+    key, a_seed_prev = ke.payload
+    pk_next, a_seed_next = pe.payload
+    if a_seed_prev != a_seed_next:
+        raise env.MalformedEnvelopeError(
+            "keys belong to different deployments (public-matrix seeds differ)")
+    if pe.epoch != ke.epoch + 1:
+        raise EpochMismatchError(
+            f"need consecutive epochs, got {ke.epoch} -> {pe.epoch}")
+    A = gen_public_matrix(a_seed_prev, ke.p)
+    tok = ue_tg(_rng_from(seed, "token"), ke.p, A, key.sk_S, pk_next, pe.epoch)
+    with open(out, "wb") as fh:
+        fh.write(env.pack_token(ke.p, tok))
+    click.echo(f"wrote {out} (token into epoch {pe.epoch})")
 
 
 @main.command()
-@click.option("--token", "token_path", type=click.Path(exists=True), required=True)
-@click.option("--ct", "ct_path", type=click.Path(exists=True), required=True)
+@click.option("--token", "token_path", type=_IN_FILE, required=True)
+@click.option("--ct", "ct_path", type=_IN_FILE, required=True)
 @click.option("--seed", callback=_hex_seed)
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=_OUT_FILE, required=True)
 def update(token_path, ct_path, seed, out):
     """Re-encrypt a ciphertext file to the token's target epoch."""
-    def body():
-        te = env.read_envelope_file(token_path, expect_kind=env.KIND_TOKEN)
-        ce = env.read_envelope_file(ct_path, expect_kind=env.KIND_CIPHERTEXT)
-        if te.p.paramset_id != ce.p.paramset_id:
-            raise env.MalformedEnvelopeError("token and ciphertext use different parameter sets")
-        ct2 = ue_upd(_rng_from(seed, "update"), te.p, te.payload, ce.payload)
-        with open(out, "wb") as fh:
-            fh.write(env.pack_ciphertext(te.p, ct2))
-        click.echo(f"wrote {out} (epoch {ct2.epoch})")
-    _run(body)
+    te, ce = _read_pair(token_path, env.KIND_TOKEN, ct_path, env.KIND_CIPHERTEXT)
+    ct2 = ue_upd(_rng_from(seed, "update"), te.p, te.payload, ce.payload)
+    with open(out, "wb") as fh:
+        fh.write(env.pack_ciphertext(te.p, ct2))
+    click.echo(f"wrote {out} (epoch {ct2.epoch})")
 
 
 @main.command("verify-bound")
@@ -278,22 +276,20 @@ def update(token_path, ct_path, seed, out):
 @click.option("--max-epochs", "T", type=click.IntRange(min=1), required=True)
 def verify_bound(params_name, T):
     """Evaluate the epoch-correctness inequality for T chained updates."""
-    def body():
-        p = load_paramset(params_name)
-        lhs, rhs = bound_sides(p, T)
-        ok = validate_correctness_bound(p, T)
-        click.echo(f"parameter set : {p.name}")
-        click.echo(f"epoch budget T: {T}")
-        click.echo(f"noise bound   : {lhs}")
-        click.echo(f"per-update cap: q/(T*2^(B+1)) = {rhs} "
-                   f"(~{float(rhs):.4f})")
-        cert = max_certified_epochs(p)
-        click.echo(f"verdict       : {'certified' if ok else 'NOT certified'} for T={T}")
-        click.echo(f"certified up to T={'unbounded' if cert is None else cert}; "
-                   f"empirically clean chains observed up to T={empirical_chain_epochs(p)}")
-        if not ok:
-            sys.exit(1)
-    _run(body)
+    p = load_paramset(params_name)
+    lhs, rhs = bound_sides(p, T)
+    ok = validate_correctness_bound(p, T)
+    click.echo(f"parameter set : {p.name}")
+    click.echo(f"epoch budget T: {T}")
+    click.echo(f"noise bound   : {lhs}")
+    click.echo(f"per-update cap: q/(T*2^(B+1)) = {rhs} "
+               f"(~{float(rhs):.4f})")
+    cert = max_certified_epochs(p)
+    click.echo(f"verdict       : {'certified' if ok else 'NOT certified'} for T={T}")
+    click.echo(f"certified up to T={'unbounded' if cert is None else cert}; "
+               f"empirically clean chains observed up to T={empirical_chain_epochs(p)}")
+    if not ok:
+        sys.exit(1)
 
 
 @main.command("bench")
@@ -301,18 +297,16 @@ def verify_bound(params_name, T):
               help="Repeatable; one of 640 / 976 / 1344.")
 @click.option("--mode", "modes", multiple=True, default=("aes-like", "shake-like"))
 @click.option("--runs", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--out", "out_csv", type=click.Path(), default=None,
+@click.option("--out", "out_csv", type=_OUT_FILE, default=None,
               help="Also write machine-readable CSV here.")
 def bench(levels, modes, runs, out_csv):
     """Time UE.KG / UE.Enc / UE.Dec / UE.TG / UE.Upd per level and mode."""
-    def body():
-        results = bench_mod.run_benchmarks(levels, modes, runs)
-        click.echo(bench_mod.format_table(results), nl=False)
-        if out_csv:
-            with open(out_csv, "w") as fh:
-                fh.write(bench_mod.to_csv(results))
-            click.echo(f"wrote {out_csv}")
-    _run(body)
+    results = bench_mod.run_benchmarks(levels, modes, runs)
+    click.echo(bench_mod.format_table(results), nl=False)
+    if out_csv:
+        with open(out_csv, "w") as fh:
+            fh.write(bench_mod.to_csv(results))
+        click.echo(f"wrote {out_csv}")
 
 
 # -- scripted security-game runner -------------------------------------------
@@ -389,18 +383,16 @@ def _run_game_script(script, p, rng: RngHandle, b: int) -> None:
 
 
 @main.command("game-run")
-@click.option("--script", "script_path", type=click.Path(exists=True), required=True,
+@click.option("--script", "script_path", type=_IN_FILE, required=True,
               help="JSON-lines trace: one {\"op\": ..., ...} record per line.")
 @click.option("--params", "params_name", default="toy-16", show_default=True)
 @click.option("--bit", type=click.IntRange(0, 1), default=0, show_default=True)
 @click.option("--seed", callback=_hex_seed)
 def game_run(script_path, params_name, bit, seed):
     """Replay a scripted oracle trace and report leakage sets and the verdict."""
-    def body():
-        p = load_paramset(params_name)
-        with open(script_path, encoding="utf-8", errors="replace") as fh:
-            _run_game_script(fh, p, _rng_from(seed, "game"), bit)
-    _run(body)
+    p = load_paramset(params_name)
+    with open(script_path, encoding="utf-8", errors="replace") as fh:
+        _run_game_script(fh, p, _rng_from(seed, "game"), bit)
 
 
 @main.command("hybrids-test")
@@ -409,44 +401,42 @@ def game_run(script_path, params_name, bit, seed):
 @click.option("--seed", callback=_hex_seed)
 def hybrids_test(params_name, samples, seed):
     """Run the hybrid/simulator statistical checks and print the distances."""
-    def body():
-        p = load_paramset(params_name)
-        rng = _rng_from(seed or bytes.fromhex("1bad5eed"), "hybrids")
-        inst = make_update_instance(p)
-        proj = high_bits_projection(p)
+    p = load_paramset(params_name)
+    rng = _rng_from(seed or bytes.fromhex("1bad5eed"), "hybrids")
+    inst = make_update_instance(p)
+    proj = high_bits_projection(p)
 
-        pairs = min(500, samples)
-        agree = 0
-        key_next = EpochKey(epoch=1, sk_S=inst.sk_next, pk_B=inst.pk_next)
-        real = real_update_sampler(inst, rng.derive("agree-real"))
-        hyb = hyb_update_sampler(inst, rng.derive("agree-hyb"))
-        for _ in range(pairs):
-            a = ue_dec(p, key_next, real())
-            b = ue_dec(p, key_next, hyb())
-            agree += bool(np.array_equal(a, b) and np.array_equal(a, inst.m))
-        click.echo(f"decrypt agreement      : {agree}/{pairs}")
+    pairs = min(500, samples)
+    agree = 0
+    key_next = EpochKey(epoch=1, sk_S=inst.sk_next, pk_B=inst.pk_next)
+    real = real_update_sampler(inst, rng.derive("agree-real"))
+    hyb = hyb_update_sampler(inst, rng.derive("agree-hyb"))
+    for _ in range(pairs):
+        a = ue_dec(p, key_next, real())
+        b = ue_dec(p, key_next, hyb())
+        agree += bool(np.array_equal(a, b) and np.array_equal(a, inst.m))
+    click.echo(f"decrypt agreement      : {agree}/{pairs}")
 
-        d_rh = statistical_distance_estimate(
-            real_update_sampler(inst, rng.derive("d-real")),
-            hyb_update_sampler(inst, rng.derive("d-hyb")), samples, proj)
-        d_rr = statistical_distance_estimate(
-            real_update_sampler(inst, rng.derive("b-real-1")),
-            real_update_sampler(inst, rng.derive("b-real-2")), samples, proj)
-        click.echo(f"real-vs-hybrid distance: {d_rh:.5f} (baseline {d_rr:.5f})")
+    d_rh = statistical_distance_estimate(
+        real_update_sampler(inst, rng.derive("d-real")),
+        hyb_update_sampler(inst, rng.derive("d-hyb")), samples, proj)
+    d_rr = statistical_distance_estimate(
+        real_update_sampler(inst, rng.derive("b-real-1")),
+        real_update_sampler(inst, rng.derive("b-real-2")), samples, proj)
+    click.echo(f"real-vs-hybrid distance: {d_rh:.5f} (baseline {d_rr:.5f})")
 
-        sm, sm_base = smudging_estimate(1, 1024, max(samples, 1_000_000), rng.derive("smudge"))
-        click.echo(f"smudging distance      : {sm:.5f} (baseline {sm_base:.5f}, "
-                   f"analytic {1 / 2049:.5f})")
+    sm, sm_base = smudging_estimate(1, 1024, max(samples, 1_000_000), rng.derive("smudge"))
+    click.echo(f"smudging distance      : {sm:.5f} (baseline {sm_base:.5f}, "
+               f"analytic {1 / 2049:.5f})")
 
-        draws = max(2, samples // (p.m_bar * p.n))
-        flat = np.concatenate([
-            sim_ue_enc(rng.derive(f"sim{i}"), p).C1.data.ravel() >> (p.D - 4)
-            for i in range(draws)])
-        counts = np.bincount(flat, minlength=16)
-        expected = flat.size / 16
-        chi2 = float(((counts - expected) ** 2 / expected).sum())
-        click.echo(f"sim uniformity chi2(15): {chi2:.2f} (alpha=0.001 cutoff 37.70)")
-    _run(body)
+    draws = max(2, samples // (p.m_bar * p.n))
+    flat = np.concatenate([
+        sim_ue_enc(rng.derive(f"sim{i}"), p).C1.data.ravel() >> (p.D - 4)
+        for i in range(draws)])
+    counts = np.bincount(flat, minlength=16)
+    expected = flat.size / 16
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    click.echo(f"sim uniformity chi2(15): {chi2:.2f} (alpha=0.001 cutoff 37.70)")
 
 
 if __name__ == "__main__":

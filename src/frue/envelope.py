@@ -1,11 +1,16 @@
 """Binary file envelopes for keys, tokens, and ciphertexts.
 
 Layout: magic "FRUE", version byte, kind byte, paramset id (2 bytes LE),
-epoch (4 bytes LE), then the payload.  Payloads are concatenated matrix
-records in the fixed per-kind order below; matrix records are the layout
-from matrix.MatrixZq.to_bytes.  Seeds are 16 raw bytes.  Parsing is strict:
-bad magic, unknown kind or id, short payloads, trailing bytes, and shape
-mismatches against the parameter set all raise MalformedEnvelopeError.
+epoch (4 bytes LE), then the payload: for a paramset, the text of
+params.params_dump; for every other kind, the matrix records `_layout`
+declares, in its order (MatrixZq.to_bytes format), then a 16-byte seed for
+the kinds in `_SEEDED`.  `_layout` is the one statement of that order; pack
+and parse both follow it.  Parsing is strict: bad magic, unknown kind or id,
+short payloads, trailing bytes, shape mismatches against the parameter set,
+a token epoch below 1 and a paramset envelope other than epoch 0 with the
+current dump all raise MalformedEnvelopeError.  So every envelope that
+parses re-packs to the same bytes, and a later change to a registered set
+makes its older paramset files unreadable.
 """
 
 from __future__ import annotations
@@ -38,6 +43,21 @@ A_SEED_LEN = 16
 
 _HEADER = struct.Struct("<4sBBHI")  # magic, version, kind, paramset_id, epoch
 
+_SEEDED = (KIND_EPOCH_KEY, KIND_PUBLIC_KEY)     # kinds that end with an a_seed
+
+
+def _layout(kind: int, p: ParamSet) -> tuple[tuple[str, int, int], ...]:
+    """Matrix records of a key, token or ciphertext in file order, as
+    (attribute name, rows, cols); every record is at D = p.D."""
+    nD = p.n * p.D
+    return {
+        KIND_EPOCH_KEY: (("sk_S", p.n, p.n_bar), ("pk_B", p.n, p.n_bar)),
+        KIND_PUBLIC_KEY: (("pk_B", p.n, p.n_bar),),
+        KIND_TOKEN: (("d1_a", nD, p.n), ("d1_b", nD, p.n_bar),
+                     ("d2_a", p.n, p.n), ("d2_b", p.n, p.n_bar)),
+        KIND_CIPHERTEXT: (("C1", p.m_bar, p.n), ("C2", p.m_bar, p.n_bar)),
+    }[kind]
+
 
 class MalformedEnvelopeError(ValueError):
     """Envelope bytes do not parse as a well-formed record."""
@@ -55,46 +75,33 @@ def _header(kind: int, p: ParamSet, epoch: int) -> bytes:
     return _HEADER.pack(MAGIC, VERSION, kind, p.paramset_id, epoch)
 
 
+def _pack(kind: int, p: ParamSet, epoch: int, fields: dict[str, MatrixZq],
+          a_seed: bytes = b"") -> bytes:
+    if kind in _SEEDED and len(a_seed) != A_SEED_LEN:
+        raise MalformedEnvelopeError(f"a_seed must be {A_SEED_LEN} bytes")
+    return b"".join([_header(kind, p, epoch),
+                     *(fields[name].to_bytes() for name, _, _ in _layout(kind, p)),
+                     a_seed])
+
+
 def pack_paramset(p: ParamSet) -> bytes:
     return _header(KIND_PARAMSET, p, 0) + params_dump(p).encode()
 
 
 def pack_epoch_key(p: ParamSet, key: EpochKey, a_seed: bytes) -> bytes:
-    _expect_seed(a_seed)
-    return (_header(KIND_EPOCH_KEY, p, key.epoch)
-            + key.sk_S.to_bytes() + key.pk_B.to_bytes() + a_seed)
+    return _pack(KIND_EPOCH_KEY, p, key.epoch, vars(key), a_seed)
 
 
 def pack_public_key(p: ParamSet, epoch: int, pk_B: MatrixZq, a_seed: bytes) -> bytes:
-    _expect_seed(a_seed)
-    return _header(KIND_PUBLIC_KEY, p, epoch) + pk_B.to_bytes() + a_seed
+    return _pack(KIND_PUBLIC_KEY, p, epoch, {"pk_B": pk_B}, a_seed)
 
 
 def pack_token(p: ParamSet, tok: UpdateToken) -> bytes:
-    return (_header(KIND_TOKEN, p, tok.epoch)
-            + tok.d1_a.to_bytes() + tok.d1_b.to_bytes()
-            + tok.d2_a.to_bytes() + tok.d2_b.to_bytes())
+    return _pack(KIND_TOKEN, p, tok.epoch, vars(tok))
 
 
 def pack_ciphertext(p: ParamSet, ct: UeCiphertext) -> bytes:
-    return _header(KIND_CIPHERTEXT, p, ct.epoch) + ct.C1.to_bytes() + ct.C2.to_bytes()
-
-
-def _expect_seed(a_seed: bytes) -> None:
-    if len(a_seed) != A_SEED_LEN:
-        raise MalformedEnvelopeError(f"a_seed must be {A_SEED_LEN} bytes")
-
-
-def _matrix(buf: bytes, offset: int, shape: tuple[int, int], D: int,
-            what: str) -> tuple[MatrixZq, int]:
-    try:
-        m, offset = MatrixZq.from_bytes_at(buf, offset)
-    except ValueError as exc:
-        raise MalformedEnvelopeError(f"{what}: {exc}") from None
-    if m.shape != shape or m.D != D:
-        raise MalformedEnvelopeError(
-            f"{what}: expected {shape} at D={D}, got {m.shape} at D={m.D}")
-    return m, offset
+    return _pack(KIND_CIPHERTEXT, p, ct.epoch, vars(ct))
 
 
 def read_envelope(data: bytes) -> Envelope:
@@ -111,53 +118,43 @@ def read_envelope(data: bytes) -> Envelope:
         p = load_by_id(pid)
     except UnknownParamSetError:
         raise MalformedEnvelopeError(f"unknown paramset id {pid}") from None
-    buf, off = data, _HEADER.size
-    nD = p.n * p.D
+    off = _HEADER.size
 
     if kind == KIND_PARAMSET:
-        payload = buf[off:].decode(errors="replace")
-        return Envelope(kind, p, epoch, payload)
+        dump = params_dump(p)
+        if epoch != 0 or data[off:] != dump.encode():
+            raise MalformedEnvelopeError(
+                f"paramset payload is not the current dump of {p.name} at epoch 0")
+        return Envelope(kind, p, epoch, dump)
+
+    fields = {}
+    for name, rows, cols in _layout(kind, p):
+        try:
+            m, off = MatrixZq.from_bytes_at(data, off)
+        except ValueError as exc:
+            raise MalformedEnvelopeError(f"{name}: {exc}") from None
+        if m.shape != (rows, cols) or m.D != p.D:
+            raise MalformedEnvelopeError(
+                f"{name}: expected {(rows, cols)} at D={p.D}, got {m.shape} at D={m.D}")
+        fields[name] = m
+    if kind in _SEEDED:
+        a_seed, off = data[off:off + A_SEED_LEN], off + A_SEED_LEN
+        if off > len(data):
+            raise MalformedEnvelopeError("truncated a_seed")
+    if off != len(data):
+        raise MalformedEnvelopeError(f"{len(data) - off} trailing bytes")
 
     if kind == KIND_EPOCH_KEY:
-        S, off = _matrix(buf, off, (p.n, p.n_bar), p.D, "sk_S")
-        B, off = _matrix(buf, off, (p.n, p.n_bar), p.D, "pk_B")
-        a_seed, off = _seed(buf, off)
-        _expect_end(buf, off)
-        return Envelope(kind, p, epoch, (EpochKey(epoch=epoch, sk_S=S, pk_B=B), a_seed))
-
-    if kind == KIND_PUBLIC_KEY:
-        B, off = _matrix(buf, off, (p.n, p.n_bar), p.D, "pk_B")
-        a_seed, off = _seed(buf, off)
-        _expect_end(buf, off)
-        return Envelope(kind, p, epoch, (B, a_seed))
-
-    if kind == KIND_TOKEN:
-        d1a, off = _matrix(buf, off, (nD, p.n), p.D, "d1_a")
-        d1b, off = _matrix(buf, off, (nD, p.n_bar), p.D, "d1_b")
-        d2a, off = _matrix(buf, off, (p.n, p.n), p.D, "d2_a")
-        d2b, off = _matrix(buf, off, (p.n, p.n_bar), p.D, "d2_b")
-        _expect_end(buf, off)
+        payload = (EpochKey(epoch=epoch, **fields), a_seed)
+    elif kind == KIND_PUBLIC_KEY:
+        payload = (fields["pk_B"], a_seed)
+    elif kind == KIND_TOKEN:
         if epoch < 1:
             raise MalformedEnvelopeError("token epoch must be >= 1")
-        tok = UpdateToken(epoch=epoch, d1_a=d1a, d1_b=d1b, d2_a=d2a, d2_b=d2b)
-        return Envelope(kind, p, epoch, tok)
-
-    # ciphertext
-    C1, off = _matrix(buf, off, (p.m_bar, p.n), p.D, "C1")
-    C2, off = _matrix(buf, off, (p.m_bar, p.n_bar), p.D, "C2")
-    _expect_end(buf, off)
-    return Envelope(kind, p, epoch, UeCiphertext(epoch=epoch, C1=C1, C2=C2))
-
-
-def _seed(buf: bytes, off: int) -> tuple[bytes, int]:
-    if off + A_SEED_LEN > len(buf):
-        raise MalformedEnvelopeError("truncated a_seed")
-    return buf[off:off + A_SEED_LEN], off + A_SEED_LEN
-
-
-def _expect_end(buf: bytes, off: int) -> None:
-    if off != len(buf):
-        raise MalformedEnvelopeError(f"{len(buf) - off} trailing bytes")
+        payload = UpdateToken(epoch=epoch, **fields)
+    else:
+        payload = UeCiphertext(epoch=epoch, **fields)
+    return Envelope(kind, p, epoch, payload)
 
 
 def read_envelope_file(path, expect_kind: int | None = None) -> Envelope:

@@ -1,13 +1,17 @@
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from frue import envelope as env
 from frue.cli import (EXIT_EPOCH, EXIT_MALFORMED, EXIT_MSGLEN,
                       EXIT_UNKNOWN_NAME, main, message_capacity, pack_message,
                       unpack_message)
+from frue.matrix import RngHandle, sample_uniform
 from frue.pke import MessageLengthError
+from frue.ue import UeCiphertext
 
 
 @pytest.fixture()
@@ -141,6 +145,30 @@ def test_deployment_mismatch_rejected(runner, tmp_path):
     assert res.exit_code == EXIT_MALFORMED
 
 
+@pytest.mark.parametrize("cmd", ["decrypt", "token", "update"])
+def test_mismatched_parameter_sets_rejected(runner, tmp_path, toy8, cmd):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    k16 = make_keys(runner, tmp_path / "a", (0, 1))
+    k8 = make_keys(runner, tmp_path / "b", (1,), params="toy-8")
+    rng = RngHandle(b"ct8")
+    ct8 = tmp_path / "ct8.frue"        # encrypt cannot frame a file in toy-8's 32 bits
+    ct8.write_bytes(env.pack_ciphertext(toy8, UeCiphertext(
+        0, sample_uniform(rng, toy8.m_bar, toy8.n, toy8),
+        sample_uniform(rng, toy8.m_bar, toy8.n_bar, toy8))))
+    tok16 = tmp_path / "t1.frue"
+    invoke(runner, "token", "--prev-key", str(k16[0][0]), "--next-pub",
+           str(k16[1][1]), "--out", str(tok16))
+    out = tmp_path / "o.frue"
+    args = {"decrypt": ["--key", k16[0][0], "--ct", ct8],
+            "token": ["--prev-key", k16[0][0], "--next-pub", k8[1][1]],
+            "update": ["--token", tok16, "--ct", ct8]}[cmd]
+    res = runner.invoke(main, [cmd, *map(str, args), "--out", str(out)])
+    assert res.exit_code == EXIT_MALFORMED, res.output
+    assert "different parameter sets" in res.stderr
+    assert not out.exists()
+
+
 def test_keygen_epoch_out_of_range_is_usage_error(runner, tmp_path):
     out = ["--out-key", str(tmp_path / "k.frue"), "--out-pub", str(tmp_path / "p.frue")]
     for epoch in ("4294967296", "-1"):
@@ -170,6 +198,48 @@ def test_non_hex_seed_is_usage_error(runner, tmp_path, args, seed):
     assert isinstance(res.exception, SystemExit)          # reported, not a traceback
     assert "--seed" in res.stderr and "Traceback" not in res.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+
+
+_ARGS_WITH_DIRS = {         # each command's other arguments; {d} is a directory, {f} a file
+    "keygen": ["--params", "toy-16", "--epoch", "0", "--out-key", "{d}/k", "--out-pub", "{d}/p"],
+    "encrypt": ["--key", "{f}", "--message-file", "{f}", "--out", "{d}/o"],
+    "decrypt": ["--key", "{f}", "--ct", "{f}", "--out", "{d}/o"],
+    "token": ["--prev-key", "{f}", "--next-pub", "{f}", "--out", "{d}/o"],
+    "update": ["--token", "{f}", "--ct", "{f}", "--out", "{d}/o"],
+    "game-run": ["--script", "{f}"],
+    "params show": ["toy-16", "--out", "{d}/o"],
+    "bench": ["--level", "640", "--mode", "shake-like", "--runs", "1", "--out", "{d}/o"],
+}
+
+
+@pytest.mark.parametrize("cmd, option", [
+    (cmd, a) for cmd, args in _ARGS_WITH_DIRS.items() for a in args
+    if a.startswith("--") and "{" in args[args.index(a) + 1]])
+def test_directory_as_path_is_usage_error(runner, tmp_path, cmd, option):
+    (tmp_path / "f").write_bytes(b"")
+    (tmp_path / "dir").mkdir()
+    args = [a.format(d=tmp_path, f=tmp_path / "f") for a in _ARGS_WITH_DIRS[cmd]]
+    args[args.index(option) + 1] = str(tmp_path / "dir")
+    res = runner.invoke(main, [*cmd.split(), *args])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)          # reported, not a traceback
+    assert option in res.stderr and "Traceback" not in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "f"]
+    assert not any((tmp_path / "dir").iterdir())
+
+
+def _commands(group: click.Group):
+    for cmd in group.commands.values():
+        yield cmd
+        if isinstance(cmd, click.Group):
+            yield from _commands(cmd)
+
+
+def test_every_path_option_rejects_directories():
+    paths = [(cmd.name, param.name, param.type.dir_okay) for cmd in _commands(main)
+             for param in cmd.params if isinstance(param.type, click.Path)]
+    assert len(paths) == 17                     # the walk reaches into `params`
+    assert [p for p in paths if p[2]] == []
 
 
 def test_params_commands(runner):

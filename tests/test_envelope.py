@@ -88,6 +88,14 @@ def test_malformed_inputs_rejected(toy16):
     with pytest.raises(env.MalformedEnvelopeError):
         env.read_envelope(good[:-3])                       # short payload
 
+    dump = env.pack_paramset(toy16)
+    with pytest.raises(env.MalformedEnvelopeError):
+        env.read_envelope(dump[:-5] + b"junk!")            # paramset text edited
+    with pytest.raises(env.MalformedEnvelopeError):
+        env.read_envelope(dump[:8] + (77).to_bytes(4, "little"))   # no dump, epoch 77
+    with pytest.raises(env.MalformedEnvelopeError):
+        env.read_envelope(dump[:8] + (77).to_bytes(4, "little") + dump[12:])  # epoch 77
+
 
 def test_wrong_shape_payload_rejected(toy16, toy8):
     # a toy-8 ciphertext body under a toy-16 header cannot parse
@@ -96,6 +104,11 @@ def test_wrong_shape_payload_rejected(toy16, toy8):
     body8 = env.pack_ciphertext(toy8, ct8)[env._HEADER.size:]
     with pytest.raises(env.MalformedEnvelopeError):
         env.read_envelope(big_header + body8)
+    # a transposed record has the right length but not the layout's shape
+    _, tok, _ = synthetic_objects(toy16, b"shape3")
+    tok_t = UpdateToken(tok.epoch, tok.d1_a.transpose(), tok.d1_b, tok.d2_a, tok.d2_b)
+    with pytest.raises(env.MalformedEnvelopeError, match="d1_a"):
+        env.read_envelope(env.pack_token(toy16, tok_t))
 
 
 def test_seed_length_enforced(toy16):
@@ -133,7 +146,22 @@ def test_mutated_envelope_raises_only_malformed(kind, edits, cut, tail):
     blob = bytearray(_toy16_blobs()[kind])
     for pos, byte in edits:
         blob[pos % len(blob)] = byte
+    data = bytes(blob[:cut]) + tail
     try:
-        env.read_envelope(bytes(blob[:cut]) + tail)
+        e = env.read_envelope(data)
     except env.MalformedEnvelopeError:
-        pass
+        return
+    assert _repack(e) == data           # whatever parses re-packs to the same bytes
+
+
+def _repack(e: env.Envelope) -> bytes:
+    """The bytes the kind's pack_* function writes for a parsed envelope."""
+    if e.kind == env.KIND_PARAMSET:
+        return env.pack_paramset(e.p)
+    if e.kind == env.KIND_EPOCH_KEY:
+        return env.pack_epoch_key(e.p, *e.payload)
+    if e.kind == env.KIND_PUBLIC_KEY:
+        return env.pack_public_key(e.p, e.epoch, *e.payload)
+    if e.kind == env.KIND_TOKEN:
+        return env.pack_token(e.p, e.payload)
+    return env.pack_ciphertext(e.p, e.payload)
