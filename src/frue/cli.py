@@ -1,11 +1,12 @@
 """Command-line surface: key lifecycle, file encryption, bound checks,
 benchmarks, and the test-oracle commands.
 
-Exit codes are stable: 0 success, 2 usage error (bad flags or values, or a
-directory given as a file path), 3 malformed envelope, game-run script
-record or mismatched input files, 4 epoch mismatch, 5 message length error,
-6 unknown parameter-set name or bench target.  One place maps exceptions to
-codes: the group class of `main`, so every command shares it.
+Exit codes are stable: 0 success, 1 `verify-bound` verdict NOT certified,
+2 usage error (bad flags or values, or a directory given as a file path),
+3 malformed envelope, game-run script record or mismatched input files,
+4 epoch mismatch, 5 message length error, 6 unknown parameter-set name or
+bench target.  One place maps exceptions to codes: the group class of
+`main`, so every command shares it.
 
 File encryption frames the plaintext inside the ell-bit message block as an
 8-byte little-endian length followed by the raw bytes and zero padding, so

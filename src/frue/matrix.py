@@ -5,17 +5,18 @@ general modular-reduction path.  Entries are stored one per 16-bit word
 regardless of D, both in memory (uint16 ndarray) and in the serialized
 record format.
 
-Matrix products must be exact.  The fast path runs the product through BLAS
-in float64, which is exact as long as every accumulated sum stays below
-2**53; with entries < 2**16 that holds for inner dimensions up to ~2 million,
-far beyond anything a registered parameter set produces.  A uint64 fallback
-covers the rest (wraparound mod 2**64 is congruent mod 2**D).
+Matrix products must be exact.  Every product runs through BLAS in float64
+and is then masked to q; that is exact as long as every accumulated sum stays
+below 2**53, i.e. while inner * (q - 1)**2 < 2**53.  At D = 16 this allows
+inner dimensions up to 2 097 216, about 97 times the largest a registered
+parameter set produces (n * D = 21 504 at frodo-1344).  A product past the
+limit raises DimensionMismatchError before any float64 copy is built.
 
-The float64 operand of a matrix is built once, the first time the BLAS path
-uses that matrix, and kept (read-only) for the matrix's lifetime; matrices
-are immutable, so it never goes stale.  A token reused across many updates,
-or the public matrix reused across many products, is converted only once.
-The price is memory: the float64 copy is four times the uint16 words.
+The float64 operand of a matrix is built once, the first time the matrix
+takes part in a product, and kept (read-only) for the matrix's lifetime;
+matrices are immutable, so it never goes stale.  A token reused across many
+updates, or the public matrix reused across many products, is converted only
+once.  The price is memory: the float64 copy is four times the uint16 words.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ _MATRIX_HEADER = struct.Struct("<IIB")  # rows, cols, D
 class MatrixZq:
     """Immutable dense matrix over Z_{2**D}."""
 
-    # _f64: float64 copy of data for the BLAS path; left unset until the
-    # first such product, so constructing a matrix costs nothing extra
+    # _f64: float64 copy of data for products; left unset until the first
+    # product, so constructing a matrix costs nothing extra
     __slots__ = ("data", "D", "_f64")
 
     def __init__(self, data, D: int):
@@ -139,37 +140,25 @@ class MatrixZq:
         out = (-self.data.astype(np.int32)) & (self.q - 1)
         return MatrixZq._new(out.astype(np.uint16), self.D)
 
-    # below this many multiply-adds the integer kernel beats the dtype
-    # round-trip through float64 / BLAS
-    _SMALL_MATMUL = 1 << 17
-
     def __matmul__(self, other: "MatrixZq") -> "MatrixZq":
         self._check_same_modulus(other)
         if self.cols != other.rows:
             raise DimensionMismatchError(f"mul: {self.shape} @ {other.shape}")
-        inner = self.cols
-        q = self.q
-        mask_ok = inner * (q - 1) ** 2 < 2**53  # exact accumulation limit
-        if mask_ok and self.rows * inner * other.cols <= self._SMALL_MATMUL:
-            prod = self.data.astype(np.int64) @ other.data.astype(np.int64)
-            out = (prod & (q - 1)).astype(np.uint16)
-        elif mask_ok:
-            prod = self._float64() @ other._float64()
-            out = (prod.astype(np.int64) & (q - 1)).astype(np.uint16)
-        else:
-            prod = self.data.astype(np.uint64) @ other.data.astype(np.uint64)
-            out = (prod & np.uint64(q - 1)).astype(np.uint16)
-        return MatrixZq._new(out, self.D)
+        if self.cols * (self.q - 1) ** 2 >= 2**53:
+            raise DimensionMismatchError(
+                f"mul: inner dimension {self.cols} at D={self.D} is past the "
+                "exact float64 range")
+        prod = (self._float64() @ other._float64()).astype(np.int64)
+        return MatrixZq._new((prod & (self.q - 1)).astype(np.uint16), self.D)
 
     def _float64(self) -> np.ndarray:
         """Read-only float64 copy of data, built on first use and kept."""
-        try:
-            return self._f64
-        except AttributeError:
+        arr = getattr(self, "_f64", None)
+        if arr is None:
             arr = self.data.astype(np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, "_f64", arr)
-            return arr
+        return arr
 
     # -- norms ----------------------------------------------------------
 

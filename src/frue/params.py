@@ -20,6 +20,9 @@ from fractions import Fraction
 class UnknownParamSetError(KeyError):
     """Raised when a parameter-set name is not registered."""
 
+    # KeyError's str() is the repr of its argument; report the message
+    __str__ = Exception.__str__
+
 
 GEN_MODES = ("aes-like", "shake-like", "toy")
 
@@ -187,14 +190,17 @@ def load_paramset(name: str) -> ParamSet:
     try:
         return _REGISTRY[canonical]
     except KeyError:
-        raise UnknownParamSetError(name) from None
+        raise UnknownParamSetError(
+            f"unknown parameter set {name!r}; registered: "
+            f"{', '.join(registered_names())}; aliases: {', '.join(_ALIASES)}"
+        ) from None
 
 
 def load_by_id(paramset_id: int) -> ParamSet:
     for p in _REGISTRY.values():
         if p.paramset_id == paramset_id:
             return p
-    raise UnknownParamSetError(f"id {paramset_id}")
+    raise UnknownParamSetError(f"unknown parameter set id {paramset_id}")
 
 
 def empirical_chain_epochs(p: ParamSet) -> int:

@@ -253,6 +253,19 @@ def test_params_commands(runner):
     assert res.exit_code == EXIT_UNKNOWN_NAME
 
 
+@pytest.mark.parametrize("args", [
+    ("params", "show", "nope"),
+    ("keygen", "--params", "nope", "--epoch", "0", "--out-key", "k", "--out-pub", "p"),
+])
+def test_unknown_params_name_is_reported(runner, args):
+    with runner.isolated_filesystem():
+        res = invoke(runner, *args)
+    assert res.exit_code == EXIT_UNKNOWN_NAME
+    assert "unknown parameter set 'nope'" in res.stderr
+    assert "toy-16" in res.stderr
+    assert "Traceback" not in res.output
+
+
 def test_params_show_writes_envelope(runner, tmp_path):
     from frue import envelope as env
     out = tmp_path / "toy16.frue"

@@ -68,25 +68,44 @@ def test_transpose_reverses_products(r, k, c, D, seed):
 
 
 def test_matmul_float_path_agrees_with_plain_integers():
-    # the BLAS fast path must match schoolbook arithmetic over Python ints,
-    # also when an operand's cached float64 copy is reused, on either side
+    # the float64 product must match schoolbook arithmetic over Python ints,
+    # also when an operand's cached float64 copy is reused, on either side,
+    # and for the small shapes of the toy-16 and frodo-640 products
     rng = RngHandle(b"paths")
-    p16 = adhoc_paramset(D=16)
+    p15, p16 = adhoc_paramset(D=15), adhoc_paramset(D=16)
     a = sample_uniform(rng, 4, 3000, p16)
     b = sample_uniform(rng, 3000, 12, p16)
     c = sample_uniform(rng, 12, 4, p16)
-    # every product below is 144000 madds: past the small-product path
-    assert 4 * 3000 * 12 > MatrixZq._SMALL_MATMUL
+    top = MatrixZq([[2**16 - 1]], 16)
+    small = [(sample_uniform(rng, r, k, p16), sample_uniform(rng, k, c_, p16))
+             for r, k, c_ in ((16, 128, 8), (128, 8, 8), (8, 8, 8))]
+    frodo = (sample_uniform(rng, 8, 640, p15), sample_uniform(rng, 640, 8, p15))
 
     def ref(x, y):
         xs, ys = x.data.tolist(), y.data.tolist()
-        return [[sum(xi[k] * ys[k][j] for k in range(len(ys))) % 2**16
+        return [[sum(xi[k] * ys[k][j] for k in range(len(ys))) % x.q
                  for j in range(y.cols)] for xi in xs]
 
-    expected = [(x, y, ref(x, y)) for x, y in ((a, b), (b, c), (c, a))]
+    pairs = [(a, b), (b, c), (c, a), (top, top), *small, frodo]
+    expected = [(x, y, ref(x, y)) for x, y in pairs]
     for _ in range(2):
         for x, y, want in expected:
             assert (x @ y).data.tolist() == want
+
+
+def test_matmul_exactness_guard():
+    # at D = 16 with every entry q - 1, inner 2 097 216 is the last exact
+    # float64 accumulation; one more raises before any float64 copy is built
+    top = 2**16 - 1
+    row = MatrixZq(np.full((1, 2_097_216), top, dtype=np.uint16), 16)
+    col = MatrixZq(np.full((2_097_216, 1), top, dtype=np.uint16), 16)
+    assert (row @ col).data.tolist() == [[64]]
+    row = MatrixZq(np.full((1, 2_097_217), top, dtype=np.uint16), 16)
+    col = MatrixZq(np.full((2_097_217, 1), top, dtype=np.uint16), 16)
+    with pytest.raises(DimensionMismatchError, match="2097217"):
+        row @ col
+    for m in (row, col):
+        assert not hasattr(m, "_f64")
 
 
 def test_entries_validated_on_construction():
@@ -102,7 +121,7 @@ def test_matrices_immutable():
         m.D = 5
     with pytest.raises(ValueError):
         m.data[0, 0] = 3
-    # the float64 copy a BLAS-path product keeps is as read-only as data
+    # the float64 copy a product keeps is as read-only as data
     rng = RngHandle(b"immutable")
     p16 = adhoc_paramset(D=16)
     a, b = sample_uniform(rng, 64, 64, p16), sample_uniform(rng, 64, 64, p16)

@@ -41,6 +41,9 @@ def test_every_registered_set_satisfies_type_invariants():
         assert p.chi_cdf[-1] == 2**p.chi_sample_bits - 1
         assert p.ell == p.B * p.m_bar * p.n_bar
         assert p.T_max >= 1
+        # n * D is the largest inner dimension of any scheme product
+        # (ord_bits(C1) @ d1_a); MatrixZq @ raises at or past this bound
+        assert p.n * p.D * (p.q - 1) ** 2 < 2**53
 
 
 def test_chi_pmf_is_symmetric_and_sums_to_one_exactly():

@@ -215,8 +215,8 @@ def test_updated_ciphertext_unreadable_under_old_key(deployment16):
 
 
 def test_one_token_many_ciphertexts_exact_at_frodo640():
-    # frodo-640 products take the float64 BLAS path, where each token matrix
-    # is converted once and reused; every update must still be bit-exact
+    # products run in float64, where each token matrix is converted once
+    # and reused; every update must still be bit-exact
     p = load_paramset("frodo-640-shake")
     rng = RngHandle(b"upd640")
     _, A = pke_setup(rng, p)
