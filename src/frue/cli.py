@@ -2,7 +2,8 @@
 benchmarks, and the test-oracle commands.
 
 Exit codes are stable: 0 success, 1 `verify-bound` verdict NOT certified,
-2 usage error (bad flags or values, or a directory given as a file path),
+2 usage error (bad flags or values, a directory given as a file path, or
+a file the OS will not open, such as an output path in a missing directory),
 3 malformed envelope, game-run script record or mismatched input files,
 4 epoch mismatch, 5 message length error, 6 unknown parameter-set name or
 bench target.  One place maps exceptions to codes: the group class of
@@ -20,6 +21,7 @@ import json
 import secrets
 import struct
 import sys
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -35,10 +37,10 @@ from .params import (UnknownParamSetError, bound_sides, empirical_chain_epochs,
                      load_paramset, max_certified_epochs, params_dump,
                      registered_names, validate_correctness_bound)
 from .pke import MessageLengthError, bits_from_bytes, bytes_from_bits, pke_enc
-from .ue import (EpochKey, EpochMismatchError, UeCiphertext, ue_dec, ue_kg,
-                 ue_tg, ue_upd)
+from .ue import EpochKey, EpochMismatchError, ue_dec, ue_kg, ue_tg, ue_upd
 
 EXIT_OK = 0
+EXIT_USAGE = 2
 EXIT_MALFORMED = 3
 EXIT_EPOCH = 4
 EXIT_MSGLEN = 5
@@ -50,6 +52,7 @@ class ScriptRecordError(ValueError):
 
 
 _ERROR_CODES = {
+    OSError: EXIT_USAGE,
     env.MalformedEnvelopeError: EXIT_MALFORMED,
     DimensionMismatchError: EXIT_MALFORMED,
     ScriptRecordError: EXIT_MALFORMED,
@@ -214,7 +217,7 @@ def encrypt(key_path, message_file, seed, out):
     A = gen_public_matrix(a_seed, p)
     ct = pke_enc(_rng_from(seed, "encrypt"), p, A, pk_B, bits)
     with open(out, "wb") as fh:
-        fh.write(env.pack_ciphertext(p, UeCiphertext(epoch, ct.C1, ct.C2)))
+        fh.write(env.pack_ciphertext(p, replace(ct, epoch=epoch)))
     click.echo(f"wrote {out} (epoch {epoch})")
 
 

@@ -20,10 +20,9 @@ import numpy as np
 
 from .matrix import MatrixZq, RngHandle, sample_chi, sample_uniform
 from .params import ParamSet
-from .pke import encode, pke_setup, random_message_bits
+from .pke import encode, pke_enc_traced, pke_setup, random_message_bits
 from .ue import (TokenRandomness, UeCiphertext, UpdateToken, ord_bits,
-                 sample_token_randomness, token_from_randomness, ue_enc_traced,
-                 ue_kg, ue_upd)
+                 sample_token_randomness, token_from_randomness, ue_kg, ue_upd)
 
 
 def hyb_ue_upd(rng: RngHandle, p: ParamSet, A: MatrixZq, ct: UeCiphertext,
@@ -110,7 +109,7 @@ def make_update_instance(p: ParamSet, seed: bytes = b"frue-upd-instance") -> Upd
     k0 = ue_kg(rng, p, A, 0)
     k1 = ue_kg(rng, p, A, 1)
     m = random_message_bits(rng, p)
-    ct, e_ct = ue_enc_traced(rng, p, A, k0, m)
+    ct, e_ct = pke_enc_traced(rng, p, A, k0.pk_B, m)
     return UpdateInstance(p=p, A=A, sk_prev=k0.sk_S, pk_next=k1.pk_B,
                           sk_next=k1.sk_S, m=m, ct=ct, E_ct=e_ct)
 

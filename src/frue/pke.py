@@ -6,6 +6,9 @@ group value k to k * q / 2**B; decode() inverts with nearest-integer
 rounding of c * 2**B / q (ties round up), reduced mod 2**B.  Within a group,
 bit index l carries weight 2**l, and the same order is used when converting
 bytes to bits (least significant bit of each byte first).
+
+Keys and ciphertexts are EpochKey and UeCiphertext (aliased PkeKeyPair and
+PkeCiphertext); the PKE layer outputs epoch 0, and frue.ue stamps the epoch.
 """
 
 from __future__ import annotations
@@ -24,15 +27,21 @@ class MessageLengthError(ValueError):
 
 
 @dataclass(frozen=True)
-class PkeKeyPair:
-    pk_B: MatrixZq          # n x n_bar, equals A @ sk_S + E with E chi-bounded
+class EpochKey:
+    epoch: int
     sk_S: MatrixZq          # n x n_bar
+    pk_B: MatrixZq          # n x n_bar, equals A @ sk_S + E with E chi-bounded
 
 
 @dataclass(frozen=True)
-class PkeCiphertext:
+class UeCiphertext:
+    epoch: int
     C1: MatrixZq            # m_bar x n
     C2: MatrixZq            # m_bar x n_bar
+
+
+PkeKeyPair = EpochKey
+PkeCiphertext = UeCiphertext
 
 
 # -- message bits ---------------------------------------------------------
@@ -94,31 +103,30 @@ def pke_setup(rng: RngHandle, p: ParamSet) -> tuple[bytes, MatrixZq]:
     return a_seed, gen_public_matrix(a_seed, p)
 
 
-def pke_keygen(rng: RngHandle, p: ParamSet, A: MatrixZq) -> PkeKeyPair:
-    """Sample S, E from chi and publish B = A @ S + E."""
+def pke_keygen(rng: RngHandle, p: ParamSet, A: MatrixZq) -> EpochKey:
+    """Sample S, E from chi and publish B = A @ S + E, as an epoch-0 key."""
     if A.shape != (p.n, p.n):
         raise DimensionMismatchError(f"A must be {p.n}x{p.n}")
     S = sample_chi(rng, p.n, p.n_bar, p)
     E = sample_chi(rng, p.n, p.n_bar, p)
-    return PkeKeyPair(pk_B=A @ S + E, sk_S=S)
+    return EpochKey(epoch=0, sk_S=S, pk_B=A @ S + E)
 
 
 def pke_enc_traced(rng: RngHandle, p: ParamSet, A: MatrixZq, pk_B: MatrixZq,
-                   m) -> tuple[PkeCiphertext, MatrixZq]:
-    """Encrypt and also return the C2 noise term E'' (for instrumentation)."""
+                   m) -> tuple[UeCiphertext, MatrixZq]:
+    """Encrypt at epoch 0; also return the C2 noise term E'' (for instrumentation)."""
     msg = encode(m, p)
     S1 = sample_chi(rng, p.m_bar, p.n, p)
     E1 = sample_chi(rng, p.m_bar, p.n, p)
     E2 = sample_chi(rng, p.m_bar, p.n_bar, p)
     C1 = S1 @ A + E1
     C2 = S1 @ pk_B + E2 + msg
-    return PkeCiphertext(C1=C1, C2=C2), E2
+    return UeCiphertext(epoch=0, C1=C1, C2=C2), E2
 
 
-def pke_enc(rng: RngHandle, p: ParamSet, A: MatrixZq, pk_B: MatrixZq, m) -> PkeCiphertext:
-    ct, _ = pke_enc_traced(rng, p, A, pk_B, m)
-    return ct
+def pke_enc(rng: RngHandle, p: ParamSet, A: MatrixZq, pk_B: MatrixZq, m) -> UeCiphertext:
+    return pke_enc_traced(rng, p, A, pk_B, m)[0]
 
 
-def pke_dec(p: ParamSet, sk_S: MatrixZq, ct: PkeCiphertext) -> np.ndarray:
+def pke_dec(p: ParamSet, sk_S: MatrixZq, ct: UeCiphertext) -> np.ndarray:
     return decode(ct.C2 - ct.C1 @ sk_S, p)

@@ -18,13 +18,13 @@ operation; mismatches raise instead of silently producing garbage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .matrix import DimensionMismatchError, MatrixZq, RngHandle, sample_chi
 from .params import ParamSet
-from .pke import PkeCiphertext, pke_dec, pke_enc_traced, pke_keygen
+from .pke import EpochKey, UeCiphertext, pke_dec, pke_enc, pke_keygen
 
 
 class EpochMismatchError(ValueError):
@@ -33,13 +33,6 @@ class EpochMismatchError(ValueError):
 
 class NoValidPlaneError(ValueError):
     """No bit plane is clean enough to read the old key out of a token."""
-
-
-@dataclass(frozen=True)
-class EpochKey:
-    epoch: int
-    sk_S: MatrixZq          # n x n_bar
-    pk_B: MatrixZq          # n x n_bar
 
 
 @dataclass(frozen=True)
@@ -58,13 +51,6 @@ class UpdateToken:
     def __post_init__(self):
         if self.epoch < 1:
             raise EpochMismatchError("token epoch must be >= 1")
-
-
-@dataclass(frozen=True)
-class UeCiphertext:
-    epoch: int
-    C1: MatrixZq            # m_bar x n
-    C2: MatrixZq            # m_bar x n_bar
 
 
 def ord_bits(M: MatrixZq) -> MatrixZq:
@@ -88,26 +74,18 @@ def tensor_d(M: MatrixZq) -> MatrixZq:
 
 def ue_kg(rng: RngHandle, p: ParamSet, A: MatrixZq, epoch: int) -> EpochKey:
     """Fresh epoch key: a PKE key pair stamped with the epoch index."""
-    kp = pke_keygen(rng, p, A)
-    return EpochKey(epoch=epoch, sk_S=kp.sk_S, pk_B=kp.pk_B)
-
-
-def ue_enc_traced(rng: RngHandle, p: ParamSet, A: MatrixZq, key: EpochKey,
-                  m) -> tuple[UeCiphertext, MatrixZq]:
-    """Encrypt under the epoch key; also returns the C2 noise matrix E''."""
-    ct, e2 = pke_enc_traced(rng, p, A, key.pk_B, m)
-    return UeCiphertext(epoch=key.epoch, C1=ct.C1, C2=ct.C2), e2
+    return replace(pke_keygen(rng, p, A), epoch=epoch)
 
 
 def ue_enc(rng: RngHandle, p: ParamSet, A: MatrixZq, key: EpochKey, m) -> UeCiphertext:
-    ct, _ = ue_enc_traced(rng, p, A, key, m)
-    return ct
+    """PKE encryption under the key's public part, stamped with its epoch."""
+    return replace(pke_enc(rng, p, A, key.pk_B, m), epoch=key.epoch)
 
 
 def ue_dec(p: ParamSet, key: EpochKey, ct: UeCiphertext) -> np.ndarray:
     if ct.epoch != key.epoch:
         raise EpochMismatchError(f"ciphertext epoch {ct.epoch} != key epoch {key.epoch}")
-    return pke_dec(p, key.sk_S, PkeCiphertext(C1=ct.C1, C2=ct.C2))
+    return pke_dec(p, key.sk_S, ct)
 
 
 @dataclass(frozen=True)

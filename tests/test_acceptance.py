@@ -19,10 +19,10 @@ from frue.hybrids import (high_bits_projection, hyb_ue_upd, hyb_update_sampler,
                           statistical_distance_estimate, token_from_randomness)
 from frue.matrix import MatrixZq, RngHandle, sample_uniform
 from frue.params import validate_correctness_bound
-from frue.pke import decode, random_message_bits
+from frue.pke import decode, pke_enc_traced, random_message_bits
 from frue.ue import (NoValidPlaneError, derive_prev_secret, ord_bits,
-                     select_recovery_plane, tensor_d, ue_dec, ue_enc,
-                     ue_enc_traced, ue_kg, ue_tg, ue_upd)
+                     select_recovery_plane, tensor_d, ue_dec, ue_enc, ue_kg,
+                     ue_tg, ue_upd)
 
 from conftest import adhoc_paramset
 from oracles import cstar_brute, kstar_brute, tstar_brute
@@ -189,7 +189,7 @@ def test_criterion_7_hybrid_equivalence(deployment16):
     agree = 0
     for _ in range(1000):
         m = random_message_bits(rng, p)
-        ct, e_ct = ue_enc_traced(rng, p, d["A"], k0, m)
+        ct, e_ct = pke_enc_traced(rng, p, d["A"], k0.pk_B, m)
         tr = sample_token_randomness(rng, p)
         real = ue_upd(rng, p, token_from_randomness(p, d["A"], k0.sk_S, k1.pk_B, 1, tr), ct)
         hyb = hyb_ue_upd(rng, p, d["A"], ct, k1.pk_B, m, e_ct, tr)

@@ -228,6 +228,39 @@ def test_directory_as_path_is_usage_error(runner, tmp_path, cmd, option):
     assert not any((tmp_path / "dir").iterdir())
 
 
+_ARGS_MISSING_DIR = {       # real toy-16 inputs; {miss} is a path in a missing directory
+    "keygen --out-key": ["keygen", "--params", "toy-16", "--epoch", "2", "--seed", "aa11",
+                         "--out-key", "{miss}", "--out-pub", "{d}/p2"],
+    "keygen --out-pub": ["keygen", "--params", "toy-16", "--epoch", "2", "--seed", "aa11",
+                         "--out-key", "{d}/k2", "--out-pub", "{miss}"],
+    "params show --out": ["params", "show", "toy-16", "--out", "{miss}"],
+    "encrypt --out": ["encrypt", "--key", "{d}/p0.frue", "--message-file", "{d}/msg",
+                      "--out", "{miss}"],
+    "decrypt --out": ["decrypt", "--key", "{d}/k0.frue", "--ct", "{d}/ct0", "--out", "{miss}"],
+    "token --out": ["token", "--prev-key", "{d}/k0.frue", "--next-pub", "{d}/p1.frue",
+                    "--out", "{miss}"],
+    "update --out": ["update", "--token", "{d}/t1", "--ct", "{d}/ct0", "--out", "{miss}"],
+}
+
+
+@pytest.mark.parametrize("case", list(_ARGS_MISSING_DIR))
+def test_output_in_missing_directory_is_usage_error(runner, tmp_path, case):
+    make_keys(runner, tmp_path, (0, 1))
+    (tmp_path / "msg").write_bytes(b"hi")
+    for args in (["encrypt", "--key", "{d}/p0.frue", "--message-file", "{d}/msg",
+                  "--out", "{d}/ct0"],
+                 ["token", "--prev-key", "{d}/k0.frue", "--next-pub", "{d}/p1.frue",
+                  "--out", "{d}/t1"]):
+        assert invoke(runner, *[a.format(d=tmp_path) for a in args]).exit_code == 0
+    miss = tmp_path / "nodir" / "o"
+    res = runner.invoke(main, [a.format(d=tmp_path, miss=miss)
+                               for a in _ARGS_MISSING_DIR[case]])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)          # reported, not a traceback
+    assert str(miss) in res.stderr and "Traceback" not in res.stderr
+    assert not miss.parent.exists()
+
+
 def _commands(group: click.Group):
     for cmd in group.commands.values():
         yield cmd

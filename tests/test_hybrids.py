@@ -7,8 +7,8 @@ from frue.hybrids import (high_bits_projection, hyb_ue_upd,
                           smudging_estimate, statistical_distance_estimate,
                           token_from_randomness)
 from frue.matrix import MatrixZq, RngHandle, sample_chi
-from frue.pke import encode, pke_setup, random_message_bits
-from frue.ue import ue_dec, ue_enc_traced, ue_kg, ue_upd
+from frue.pke import encode, pke_enc_traced, pke_setup, random_message_bits
+from frue.ue import ue_dec, ue_kg, ue_upd
 
 from conftest import adhoc_paramset, noiseless_paramset
 
@@ -34,7 +34,7 @@ def test_hyb_output_decrypts_to_same_message(toy16):
     ok = 0
     for _ in range(200):
         m = random_message_bits(rng, toy16)
-        ct, e_ct = ue_enc_traced(rng, toy16, A, k0, m)
+        ct, e_ct = pke_enc_traced(rng, toy16, A, k0.pk_B, m)
         tr = sample_token_randomness(rng, toy16)
         out = hyb_ue_upd(rng, toy16, A, ct, k1.pk_B, m, e_ct, tr)
         assert out.epoch == 1
@@ -46,7 +46,7 @@ def test_hyb_noiseless_collapses_to_encoded_message():
     p = noiseless_paramset(D=10, B=2, n=8, m_bar=2, n_bar=2)
     rng, A, k0, k1 = scene(p)
     m = random_message_bits(rng, p)
-    ct, e_ct = ue_enc_traced(rng, p, A, k0, m)
+    ct, e_ct = pke_enc_traced(rng, p, A, k0.pk_B, m)
     tr = sample_token_randomness(rng, p)
     out = hyb_ue_upd(rng, p, A, ct, k1.pk_B, m, e_ct, tr)
     assert out.C1 == MatrixZq.zeros(p.m_bar, p.n, p.D)

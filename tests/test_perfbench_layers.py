@@ -1,8 +1,9 @@
 """The benchmark tracer (perfbench/tracer.py) wraps frue functions and methods
 by name.  Every name in its LAYERS table must still exist, or a traced
 benchmark run (`perfbench/run.py --trace 1`) breaks with no other test
-noticing."""
+noticing; the same holds for every frue name the workloads call."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -37,3 +38,35 @@ def test_traced_pass_intercepts_token_randomness(monkeypatch, toy16):
     assert {name: t.counts[f"{name}.calls"] for name in layers} == {
         "hybrids.sample_token_randomness": 2, "hybrids.token_from_randomness": 2,
         "ue.ue_upd": 1, "ue.ue_tg": 1, "matrix.sample_chi": 3}
+
+
+def _frue_references():
+    """(file, line, dotted name) of every attribute the benchmark files read
+    from a name they bound by importing frue or one of its modules."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name, a.name) for a in node.names
+                             if a.name.split(".")[0] == "frue")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "frue":
+                bound.update((a.asname or a.name, f"{node.module}.{a.name}")
+                             for a in node.names)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in bound):
+                yield path.name, node.lineno, f"{bound[node.value.id]}.{node.attr}"
+
+
+def test_benchmark_references_to_frue_resolve():
+    # the benchmark is frozen: a move or rename in frue that it still uses
+    # must fail here, not in a later benchmark run
+    refs = list(_frue_references())
+    # one reference through each way the benchmark binds frue proves the parse
+    assert {"frue.ue_upd", "frue.cli.main", "frue.envelope.read_envelope",
+            "frue.hybrids.real_update_sampler"} <= {dotted for *_, dotted in refs}
+    for fname, line, dotted in refs:
+        owner, attr = dotted.rsplit(".", 1)
+        assert hasattr(importlib.import_module(owner), attr), \
+            f"perfbench/{fname}:{line}: {dotted} does not exist"

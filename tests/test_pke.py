@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,7 +174,7 @@ def test_tampering_flips_decoded_group(toy16):
     ct = pke_enc(rng, toy16, A, kp.pk_B, m)
     bumped = ct.C2.data.copy()
     bumped[0, 0] = (int(bumped[0, 0]) + toy16.q // 2) % toy16.q
-    tampered = type(ct)(C1=ct.C1, C2=MatrixZq(bumped, toy16.D))
+    tampered = replace(ct, C2=MatrixZq(bumped, toy16.D))
     got = pke_dec(toy16, kp.sk_S, tampered)
     # adding q/2 moves the decoded group by 2**(B-1) mod 2**B: with B=1 the
     # first group's bit flips and nothing else moves

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from frue import envelope as env
 from frue.hybrids import hyb_ue_upd
 from frue.matrix import MatrixZq, RngHandle, sample_chi, sample_uniform
 from frue.params import load_paramset
-from frue.pke import PkeCiphertext, pke_dec, pke_setup, random_message_bits
+from frue.pke import (pke_dec, pke_enc, pke_enc_traced, pke_keygen, pke_setup,
+                      random_message_bits)
 from frue.ue import (EpochMismatchError, NoValidPlaneError,
                      derive_prev_secret, ord_bits, sample_token_randomness,
                      select_recovery_plane, tensor_d, token_from_randomness,
-                     ue_dec, ue_enc, ue_enc_traced, ue_kg, ue_tg, ue_upd)
+                     ue_dec, ue_enc, ue_kg, ue_tg, ue_upd)
 
 from conftest import adhoc_paramset, noiseless_paramset
 
@@ -89,6 +91,20 @@ def test_enc_dec_roundtrip(deployment16):
         ct = ue_enc(rng, d["p"], d["A"], d["keys"][0], m)
         assert ct.epoch == 0
         assert np.array_equal(ue_dec(d["p"], d["keys"][0], ct), m)
+
+
+def test_ue_is_pke_plus_an_epoch(deployment16):
+    # UE.KG and UE.Enc draw exactly as PKE.KG and PKE.Enc and only stamp the
+    # epoch; the PKE layer itself outputs epoch 0
+    p, A = deployment16["p"], deployment16["A"]
+    kp = pke_keygen(RngHandle(b"ue-pke-kg"), p, A)
+    assert kp.epoch == 0
+    assert ue_kg(RngHandle(b"ue-pke-kg"), p, A, 5) == replace(kp, epoch=5)
+    key = ue_kg(RngHandle(b"ue-pke-kg3"), p, A, 3)
+    m = random_message_bits(RngHandle(b"ue-pke-m"), p)
+    ct = pke_enc(RngHandle(b"ue-pke-enc"), p, A, key.pk_B, m)
+    assert ct.epoch == 0
+    assert ue_enc(RngHandle(b"ue-pke-enc"), p, A, key, m) == replace(ct, epoch=3)
 
 
 def test_dec_rejects_epoch_mismatch(deployment16):
@@ -209,7 +225,7 @@ def test_updated_ciphertext_unreadable_under_old_key(deployment16):
         m = random_message_bits(rng, p)
         ct = ue_enc(rng, p, d["A"], d["keys"][0], m)
         ct1 = ue_upd(rng, p, d["tokens"][1], ct)
-        old_view = pke_dec(p, d["keys"][0].sk_S, PkeCiphertext(C1=ct1.C1, C2=ct1.C2))
+        old_view = pke_dec(p, d["keys"][0].sk_S, ct1)
         wrong += not np.array_equal(old_view, m)
     assert wrong >= 99
 
@@ -254,7 +270,7 @@ def test_key_stream_matches_golden_digests(toy16):
     _, A = pke_setup(rng, p)
     k0, k1 = ue_kg(rng, p, A, 0), ue_kg(rng, p, A, 1)
     m = random_message_bits(rng, p)
-    ct, e_ct = ue_enc_traced(rng, p, A, k0, m)
+    ct, e_ct = pke_enc_traced(rng, p, A, k0.pk_B, m)
     tok = ue_tg(RngHandle(b"golden-tg"), p, A, k0.sk_S, k1.pk_B, 1)
     upd = ue_upd(RngHandle(b"golden-upd"), p, tok, ct)
     tr = sample_token_randomness(RngHandle(b"golden-tg"), p)
