@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import RngHandle, gen_public_matrix
+from .matrix import RngHandle
 from .params import ParamSet, UnknownParamSetError, load_paramset
-from .pke import random_message_bits
+from .pke import pke_setup, random_message_bits
 from .ue import ue_dec, ue_enc, ue_kg, ue_tg, ue_upd
 
 BENCH_OPS = ("UE.KG", "UE.Enc", "UE.Dec", "UE.TG", "UE.Upd")
@@ -110,13 +110,12 @@ def _time_op(fn, runs: int) -> tuple[float, float]:
 
 
 @_single_blas_thread()
-def bench_level(level: str, mode: str, runs: int,
-                seed: bytes = b"frue-bench") -> list[BenchResult]:
+def bench_level(level: str, mode: str, runs: int) -> list[BenchResult]:
     if runs < 1:
         raise ValueError("runs must be >= 1")
     p = paramset_for(level, mode)
-    rng = RngHandle(seed)
-    A = gen_public_matrix(rng.bytes(16), p)
+    rng = RngHandle(b"frue-bench")
+    _, A = pke_setup(rng, p)
     k0 = ue_kg(rng, p, A, 0)
     k1 = ue_kg(rng, p, A, 1)
     tok = ue_tg(rng, p, A, k0.sk_S, k1.pk_B, 1)
@@ -137,11 +136,11 @@ def bench_level(level: str, mode: str, runs: int,
     return out
 
 
-def run_benchmarks(levels, modes, runs: int, seed: bytes = b"frue-bench") -> list[BenchResult]:
+def run_benchmarks(levels, modes, runs: int) -> list[BenchResult]:
     results = []
     for level in levels:
         for mode in modes:
-            results.extend(bench_level(str(level), mode, runs, seed=seed))
+            results.extend(bench_level(str(level), mode, runs))
     return results
 
 

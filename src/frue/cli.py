@@ -36,7 +36,8 @@ from .matrix import DimensionMismatchError, RngHandle, gen_public_matrix
 from .params import (UnknownParamSetError, bound_sides, empirical_chain_epochs,
                      load_paramset, max_certified_epochs, params_dump,
                      registered_names, validate_correctness_bound)
-from .pke import MessageLengthError, bits_from_bytes, bytes_from_bits, pke_enc
+from .pke import (MessageLengthError, bits_from_bytes, bytes_from_bits, pke_enc,
+                  pke_setup)
 from .ue import EpochKey, EpochMismatchError, ue_dec, ue_kg, ue_tg, ue_upd
 
 EXIT_OK = 0
@@ -150,11 +151,10 @@ def params_list():
               help="Also write the dump as a paramset envelope file.")
 def params_show(name, out_path):
     p = load_paramset(name)
-    click.echo(params_dump(p), nl=False)
     if out_path:
         with open(out_path, "wb") as fh:
             fh.write(env.pack_paramset(p))
-        click.echo(f"wrote {out_path}")
+    click.echo(params_dump(p) + (f"wrote {out_path}\n" if out_path else ""), nl=False)
 
 
 @main.command()
@@ -169,13 +169,12 @@ def keygen(params_name, epoch, seed, out_key, out_pub):
     """Generate an epoch key; writes the secret key file and the public-key file."""
     p = load_paramset(params_name)
     master = seed or secrets.token_bytes(32)
-    a_seed = RngHandle(master).derive("a-seed").bytes(env.A_SEED_LEN)
-    A = gen_public_matrix(a_seed, p)
-    key = ue_kg(RngHandle(master).derive(f"epoch:{epoch}"), p, A, epoch)
+    a_seed, A = pke_setup(_rng_from(master, "a-seed"), p)
+    key = ue_kg(_rng_from(master, f"epoch:{epoch}"), p, A, epoch)
+    with open(out_pub, "wb") as fh:    # no secret key is left without its public key
+        fh.write(env.pack_public_key(p, epoch, key.pk_B, a_seed))
     with open(out_key, "wb") as fh:
         fh.write(env.pack_epoch_key(p, key, a_seed))
-    with open(out_pub, "wb") as fh:
-        fh.write(env.pack_public_key(p, epoch, key.pk_B, a_seed))
     click.echo(f"wrote {out_key} and {out_pub} ({p.name}, epoch {epoch})")
 
 

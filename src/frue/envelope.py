@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .matrix import MatrixZq
 from .params import ParamSet, UnknownParamSetError, load_by_id, params_dump
+from .pke import A_SEED_LEN
 from .ue import EpochKey, UeCiphertext, UpdateToken
 
 MAGIC = b"FRUE"
@@ -38,8 +39,6 @@ KIND_NAMES = {
     KIND_TOKEN: "token",
     KIND_CIPHERTEXT: "ciphertext",
 }
-
-A_SEED_LEN = 16
 
 _HEADER = struct.Struct("<4sBBHI")  # magic, version, kind, paramset_id, epoch
 

@@ -1,9 +1,9 @@
 """Security experiment machinery: oracles, leakage bookkeeping, closures.
 
 A SecurityGame holds the full oracle state for one experiment run: epoch
-keys and tokens, the query log L, the challenge-equal log, the plaintext
-pair set used for trivial-win detection on decryption, and the leakage sets
-K / T / C.  Oracles return None where the pseudocode returns bottom.
+keys and tokens, the query log L, the challenge ciphertext, the challenge
+plaintexts used for trivial-win detection on decryption, and the leakage
+sets K / T / C.  Oracles return None where the pseudocode returns bottom.
 
 The starred closures model what an adversary can infer beyond what it
 corrupted directly, in the backward-leak setting: a future key plus the
@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .matrix import DimensionMismatchError, MatrixZq, RngHandle
 from .params import ParamSet
-from .pke import bytes_from_bits, pke_setup
+from .pke import as_bits, bytes_from_bits, pke_setup
 from .ue import (EpochKey, EpochMismatchError, UeCiphertext, UpdateToken,
                  ue_dec, ue_enc, ue_kg, ue_tg, ue_upd)
 
@@ -33,20 +31,16 @@ class LeakageSets:
     l: int = 0                                  # highest epoch index reached
 
 
-@dataclass
-class LRecord:
-    qid: int
-    ct: UeCiphertext
-    epoch: int
-    m_bytes: bytes
-
-
-def _ct_key(ct: UeCiphertext) -> tuple:
-    return (ct.epoch, ct.C1.data.tobytes(), ct.C2.data.tobytes())
-
-
 class SecurityGame:
-    """One experiment instance; single-threaded by contract."""
+    """One experiment instance; single-threaded by contract.
+
+    The paper's L is `L`: each honest ciphertext, at its own epoch, maps to
+    its query id and plaintext bytes.  Its L~ is `chall_ct` (the current
+    version) with `leakage.C` (the epochs it has reached); the challenge
+    has been issued iff `chall_ct` is set, and from then on the current
+    epoch is in `leakage.C`.  Its Q~* is `_chall_msgs` at every epoch of
+    `leakage.C`, so a decryption is checked against `_chall_msgs` alone.
+    """
 
     def __init__(self, rng: RngHandle, p: ParamSet, A: MatrixZq, b: int):
         if b not in (0, 1):
@@ -60,23 +54,18 @@ class SecurityGame:
         self.tokens: dict[int, UpdateToken] = {}      # no token into epoch 0
         self.qid = 0
         self.twf = 0
-        self.phase = 0
-        self.challenge_epoch: int | None = None
         self.chall_ct: UeCiphertext | None = None
-        self._chall_msgs: tuple[bytes, bytes] | None = None
-        self.L: dict[tuple, LRecord] = {}
-        self.L_tilde: list[tuple[UeCiphertext, int]] = []
-        self.Q_tilde_star: set[tuple[bytes, int]] = set()
+        self._chall_msgs: tuple[bytes, ...] = ()
+        self.L: dict[UeCiphertext, tuple[int, bytes]] = {}
         self.leakage = LeakageSets()
         self.trace: list[tuple] = []
 
     # -- oracles ---------------------------------------------------------
 
     def o_enc(self, m) -> UeCiphertext:
-        self.qid += 1
         ct = ue_enc(self.rng, self.p, self.A, self.keys[self.e], m)
-        rec = LRecord(self.qid, ct, self.e, bytes_from_bits(np.asarray(m, dtype=np.uint8)))
-        self.L[_ct_key(ct)] = rec
+        self.qid += 1
+        self.L[ct] = (self.qid, bytes_from_bits(m))
         self.trace.append(("enc", self.qid, self.e))
         return ct
 
@@ -88,7 +77,7 @@ class SecurityGame:
         except (EpochMismatchError, DimensionMismatchError):
             self.trace.append(("dec", "reject"))
             return None
-        if (bytes_from_bits(m), self.e) in self.Q_tilde_star:
+        if bytes_from_bits(m) in self._chall_msgs:
             self.twf = 1
         self.trace.append(("dec", self.e))
         return m
@@ -100,22 +89,19 @@ class SecurityGame:
         self.tokens[self.e] = ue_tg(self.rng, self.p, self.A,
                                     self.keys[self.e - 1].sk_S,
                                     self.keys[self.e].pk_B, self.e)
-        if self.phase == 1:
+        if self.chall_ct is not None:
             self.chall_ct = ue_upd(self.rng, self.p, self.tokens[self.e], self.chall_ct)
             self.leakage.C.add(self.e)
-            self.L_tilde.append((self.chall_ct, self.e))
-            for mb in self._chall_msgs:
-                self.Q_tilde_star.add((mb, self.e))
         self.trace.append(("next", self.e))
 
     def o_upd(self, ct_prev: UeCiphertext):
-        rec = self.L.get(_ct_key(ct_prev))
-        if rec is None or rec.epoch != self.e - 1:
+        rec = self.L.get(ct_prev)
+        if rec is None or ct_prev.epoch != self.e - 1:
             self.trace.append(("upd", "reject"))
             return None
         ct = ue_upd(self.rng, self.p, self.tokens[self.e], ct_prev)
-        self.L[_ct_key(ct)] = LRecord(rec.qid, ct, self.e, rec.m_bytes)
-        self.trace.append(("upd", rec.qid, self.e))
+        self.L[ct] = rec
+        self.trace.append(("upd", rec[0], self.e))
         return ct
 
     def o_corr(self, inp: str, e_hat: int):
@@ -132,32 +118,25 @@ class SecurityGame:
         return self.tokens.get(e_hat)          # epoch 0 has no token
 
     def o_chall(self, m_bar, ct_bar: UeCiphertext):
-        """Start the challenge phase: fresh encryption of m_bar (b = 0) or an
-        update of the recorded ciphertext ct_bar (b = 1)."""
-        if self.phase == 1:
+        """Issue the one challenge: fresh encryption of m_bar (b = 0) or an
+        update of the recorded ciphertext ct_bar (b = 1).  A malformed m_bar
+        raises MessageLengthError at either b and changes nothing."""
+        rec = self.L.get(ct_bar)
+        if self.chall_ct is not None or rec is None or ct_bar.epoch != self.e - 1:
             self.trace.append(("chall", "reject"))
             return None
-        rec = self.L.get(_ct_key(ct_bar))
-        if rec is None or rec.epoch != self.e - 1:
-            self.trace.append(("chall", "reject"))
-            return None
-        self.phase = 1
-        self.challenge_epoch = self.e
-        m_bar = np.asarray(m_bar, dtype=np.uint8)
-        self._chall_msgs = (bytes_from_bits(m_bar), rec.m_bytes)
+        m_bar = as_bits(m_bar, self.p.ell)
         if self.b == 0:
             self.chall_ct = ue_enc(self.rng, self.p, self.A, self.keys[self.e], m_bar)
         else:
             self.chall_ct = ue_upd(self.rng, self.p, self.tokens[self.e], ct_bar)
+        self._chall_msgs = (bytes_from_bits(m_bar), rec[1])
         self.leakage.C.add(self.e)
-        self.L_tilde.append((self.chall_ct, self.e))
-        for mb in self._chall_msgs:
-            self.Q_tilde_star.add((mb, self.e))
         self.trace.append(("chall", self.e))
         return self.chall_ct
 
     def o_upd_ct(self):
-        if self.phase != 1:
+        if self.chall_ct is None:
             self.trace.append(("upd-ct", "reject"))
             return None
         self.trace.append(("upd-ct", self.e))

@@ -134,9 +134,9 @@ def hyb_update_sampler(inst: UpdateInstance, rng: RngHandle) -> Callable[[], UeC
     return draw
 
 
-def high_bits_projection(p: ParamSet, bits: int = 4) -> Callable[[UeCiphertext], int]:
-    """Project a ciphertext to the top bits of one C2 entry (alphabet 2**bits)."""
-    shift = p.D - bits
+def high_bits_projection(p: ParamSet) -> Callable[[UeCiphertext], int]:
+    """Project a ciphertext to the top 4 bits of one C2 entry (alphabet 16)."""
+    shift = p.D - 4
 
     def project(ct: UeCiphertext) -> int:
         return int(ct.C2.data[0, 0]) >> shift

@@ -43,6 +43,8 @@ class UeCiphertext:
 PkeKeyPair = EpochKey
 PkeCiphertext = UeCiphertext
 
+A_SEED_LEN = 16             # bytes of the seed that expands the public matrix A
+
 
 # -- message bits ---------------------------------------------------------
 
@@ -99,7 +101,7 @@ def decode(M: MatrixZq, p: ParamSet) -> np.ndarray:
 
 def pke_setup(rng: RngHandle, p: ParamSet) -> tuple[bytes, MatrixZq]:
     """Draw a fresh seed and expand the shared n x n public matrix A."""
-    a_seed = rng.bytes(16)
+    a_seed = rng.bytes(A_SEED_LEN)
     return a_seed, gen_public_matrix(a_seed, p)
 
 

@@ -261,6 +261,15 @@ def test_output_in_missing_directory_is_usage_error(runner, tmp_path, case):
     assert not miss.parent.exists()
 
 
+def test_failed_output_leaves_no_secret_or_dump(runner, tmp_path):
+    miss, key = tmp_path / "nodir" / "o", tmp_path / "k2"
+    res = runner.invoke(main, ["keygen", "--params", "toy-16", "--epoch", "2", "--seed",
+                               "aa11", "--out-key", str(key), "--out-pub", str(miss)])
+    assert res.exit_code == 2 and not key.exists()
+    res = runner.invoke(main, ["params", "show", "toy-16", "--out", str(miss)])
+    assert res.exit_code == 2 and "name=" not in res.stdout
+
+
 def _commands(group: click.Group):
     for cmd in group.commands.values():
         yield cmd

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from frue.game import (LeakageSets, cstar, gs_setup, kstar_op_uni,
                        run_experiment, starred_sets, tstar_op_uni)
 from frue.matrix import MatrixZq, RngHandle
-from frue.pke import random_message_bits
+from frue.pke import MessageLengthError, random_message_bits
 from frue.ue import UeCiphertext, ue_dec
 
 
@@ -96,7 +96,7 @@ def game(deployment16):
 
 def test_setup_state(game):
     g, d = game
-    assert g.e == 0 and g.phase == 0 and g.twf == 0 and g.qid == 0
+    assert g.e == 0 and g.chall_ct is None and g.twf == 0 and g.qid == 0
     assert not g.leakage.K and not g.leakage.T and not g.leakage.C
     assert 0 in g.keys and not g.tokens
 
@@ -178,10 +178,10 @@ def test_chall_guards(game):
     ct = g.o_enc(m0)
     mb = random_message_bits(g.rng, d["p"])
     assert g.o_chall(mb, ct) is None           # ct recorded at epoch e, not e-1
-    assert g.phase == 0
+    assert g.chall_ct is None
     g.o_next()
     ch = g.o_chall(mb, ct)
-    assert ch is not None and g.phase == 1 and g.challenge_epoch == 1
+    assert ch is not None and g.chall_ct is ch
     assert g.leakage.C == {1}
     assert g.o_chall(mb, ct) is None           # only one challenge
     assert g.o_upd_ct() == ch
@@ -219,10 +219,79 @@ def test_next_during_phase_updates_challenge(deployment16):
     g.o_chall(mb, ct)
     g.o_next()
     assert g.leakage.C == {1, 2}
-    assert len(g.L_tilde) == 2
     rolled = g.o_upd_ct()
     assert rolled.epoch == 2
     assert np.array_equal(ue_dec(d["p"], g.keys[2], rolled), mb)
+
+
+@pytest.mark.parametrize("b", [0, 1])
+def test_bad_challenge_message_changes_nothing(deployment16, b):
+    d = deployment16
+    g = gs_setup(RngHandle(b"bad-msg"), d["p"], d["A"], b=b)
+    ct = g.o_enc(random_message_bits(g.rng, d["p"]))
+    g.o_next()
+    trace = list(g.trace)
+    with pytest.raises(MessageLengthError):       # at either b: no hint of b
+        g.o_chall(np.zeros(5, np.uint8), ct)
+    assert g.trace == trace and g.leakage.C == set() and g.chall_ct is None
+    assert g.o_chall(random_message_bits(g.rng, d["p"]), ct) is not None
+    g.o_next()
+    assert g.leakage.C == {1, 2} and g.chall_ct.epoch == 2
+    with pytest.raises(MessageLengthError):
+        g.o_enc(np.zeros(5, np.uint8))
+    assert g.qid == 1
+
+
+_ORACLE_CALLS = st.lists(st.tuples(
+    st.sampled_from(("enc", "bad-enc", "next", "upd", "chall", "bad-chall",
+                     "dec", "corr", "upd-ct")),
+    st.integers(min_value=0, max_value=7)), max_size=14)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ORACLE_CALLS, st.sampled_from((0, 1)))
+def test_game_state_stays_consistent(deployment16, calls, b):
+    p = deployment16["p"]
+    g = gs_setup(RngHandle(b"consistent"), p, deployment16["A"], b=b)
+    bad = np.zeros(5, np.uint8)
+    cts, encs = [], 0
+    for op, i in calls:
+        pick = cts[i % len(cts)] if cts else None
+        if op == "enc":
+            cts.append(g.o_enc(random_message_bits(g.rng, p)))
+            encs += 1
+        elif op == "bad-enc":
+            with pytest.raises(MessageLengthError):
+                g.o_enc(bad)
+        elif op == "next":
+            g.o_next()
+        elif op == "corr":
+            g.o_corr(("key", "token")[i % 2], i % (g.e + 2))
+        elif op == "upd-ct":
+            g.o_upd_ct()
+        elif pick is None:
+            continue
+        elif op == "upd":
+            ct = g.o_upd(pick)
+            if ct is not None:
+                cts.append(ct)
+        elif op == "chall":
+            g.o_chall(random_message_bits(g.rng, p), pick)
+        elif op == "bad-chall":
+            logged = len(g.trace)
+            try:
+                assert g.o_chall(bad, pick) is None     # rejected, or ...
+            except MessageLengthError:                   # ... refused unlogged
+                assert len(g.trace) == logged
+        else:
+            g.o_dec(g.chall_ct if i % 2 and g.chall_ct is not None else pick)
+        C = g.leakage.C
+        assert (g.chall_ct is None) == (not C)
+        if g.chall_ct is not None:
+            assert g.chall_ct.epoch == g.e == max(C)
+            assert C == set(range(min(C), g.e + 1))
+        assert all(ct.epoch <= g.e for ct in g.L)
+        assert g.qid == encs
 
 
 def test_dec_of_challenge_equal_plaintext_sets_twf(deployment16):
