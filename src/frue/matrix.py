@@ -5,18 +5,35 @@ general modular-reduction path.  Entries are stored one per 16-bit word
 regardless of D, both in memory (uint16 ndarray) and in the serialized
 record format.
 
-Matrix products must be exact.  Every product runs through BLAS in float64
-and is then masked to q; that is exact as long as every accumulated sum stays
-below 2**53, i.e. while inner * (q - 1)**2 < 2**53.  At D = 16 this allows
-inner dimensions up to 2 097 216, about 97 times the largest a registered
-parameter set produces (n * D = 21 504 at frodo-1344).  A product past the
-limit raises DimensionMismatchError before any float64 copy is built.
+Matrix products must be exact.  Every product accumulates non-negative
+integers through BLAS and is then masked to q, on one of two routes:
 
-The float64 operand of a matrix is built once, the first time the matrix
-takes part in a product, and kept (read-only) for the matrix's lifetime;
-matrices are immutable, so it never goes stale.  A token reused across many
-updates, or the public matrix reused across many products, is converted only
-once.  The price is memory: the float64 copy is four times the uint16 words.
+  float64   the default.  Exact while every accumulated sum stays below
+            2**53, i.e. while inner * (q - 1)**2 < 2**53.  At D = 16 this
+            allows inner dimensions up to 2 097 216, about 97 times the
+            largest a registered parameter set produces (n * D = 21 504 at
+            frodo-1344).  A product past the limit raises
+            DimensionMismatchError before any copy is built.
+  float32   when the left operand is a BitPlanes matrix (entries 0 or 1,
+            built by ue.ord_bits) and inner * (q - 1) > 2**24, so one
+            float32 product would not be exact.  The inner dimension is
+            split into chunks of k = 2**24 // (q - 1) (512 at D = 15, 256 at
+            D = 16).  Within a chunk every partial sum BLAS forms, in any
+            order and with or without FMA, is an integer of at most
+            k * (q - 1) <= 2**24, and float32 holds every such integer
+            exactly.  The chunk results are summed in float64, whose total
+            inner * (q - 1) stays below the float64 limit above.  The result
+            is bit-identical to the float64 route's; it streams half the
+            bytes of the wide operand.  Smaller bit-plane products, such as
+            all of toy-16's, stay on float64, where one BLAS call costs less
+            Python than a chunk loop.
+
+Each route's copy of an operand (float64 of data; float32 of data.T) is
+built once, the first time the matrix takes part in such a product, and kept
+(read-only) for the matrix's lifetime; matrices are immutable, so it never
+goes stale.  A token reused across many updates, or the public matrix reused
+across many products, is converted only once.  The price is memory: the
+float64 copy is four times the uint16 words, the float32 copy twice.
 """
 
 from __future__ import annotations
@@ -40,9 +57,10 @@ _MATRIX_HEADER = struct.Struct("<IIB")  # rows, cols, D
 class MatrixZq:
     """Immutable dense matrix over Z_{2**D}."""
 
-    # _f64: float64 copy of data for products; left unset until the first
-    # product, so constructing a matrix costs nothing extra
-    __slots__ = ("data", "D", "_f64")
+    # _f64: float64 copy of data, _f32t: float32 copy of data.T (the two
+    # product routes); each left unset until a product needs it, so
+    # constructing a matrix costs nothing extra
+    __slots__ = ("data", "D", "_f64", "_f32t")
 
     def __init__(self, data, D: int):
         if not (1 <= D <= 16):
@@ -148,8 +166,21 @@ class MatrixZq:
             raise DimensionMismatchError(
                 f"mul: inner dimension {self.cols} at D={self.D} is past the "
                 "exact float64 range")
-        prod = (self._float64() @ other._float64()).astype(np.int64)
-        return MatrixZq._new((prod & (self.q - 1)).astype(np.uint16), self.D)
+        if type(self) is BitPlanes and self.cols * (self.q - 1) > 2**24:
+            prod = self._bit_product(other)
+        else:
+            prod = self._float64() @ other._float64()
+        out = prod.astype(np.int64) & (self.q - 1)
+        return MatrixZq._new(out.astype(np.uint16), self.D)
+
+    def _bit_product(self, other: "MatrixZq") -> np.ndarray:
+        """self @ other as float64, from float32 chunks each exact (module docstring)."""
+        k = 2**24 // (self.q - 1)
+        bits, wide = self._float32_t(), other._float32_t()
+        acc = np.zeros((self.rows, other.cols))
+        for s in range(0, self.cols, k):
+            acc += (wide[:, s:s + k] @ bits[s:s + k]).T
+        return acc
 
     def _float64(self) -> np.ndarray:
         """Read-only float64 copy of data, built on first use and kept."""
@@ -158,6 +189,18 @@ class MatrixZq:
             arr = self.data.astype(np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, "_f64", arr)
+        return arr
+
+    def _float32_t(self) -> np.ndarray:
+        """Read-only C-contiguous float32 copy of data.T, built on first use and kept."""
+        arr = getattr(self, "_f32t", None)
+        if arr is None:
+            arr = np.empty((self.cols, self.rows), dtype=np.float32)
+            # in blocks of rows: about 3x faster than one transposing copy
+            for s in range(0, self.rows, 512):
+                arr[:, s:s + 512] = self.data[s:s + 512].T
+            arr.setflags(write=False)
+            object.__setattr__(self, "_f32t", arr)
         return arr
 
     # -- norms ----------------------------------------------------------
@@ -190,6 +233,16 @@ class MatrixZq:
             raise ValueError("truncated matrix body")
         data = np.frombuffer(buf[end:body], dtype="<u2").reshape(rows, cols)
         return cls(data, D), body
+
+
+class BitPlanes(MatrixZq):
+    """A MatrixZq whose entries are all 0 or 1; only ue.ord_bits builds one.
+
+    Adds no state: the type alone lets a product with it on the left take
+    the float32 route (module docstring).
+    """
+
+    __slots__ = ()
 
 
 def signed_rep(x: int, D: int) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matrix import DimensionMismatchError, MatrixZq, RngHandle, sample_chi
+from .matrix import BitPlanes, DimensionMismatchError, MatrixZq, RngHandle, sample_chi
 from .params import ParamSet
 from .pke import EpochKey, UeCiphertext, pke_dec, pke_enc, pke_keygen
 
@@ -53,15 +53,16 @@ class UpdateToken:
             raise EpochMismatchError("token epoch must be >= 1")
 
 
-def ord_bits(M: MatrixZq) -> MatrixZq:
+def ord_bits(M: MatrixZq) -> BitPlanes:
     """Bit-plane decomposition, least significant plane first.
 
     Defined for any width: entry (i, j) satisfies
-    M[i, j] = sum_k 2**(k-1) * out[i, (k-1)*cols + j].
+    M[i, j] = sum_k 2**(k-1) * out[i, (k-1)*cols + j].  The result is marked
+    as 0/1 (BitPlanes), so large products with it run in float32 chunks.
     """
     D = M.D
     planes = (M.data[:, None, :] >> np.arange(D, dtype=np.uint16)[None, :, None]) & np.uint16(1)
-    return MatrixZq._new(planes.reshape(M.rows, D * M.cols), D)
+    return BitPlanes._new(planes.reshape(M.rows, D * M.cols), D)
 
 
 def tensor_d(M: MatrixZq) -> MatrixZq:

@@ -8,6 +8,7 @@ from frue.matrix import (DimensionMismatchError, MatrixZq, RngHandle,
                          gen_public_matrix, sample_chi, sample_uniform,
                          signed_rep)
 from frue.params import load_paramset
+from frue.ue import ord_bits
 
 from conftest import adhoc_paramset, noiseless_paramset
 
@@ -68,9 +69,9 @@ def test_transpose_reverses_products(r, k, c, D, seed):
 
 
 def test_matmul_float_path_agrees_with_plain_integers():
-    # the float64 product must match schoolbook arithmetic over Python ints,
-    # also when an operand's cached float64 copy is reused, on either side,
-    # and for the small shapes of the toy-16 and frodo-640 products
+    # both product routes must match schoolbook arithmetic over integers, also
+    # when an operand's cached copy is reused, on either side, and for the
+    # small shapes of the toy-16 and frodo-640 products
     rng = RngHandle(b"paths")
     p15, p16 = adhoc_paramset(D=15), adhoc_paramset(D=16)
     a = sample_uniform(rng, 4, 3000, p16)
@@ -88,14 +89,32 @@ def test_matmul_float_path_agrees_with_plain_integers():
 
     pairs = [(a, b), (b, c), (c, a), (top, top), *small, frodo]
     expected = [(x, y, ref(x, y)) for x, y in pairs]
+
+    # bit-plane products on the float32 route, checked in int64.  All-(q - 1)
+    # operands bring every chunk sum to exactly k * (q - 1), the largest the
+    # chunk length allows: inner 9600 at D = 15 (k = 512) and 21 504 at
+    # D = 16 (k = 256); 9615 is not a multiple of 512
+    def full(rows, cols, D):
+        return MatrixZq(np.full((rows, cols), 2**D - 1, dtype=np.uint16), D)
+
+    bit_pairs = [(ord_bits(full(1, 640, 15)), full(9600, 3, 15)),
+                 (ord_bits(full(1, 1344, 16)), full(21504, 3, 16)),
+                 (ord_bits(sample_uniform(rng, 2, 641, p15)), sample_uniform(rng, 9615, 5, p15)),
+                 (ord_bits(sample_uniform(rng, 8, 640, p15)), sample_uniform(rng, 9600, 640, p15))]
+    for x, y in bit_pairs:
+        want = (x.data.astype(np.int64) @ y.data.astype(np.int64)) & (x.q - 1)
+        expected.append((x, y, want.tolist()))
     for _ in range(2):
         for x, y, want in expected:
             assert (x @ y).data.tolist() == want
+    for x, y in bit_pairs:
+        assert hasattr(y, "_f32t") and not hasattr(y, "_f64")
 
 
 def test_matmul_exactness_guard():
     # at D = 16 with every entry q - 1, inner 2 097 216 is the last exact
-    # float64 accumulation; one more raises before any float64 copy is built
+    # float64 accumulation; one more raises before any copy is built, on
+    # either route
     top = 2**16 - 1
     row = MatrixZq(np.full((1, 2_097_216), top, dtype=np.uint16), 16)
     col = MatrixZq(np.full((2_097_216, 1), top, dtype=np.uint16), 16)
@@ -106,6 +125,13 @@ def test_matmul_exactness_guard():
         row @ col
     for m in (row, col):
         assert not hasattr(m, "_f64")
+    # a bit-plane product past the same guard: 131 077 * 16 = 2 097 232 inner
+    bits = ord_bits(MatrixZq(np.full((1, 131_077), top, dtype=np.uint16), 16))
+    col = MatrixZq(np.full((2_097_232, 1), top, dtype=np.uint16), 16)
+    with pytest.raises(DimensionMismatchError, match="2097232"):
+        bits @ col
+    for m in (bits, col):
+        assert not hasattr(m, "_f64") and not hasattr(m, "_f32t")
 
 
 def test_entries_validated_on_construction():
@@ -132,6 +158,16 @@ def test_matrices_immutable():
     with pytest.raises(AttributeError):
         a._f64 = np.zeros((64, 64))
     assert a @ b == before
+    # so is the float32 copy of data.T a bit-plane product keeps (inner 1024
+    # is past 2**24 / (q - 1), so the product takes the float32 route)
+    o, w = ord_bits(sample_uniform(rng, 2, 64, p16)), sample_uniform(rng, 1024, 64, p16)
+    before = o @ w
+    for m in (o, w):
+        with pytest.raises(ValueError):
+            m._f32t[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            m._f32t = np.zeros(m._f32t.shape, dtype=np.float32)
+    assert o @ w == before
 
 
 # -- signed representative and norm ------------------------------------------

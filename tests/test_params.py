@@ -42,7 +42,9 @@ def test_every_registered_set_satisfies_type_invariants():
         assert p.ell == p.B * p.m_bar * p.n_bar
         assert p.T_max >= 1
         # n * D is the largest inner dimension of any scheme product
-        # (ord_bits(C1) @ d1_a); MatrixZq @ raises at or past this bound
+        # (ord_bits(C1) @ d1_a); MatrixZq @ raises at or past this float64
+        # bound.  That product runs in float32 chunks of 2**24 // (q - 1)
+        # inner entries, each exact at any n * D, summed under this bound.
         assert p.n * p.D * (p.q - 1) ** 2 < 2**53
 
 

@@ -168,6 +168,12 @@ def test_update_chain_decrypts_and_respects_error_budget(deployment16):
             assert (phi - phi_prev).max_norm() <= per_update_bound
             phi_prev = phi
         assert np.array_equal(ue_dec(p, d["keys"][p.T_max], ct), m)
+    # toy-16's bit-plane products (inner n * D = 128) are exact in one
+    # float32 product, so they stay on the float64 route
+    mats = [ct.C1, ct.C2, *(getattr(t, f) for t in d["tokens"].values()
+                            for f in ("d1_a", "d1_b", "d2_a", "d2_b"))]
+    assert hasattr(d["tokens"][1].d1_a, "_f64")
+    assert not any(hasattr(x, "_f32t") for x in mats)
 
 
 def test_update_error_telescopes(deployment16):
@@ -231,8 +237,9 @@ def test_updated_ciphertext_unreadable_under_old_key(deployment16):
 
 
 def test_one_token_many_ciphertexts_exact_at_frodo640():
-    # products run in float64, where each token matrix is converted once
-    # and reused; every update must still be bit-exact
+    # each token matrix is converted once and reused: ord_bits(C1) @ d1_a and
+    # @ d1_b run in float32 chunks, R @ d2_a and @ d2_b in float64; every
+    # update must still be bit-exact
     p = load_paramset("frodo-640-shake")
     rng = RngHandle(b"upd640")
     _, A = pke_setup(rng, p)
@@ -253,6 +260,9 @@ def test_one_token_many_ciphertexts_exact_at_frodo640():
         assert np.array_equal(got.C1.data, (o_d1a + R @ d2_a) & mask)
         assert np.array_equal(got.C2.data,
                               (ct.C2.data.astype(np.int64) + o_d1b + R @ d2_b) & mask)
+    # d1_a keeps only its float32 copy (half the bytes of a float64 one)
+    assert hasattr(tok.d1_a, "_f32t") and not hasattr(tok.d1_a, "_f64")
+    assert hasattr(tok.d2_a, "_f64") and not hasattr(tok.d2_a, "_f32t")
 
 
 # Pinned key stream: a change to the draw order or dtype of TG, Upd or the
