@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matrix import MatrixZq, RngHandle, sample_chi, sample_uniform
+from .matrix import MatrixZq, RngHandle, _lincomb, sample_chi, sample_uniform
 from .params import ParamSet
 from .pke import encode, pke_enc_traced, pke_setup, random_message_bits
 from .ue import (TokenRandomness, UeCiphertext, UpdateToken, ord_bits,
@@ -39,12 +39,12 @@ def hyb_ue_upd(rng: RngHandle, p: ParamSet, A: MatrixZq, ct: UeCiphertext,
     """
     R = sample_chi(rng, p.m_bar, p.n, p)
     O = ord_bits(ct.C1)
-    s_dag = O @ tr.S1p + R @ tr.S2p
-    e_dag = O @ tr.E1p + R @ tr.E2p
-    e_ddag = O @ tr.E1pp + R @ tr.E2pp + E_ct
-    return UeCiphertext(epoch=ct.epoch + 1,
-                        C1=s_dag @ A + e_dag,
-                        C2=s_dag @ pk_next + e_ddag + encode(m, p))
+    s_dag = _lincomb((1, O, tr.S1p), (1, R, tr.S2p))
+    return UeCiphertext(
+        epoch=ct.epoch + 1,
+        C1=_lincomb((1, s_dag, A), (1, O, tr.E1p), (1, R, tr.E2p)),
+        C2=_lincomb((1, s_dag, pk_next), (1, O, tr.E1pp), (1, R, tr.E2pp),
+                    (1, E_ct), (1, encode(m, p))))
 
 
 def sim_ue_kg(rng: RngHandle, p: ParamSet) -> MatrixZq:

@@ -5,15 +5,16 @@ general modular-reduction path.  Entries are stored one per 16-bit word
 regardless of D, both in memory (uint16 ndarray) and in the serialized
 record format.
 
-Matrix products must be exact.  Every product accumulates non-negative
-integers through BLAS and is then masked to q, on one of two routes:
+Arithmetic must be exact.  Every formula of the scheme is a linear
+combination sum(+-X_i @ Y_i) + sum(+-M_j) (`@`, `+`, `-` are its smallest
+cases); _lincomb sums it in one float64 accumulator of integers and masks it
+to q once.  One guard covers the whole sum, which is exact while
+sum(inner_i) * (q - 1)**2 + #M_j * (q - 1) < 2**53: at D = 16 a total inner
+dimension of 2 097 216, about 97 times frodo-1344's n * D = 21 504.  Past it,
+DimensionMismatchError is raised before any copy is built.  Each product
+runs on one of two routes:
 
-  float64   the default.  Exact while every accumulated sum stays below
-            2**53, i.e. while inner * (q - 1)**2 < 2**53.  At D = 16 this
-            allows inner dimensions up to 2 097 216, about 97 times the
-            largest a registered parameter set produces (n * D = 21 504 at
-            frodo-1344).  A product past the limit raises
-            DimensionMismatchError before any copy is built.
+  float64   the default: one BLAS product of the float64 copies.
   float32   when the left operand is a BitPlanes matrix (entries 0 or 1,
             built by ue.ord_bits) and inner * (q - 1) > 2**24, so one
             float32 product would not be exact.  The inner dimension is
@@ -21,19 +22,19 @@ integers through BLAS and is then masked to q, on one of two routes:
             D = 16).  Within a chunk every partial sum BLAS forms, in any
             order and with or without FMA, is an integer of at most
             k * (q - 1) <= 2**24, and float32 holds every such integer
-            exactly.  The chunk results are summed in float64, whose total
-            inner * (q - 1) stays below the float64 limit above.  The result
-            is bit-identical to the float64 route's; it streams half the
-            bytes of the wide operand.  Smaller bit-plane products, such as
-            all of toy-16's, stay on float64, where one BLAS call costs less
-            Python than a chunk loop.
+            exactly.  The chunks are summed into the float64 accumulator.
+            The result is bit-identical to the float64 route's; it streams
+            half the bytes of the wide operand.  Smaller bit-plane products,
+            such as all of toy-16's, stay on float64, where one BLAS call
+            costs less Python than a chunk loop.
 
 Each route's copy of an operand (float64 of data; float32 of data.T) is
 built once, the first time the matrix takes part in such a product, and kept
 (read-only) for the matrix's lifetime; matrices are immutable, so it never
 goes stale.  A token reused across many updates, or the public matrix reused
 across many products, is converted only once.  The price is memory: the
-float64 copy is four times the uint16 words, the float32 copy twice.
+float64 copy is four times the uint16 words, the float32 copy twice; a
+matrix term (sum(+-M_j)) gets none.
 """
 
 from __future__ import annotations
@@ -53,14 +54,17 @@ class DimensionMismatchError(ValueError):
 
 _MATRIX_HEADER = struct.Struct("<IIB")  # rows, cols, D
 
+_MASK = [(1 << D) - 1 for D in range(17)]      # q - 1 per D, built once
+_MASK16 = [np.uint16(m) for m in _MASK]
+
 
 class MatrixZq:
     """Immutable dense matrix over Z_{2**D}."""
 
     # _f64: float64 copy of data, _f32t: float32 copy of data.T (the two
-    # product routes); each left unset until a product needs it, so
-    # constructing a matrix costs nothing extra
-    __slots__ = ("data", "D", "_f64", "_f32t")
+    # product routes), _tensor_d: ue.tensor_d of this matrix; each left unset
+    # until first needed, so constructing a matrix costs nothing extra
+    __slots__ = ("data", "D", "_f64", "_f32t", "_tensor_d")
 
     def __init__(self, data, D: int):
         if not (1 <= D <= 16):
@@ -134,44 +138,17 @@ class MatrixZq:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check_same_modulus(self, other: "MatrixZq") -> None:
-        if not isinstance(other, MatrixZq):
-            raise TypeError(f"expected MatrixZq, got {type(other).__name__}")
-        if self.D != other.D:
-            raise DimensionMismatchError(f"modulus mismatch: D={self.D} vs D={other.D}")
-
     def __add__(self, other: "MatrixZq") -> "MatrixZq":
-        self._check_same_modulus(other)
-        if self.shape != other.shape:
-            raise DimensionMismatchError(f"add: {self.shape} vs {other.shape}")
-        out = (self.data + other.data) & np.uint16(self.q - 1)
-        return MatrixZq._new(out, self.D)
+        return _lincomb((1, self), (1, other))
 
     def __sub__(self, other: "MatrixZq") -> "MatrixZq":
-        self._check_same_modulus(other)
-        if self.shape != other.shape:
-            raise DimensionMismatchError(f"sub: {self.shape} vs {other.shape}")
-        out = (self.data - other.data) & np.uint16(self.q - 1)
-        return MatrixZq._new(out, self.D)
+        return _lincomb((1, self), (-1, other))
 
     def __neg__(self) -> "MatrixZq":
-        out = (-self.data.astype(np.int32)) & (self.q - 1)
-        return MatrixZq._new(out.astype(np.uint16), self.D)
+        return _lincomb((-1, self))
 
     def __matmul__(self, other: "MatrixZq") -> "MatrixZq":
-        self._check_same_modulus(other)
-        if self.cols != other.rows:
-            raise DimensionMismatchError(f"mul: {self.shape} @ {other.shape}")
-        if self.cols * (self.q - 1) ** 2 >= 2**53:
-            raise DimensionMismatchError(
-                f"mul: inner dimension {self.cols} at D={self.D} is past the "
-                "exact float64 range")
-        if type(self) is BitPlanes and self.cols * (self.q - 1) > 2**24:
-            prod = self._bit_product(other)
-        else:
-            prod = self._float64() @ other._float64()
-        out = prod.astype(np.int64) & (self.q - 1)
-        return MatrixZq._new(out.astype(np.uint16), self.D)
+        return _lincomb((1, self, other))
 
     def _bit_product(self, other: "MatrixZq") -> np.ndarray:
         """self @ other as float64, from float32 chunks each exact (module docstring)."""
@@ -243,6 +220,51 @@ class BitPlanes(MatrixZq):
     """
 
     __slots__ = ()
+
+
+def _lincomb(*terms) -> MatrixZq:
+    """sum(+-X @ Y) + sum(+-M) mod q from terms (sign, X, Y) and (sign, M), in
+    one float64 accumulator behind one guard (module docstring)."""
+    D, shape, inner, nmat = terms[0][1].D, None, 0, 0
+    for t in terms:
+        for x in t[1:]:
+            if not isinstance(x, MatrixZq):
+                raise TypeError(f"expected MatrixZq, got {type(x).__name__}")
+            if x.D != D:
+                raise DimensionMismatchError(f"modulus mismatch: D={D} vs D={x.D}")
+        out = t[1].data.shape
+        if len(t) == 3:
+            if out[1] != t[2].data.shape[0]:
+                raise DimensionMismatchError(f"mul: {out} @ {t[2].data.shape}")
+            inner, out = inner + out[1], (out[0], t[2].data.shape[1])
+        nmat += len(t) == 2
+        if shape not in (None, out):
+            raise DimensionMismatchError(f"sum: {shape} vs {out}")
+        shape = out
+    mask = _MASK[D]
+    if inner * mask * mask + nmat * mask >= 2**53:
+        raise DimensionMismatchError(
+            f"inner dimension {inner} at D={D} is past the exact float64 range")
+    acc = None
+    for t in terms:
+        if len(t) == 2:
+            term = t[1].data
+        elif type(t[1]) is BitPlanes and t[1].data.shape[1] * mask > 2**24:
+            term = t[1]._bit_product(t[2])
+        else:
+            term = t[1]._float64() @ t[2]._float64()
+        if acc is None:     # a product is a fresh float64 array; words are copied
+            acc = term.astype(np.float64) if len(t) == 2 else term
+            if t[0] < 0:
+                np.negative(acc, out=acc)
+        elif t[0] < 0:
+            acc -= term
+        else:
+            acc += term
+    out = acc.astype(np.int64).astype(np.uint16)     # exact, then wraps mod 2**16
+    if D < 16:
+        out &= _MASK16[D]
+    return MatrixZq._new(out, D)
 
 
 def signed_rep(x: int, D: int) -> int:
@@ -328,7 +350,7 @@ def sample_chi(rng: RngHandle, rows: int, cols: int, p: ParamSet) -> MatrixZq:
     bits = p.chi_sample_bits
     r = rng.integers(0, 1 << (bits + 1), size=(rows, cols), dtype=np.uint32)
     lut = _chi_lut(p.chi_cdf, bits, p.D)
-    return MatrixZq._new(lut[r], p.D)
+    return MatrixZq._new(lut.take(r), p.D)
 
 
 def _expand_shake(seed: bytes, p: ParamSet) -> np.ndarray:
@@ -378,4 +400,4 @@ def gen_public_matrix(seed: bytes, p: ParamSet) -> MatrixZq:
         raw = _expand_aes(seed, p)
     else:
         raw = _expand_toy(seed, p)
-    return MatrixZq._new(raw & np.uint16(p.q - 1), p.D)
+    return MatrixZq._new(raw & _MASK16[p.D], p.D)

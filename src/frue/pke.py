@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import (DimensionMismatchError, MatrixZq, RngHandle,
+from .matrix import (DimensionMismatchError, MatrixZq, RngHandle, _lincomb,
                      gen_public_matrix, sample_chi)
 from .params import ParamSet
 
@@ -111,7 +111,7 @@ def pke_keygen(rng: RngHandle, p: ParamSet, A: MatrixZq) -> EpochKey:
         raise DimensionMismatchError(f"A must be {p.n}x{p.n}")
     S = sample_chi(rng, p.n, p.n_bar, p)
     E = sample_chi(rng, p.n, p.n_bar, p)
-    return EpochKey(epoch=0, sk_S=S, pk_B=A @ S + E)
+    return EpochKey(epoch=0, sk_S=S, pk_B=_lincomb((1, A, S), (1, E)))
 
 
 def pke_enc_traced(rng: RngHandle, p: ParamSet, A: MatrixZq, pk_B: MatrixZq,
@@ -121,8 +121,8 @@ def pke_enc_traced(rng: RngHandle, p: ParamSet, A: MatrixZq, pk_B: MatrixZq,
     S1 = sample_chi(rng, p.m_bar, p.n, p)
     E1 = sample_chi(rng, p.m_bar, p.n, p)
     E2 = sample_chi(rng, p.m_bar, p.n_bar, p)
-    C1 = S1 @ A + E1
-    C2 = S1 @ pk_B + E2 + msg
+    C1 = _lincomb((1, S1, A), (1, E1))                   # S1 A + E1
+    C2 = _lincomb((1, S1, pk_B), (1, E2), (1, msg))      # S1 B + E2 + encode(m)
     return UeCiphertext(epoch=0, C1=C1, C2=C2), E2
 
 
@@ -131,4 +131,4 @@ def pke_enc(rng: RngHandle, p: ParamSet, A: MatrixZq, pk_B: MatrixZq, m) -> UeCi
 
 
 def pke_dec(p: ParamSet, sk_S: MatrixZq, ct: UeCiphertext) -> np.ndarray:
-    return decode(ct.C2 - ct.C1 @ sk_S, p)
+    return decode(_lincomb((1, ct.C2), (-1, ct.C1, sk_S)), p)

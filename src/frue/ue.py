@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matrix import BitPlanes, DimensionMismatchError, MatrixZq, RngHandle, sample_chi
+from .matrix import (BitPlanes, DimensionMismatchError, MatrixZq, RngHandle,
+                     _lincomb, sample_chi)
 from .params import ParamSet
 from .pke import EpochKey, UeCiphertext, pke_dec, pke_enc, pke_keygen
 
@@ -53,6 +54,9 @@ class UpdateToken:
             raise EpochMismatchError("token epoch must be >= 1")
 
 
+_PLANES = [np.arange(D, dtype=np.uint16)[:, None] for D in range(17)]   # shifts per D
+
+
 def ord_bits(M: MatrixZq) -> BitPlanes:
     """Bit-plane decomposition, least significant plane first.
 
@@ -60,17 +64,20 @@ def ord_bits(M: MatrixZq) -> BitPlanes:
     M[i, j] = sum_k 2**(k-1) * out[i, (k-1)*cols + j].  The result is marked
     as 0/1 (BitPlanes), so large products with it run in float32 chunks.
     """
-    D = M.D
-    planes = (M.data[:, None, :] >> np.arange(D, dtype=np.uint16)[None, :, None]) & np.uint16(1)
-    return BitPlanes._new(planes.reshape(M.rows, D * M.cols), D)
+    planes = M.data[:, None, :] >> _PLANES[M.D]
+    planes &= np.uint16(1)
+    return BitPlanes._new(planes.reshape(M.rows, -1), M.D)
 
 
 def tensor_d(M: MatrixZq) -> MatrixZq:
-    """Vertical stack of 2**(k-1) * M mod q for k = 1..D, low plane on top."""
-    D = M.D
-    shifted = (M.data[None, :, :].astype(np.uint32) << np.arange(D, dtype=np.uint32)[:, None, None])
-    out = (shifted & np.uint32(M.q - 1)).reshape(D * M.rows, M.cols)
-    return MatrixZq._new(out.astype(np.uint16), D)
+    """Vertical stack of 2**(k-1) * M mod q for k = 1..D, low plane on top;
+    built once per matrix and kept on it, read-only (D times M's words)."""
+    out = getattr(M, "_tensor_d", None)
+    if out is None:
+        stack = (M.data << _PLANES[M.D][:, :, None]) & np.uint16(M.q - 1)   # uint16 shifts
+        out = MatrixZq._new(stack.reshape(-1, M.cols), M.D)
+        object.__setattr__(M, "_tensor_d", out)
+    return out
 
 
 def ue_kg(rng: RngHandle, p: ParamSet, A: MatrixZq, epoch: int) -> EpochKey:
@@ -132,11 +139,12 @@ def token_from_randomness(p: ParamSet, A: MatrixZq, sk_prev: MatrixZq,
     """
     if sk_prev.shape != (p.n, p.n_bar) or pk_next.shape != (p.n, p.n_bar):
         raise DimensionMismatchError("keys must be n x n_bar")
-    d1_a = tr.S1p @ A + tr.E1p
-    d1_b = tr.S1p @ pk_next + tr.E1pp - tensor_d(sk_prev)
-    d2_a = tr.S2p @ A + tr.E2p
-    d2_b = tr.S2p @ pk_next + tr.E2pp
-    return UpdateToken(epoch=epoch_next, d1_a=d1_a, d1_b=d1_b, d2_a=d2_a, d2_b=d2_b)
+    return UpdateToken(
+        epoch=epoch_next,
+        d1_a=_lincomb((1, tr.S1p, A), (1, tr.E1p)),
+        d1_b=_lincomb((1, tr.S1p, pk_next), (1, tr.E1pp), (-1, tensor_d(sk_prev))),
+        d2_a=_lincomb((1, tr.S2p, A), (1, tr.E2p)),
+        d2_b=_lincomb((1, tr.S2p, pk_next), (1, tr.E2pp)))
 
 
 def ue_tg(rng: RngHandle, p: ParamSet, A: MatrixZq, sk_prev: MatrixZq,
@@ -153,17 +161,17 @@ def ue_tg(rng: RngHandle, p: ParamSet, A: MatrixZq, sk_prev: MatrixZq,
 def ue_upd(rng: RngHandle, p: ParamSet, tok: UpdateToken, ct: UeCiphertext) -> UeCiphertext:
     """Move a ciphertext to the next epoch; randomized, never idempotent.
 
-    Draws R from chi at m_bar x n, then with O = ord_bits(C1) returns
-    (O d1_a + R d2_a,  C2 + O d1_b + R d2_b).
+    Checks the epochs before it draws R from chi at m_bar x n, then with
+    O = ord_bits(C1) returns (O d1_a + R d2_a,  C2 + O d1_b + R d2_b).
     """
-    R = sample_chi(rng, p.m_bar, p.n, p)
     if ct.epoch + 1 != tok.epoch:
         raise EpochMismatchError(
             f"token moves ciphertexts from epoch {tok.epoch - 1} to {tok.epoch}, "
             f"got one at epoch {ct.epoch}")
+    R = sample_chi(rng, p.m_bar, p.n, p)
     O = ord_bits(ct.C1)
-    return UeCiphertext(epoch=tok.epoch, C1=O @ tok.d1_a + R @ tok.d2_a,
-                        C2=ct.C2 + O @ tok.d1_b + R @ tok.d2_b)
+    return UeCiphertext(epoch=tok.epoch, C1=_lincomb((1, O, tok.d1_a), (1, R, tok.d2_a)),
+                        C2=_lincomb((1, ct.C2), (1, O, tok.d1_b), (1, R, tok.d2_b)))
 
 
 def select_recovery_plane(p: ParamSet) -> int:
@@ -188,7 +196,7 @@ def derive_prev_secret(p: ParamSet, sk_next: MatrixZq, tok: UpdateToken) -> Matr
     small enough that per-entry rounding is exact.
     """
     k = select_recovery_plane(p)
-    W = tok.d1_b - tok.d1_a @ sk_next
+    W = _lincomb((1, tok.d1_b), (-1, tok.d1_a, sk_next))
     block = MatrixZq(W.data[(k - 1) * p.n: k * p.n], p.D)
     w = -block.signed().astype(np.int64)
     recovered = ((w << 1) + (1 << (k - 1))) >> k   # round-half-up of w / 2**(k-1)

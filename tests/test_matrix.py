@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frue.matrix import (DimensionMismatchError, MatrixZq, RngHandle,
-                         gen_public_matrix, sample_chi, sample_uniform,
+                         _lincomb, gen_public_matrix, sample_chi, sample_uniform,
                          signed_rep)
 from frue.params import load_paramset
-from frue.ue import ord_bits
+from frue.ue import ord_bits, tensor_d
 
 from conftest import adhoc_paramset, noiseless_paramset
 
@@ -134,6 +134,58 @@ def test_matmul_exactness_guard():
         assert not hasattr(m, "_f64") and not hasattr(m, "_f32t")
 
 
+signs = st.sampled_from((1, -1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 8, 15, 16)), st.data())
+def test_lincomb_matches_int64(D, data):
+    # sum(+-X @ Y) + sum(+-M) against int64 arithmetic, in any term order.  The
+    # bit-plane term's inner dimension is past 2**24 // (q - 1), so it takes
+    # the float32 chunk route; at D = 1 that needs 2**24 columns (hundreds of
+    # MB), so there it stays small and on float64
+    p = adhoc_paramset(D=D)
+    rng = RngHandle(data.draw(st.binary(max_size=8)))
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    width = data.draw(st.integers(1, 20))
+    if D > 1:
+        width += 2**24 // (2**D - 1) // D
+    O = ord_bits(sample_uniform(rng, rows, width, p))
+    terms = [(data.draw(signs), O, sample_uniform(rng, width * D, cols, p))]
+    for _ in range(data.draw(st.integers(0, 2))):
+        k = data.draw(st.integers(1, 6))
+        terms.append((data.draw(signs), sample_uniform(rng, rows, k, p),
+                      sample_uniform(rng, k, cols, p)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        terms.append((data.draw(signs), sample_uniform(rng, rows, cols, p)))
+    terms = data.draw(st.permutations(terms))
+    want = np.zeros((rows, cols), dtype=np.int64)
+    for sign, *ops in terms:
+        mats = [m.data.astype(np.int64) for m in ops]
+        want += sign * (mats[0] @ mats[1] if len(mats) == 2 else mats[0])
+    got = _lincomb(*terms)
+    assert type(got) is MatrixZq and got.D == D
+    assert got.data.tolist() == (want & (2**D - 1)).tolist()
+    assert hasattr(O, "_f32t") == (D > 1)
+
+
+def test_lincomb_guard_covers_the_whole_sum():
+    # at D = 16 each term alone is within the float64 limit (total inner
+    # 2 097 216 with no matrix term), their sum is not: it raises before any
+    # operand copy exists, also the bit-plane term's float32 one
+    top = 2**16 - 1
+    bits = ord_bits(MatrixZq(np.full((1, 65_539), top, dtype=np.uint16), 16))
+    wide = MatrixZq(np.full((1_048_624, 1), top, dtype=np.uint16), 16)
+    row = MatrixZq(np.full((1, 1_048_600), top, dtype=np.uint16), 16)
+    col = MatrixZq(np.full((1_048_600, 1), top, dtype=np.uint16), 16)
+    with pytest.raises(DimensionMismatchError, match="2097224"):
+        _lincomb((1, bits, wide), (-1, row, col))
+    for m in (bits, wide, row, col):
+        assert not hasattr(m, "_f64") and not hasattr(m, "_f32t")
+    assert (bits @ wide).data.tolist() == [[(1_048_624 * top) % 2**16]]
+    assert (row @ col).data.tolist() == [[(1_048_600 * top * top) % 2**16]]
+
+
 def test_entries_validated_on_construction():
     with pytest.raises(ValueError):
         MatrixZq([[16]], 4)
@@ -168,6 +220,15 @@ def test_matrices_immutable():
         with pytest.raises(AttributeError):
             m._f32t = np.zeros(m._f32t.shape, dtype=np.float32)
     assert o @ w == before
+    # and so is the tensor_d stack a matrix keeps: built once, then reused
+    s = sample_uniform(rng, 8, 8, p16)
+    stack = tensor_d(s)
+    assert tensor_d(s) is stack and s._tensor_d is stack
+    with pytest.raises(ValueError):
+        stack.data[0, 0] = 1
+    with pytest.raises(AttributeError):
+        s._tensor_d = MatrixZq.zeros(128, 8, 16)
+    assert tensor_d(s) is stack
 
 
 # -- signed representative and norm ------------------------------------------

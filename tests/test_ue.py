@@ -197,6 +197,13 @@ def test_update_requires_consecutive_epoch(deployment16):
     ct = ue_enc(rng, d["p"], d["A"], d["keys"][0], random_message_bits(rng, d["p"]))
     with pytest.raises(EpochMismatchError):
         ue_upd(rng, d["p"], d["tokens"][2], ct)
+    # a rejected update draws nothing: the handle's next chi draw is the
+    # first one of a fresh handle with the same seed
+    spent = RngHandle(b"upd-reject")
+    with pytest.raises(EpochMismatchError):
+        ue_upd(spent, d["p"], d["tokens"][2], ct)
+    fresh = RngHandle(b"upd-reject")
+    assert sample_chi(spent, 4, 4, d["p"]) == sample_chi(fresh, 4, 4, d["p"])
 
 
 def test_update_noiseless_is_exact():
@@ -288,6 +295,27 @@ def test_key_stream_matches_golden_digests(toy16):
     got = {"token": env.pack_token(p, tok), "upd": env.pack_ciphertext(p, upd),
            "hyb": env.pack_ciphertext(p, hyb)}
     assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == GOLDEN_SHA256
+
+
+# The same at frodo-640-shake, whose update runs the float32 chunk route
+GOLDEN_SHA256_640 = {
+    "token": "4bad882062aab14395f0cf8950050c5bc2991d8c6b6b8b7a44a796735f4953be",
+    "upd": "5c5503347c41bae69eb8697b5004150f863487fbff081709afa892a528ae96cd",
+}
+
+
+def test_key_stream_matches_golden_digests_at_frodo640():
+    p = load_paramset("frodo-640-shake")
+    rng = RngHandle(b"golden-scene-640")
+    _, A = pke_setup(rng, p)
+    k0, k1 = ue_kg(rng, p, A, 0), ue_kg(rng, p, A, 1)
+    ct = ue_enc(rng, p, A, k0, random_message_bits(rng, p))
+    tok = ue_tg(RngHandle(b"golden-tg-640"), p, A, k0.sk_S, k1.pk_B, 1)
+    upd = ue_upd(RngHandle(b"golden-upd-640"), p, tok, ct)
+    got = {"token": env.pack_token(p, tok), "upd": env.pack_ciphertext(p, upd)}
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == GOLDEN_SHA256_640
+    # the update reads C1's bit planes without keeping anything on C1
+    assert [s for s in MatrixZq.__slots__ if hasattr(ct.C1, s)] == ["data", "D"]
 
 
 # -- backward-leak key derivation ---------------------------------------------
