@@ -1,9 +1,18 @@
-"""Dense matrices over Z_q with q = 2**D, plus all randomness sources.
+"""Dense matrices over Z_q (q = 2**D), the base-2 gadget, and all randomness.
 
 q is always a power of two, so reduction is a mask with 2**D - 1; there is no
 general modular-reduction path.  Entries are stored one per 16-bit word
-regardless of D, both in memory (uint16 ndarray) and in the serialized
-record format.
+regardless of D (so D <= MAX_D), both in memory (uint16 ndarray) and in the
+serialized record format; no other module knows that word format.
+
+The base-2 gadget (Micciancio and Peikert, EUROCRYPT 2012) is two transforms:
+
+  ord_bits    bit-plane decomposition: M (rows x cols over Z_q) becomes a
+              0/1 matrix of shape rows x cols*D whose k-th column block
+              (width cols) holds bit k-1 of every entry,
+  tensor_d    the gadget dual: vertical stack of 2**(k-1) * M for k = 1..D,
+
+which satisfy ord_bits(C) @ tensor_d(S) == C @ S exactly.
 
 Arithmetic must be exact.  Every formula of the scheme is a linear
 combination sum(+-X_i @ Y_i) + sum(+-M_j) (`@`, `+`, `-` are its smallest
@@ -16,7 +25,7 @@ runs on one of two routes:
 
   float64   the default: one BLAS product of the float64 copies.
   float32   when the left operand is a BitPlanes matrix (entries 0 or 1,
-            built by ue.ord_bits) and inner * (q - 1) > 2**24, so one
+            built by ord_bits) and inner * (q - 1) > 2**24, so one
             float32 product would not be exact.  The inner dimension is
             split into chunks of k = 2**24 // (q - 1) (512 at D = 15, 256 at
             D = 16).  Within a chunk every partial sum BLAS forms, in any
@@ -28,13 +37,13 @@ runs on one of two routes:
             such as all of toy-16's, stay on float64, where one BLAS call
             costs less Python than a chunk loop.
 
-Each route's copy of an operand (float64 of data; float32 of data.T) is
-built once, the first time the matrix takes part in such a product, and kept
-(read-only) for the matrix's lifetime; matrices are immutable, so it never
-goes stale.  A token reused across many updates, or the public matrix reused
-across many products, is converted only once.  The price is memory: the
-float64 copy is four times the uint16 words, the float32 copy twice; a
-matrix term (sum(+-M_j)) gets none.
+Each route's copy of an operand (float64 of data; float32 of data.T), like
+a matrix's tensor_d stack, is built once, the first time it is needed, and
+kept (read-only) for the matrix's lifetime; matrices are immutable, so it
+never goes stale.  A token reused across many updates, or the public matrix
+reused across many products, is converted only once.  The price is memory:
+the float64 copy is four times the uint16 words, the float32 copy twice and
+the tensor_d stack D times; a matrix term (sum(+-M_j)) gets none.
 """
 
 from __future__ import annotations
@@ -42,10 +51,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .params import ParamSet
+if TYPE_CHECKING:
+    from .params import ParamSet
 
 
 class DimensionMismatchError(ValueError):
@@ -54,21 +65,23 @@ class DimensionMismatchError(ValueError):
 
 _MATRIX_HEADER = struct.Struct("<IIB")  # rows, cols, D
 
-_MASK = [(1 << D) - 1 for D in range(17)]      # q - 1 per D, built once
+MAX_D = 16                                      # largest D a 16-bit word holds
+_MASK = [(1 << D) - 1 for D in range(MAX_D + 1)]  # q - 1 per D, built once
 _MASK16 = [np.uint16(m) for m in _MASK]
+_PLANES = [np.arange(D, dtype=np.uint16)[:, None] for D in range(MAX_D + 1)]  # shifts per D
 
 
 class MatrixZq:
     """Immutable dense matrix over Z_{2**D}."""
 
     # _f64: float64 copy of data, _f32t: float32 copy of data.T (the two
-    # product routes), _tensor_d: ue.tensor_d of this matrix; each left unset
-    # until first needed, so constructing a matrix costs nothing extra
+    # product routes), _tensor_d: tensor_d of this matrix; each left unset
+    # until first needed (_keep), so constructing a matrix costs nothing extra
     __slots__ = ("data", "D", "_f64", "_f32t", "_tensor_d")
 
     def __init__(self, data, D: int):
-        if not (1 <= D <= 16):
-            raise ValueError(f"D must be in [1, 16], got {D}")
+        if not (1 <= D <= MAX_D):
+            raise ValueError(f"D must be in [1, {MAX_D}], got {D}")
         arr = np.ascontiguousarray(data, dtype=np.uint16)
         if arr.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
@@ -119,8 +132,7 @@ class MatrixZq:
     @classmethod
     def from_signed(cls, data, D: int) -> "MatrixZq":
         """Build from signed integers, reducing mod 2**D."""
-        arr = np.asarray(data, dtype=np.int64) & ((1 << D) - 1)
-        return cls(arr.astype(np.uint16), D)
+        return cls(np.asarray(data, dtype=np.int64) & ((1 << D) - 1), D)
 
     def transpose(self) -> "MatrixZq":
         return MatrixZq(self.data.T, self.D)
@@ -159,26 +171,28 @@ class MatrixZq:
             acc += (wide[:, s:s + k] @ bits[s:s + k]).T
         return acc
 
+    def _keep(self, slot: str, copy):
+        """Keep `copy`, read-only, in `slot` for the matrix's lifetime; return it."""
+        if isinstance(copy, np.ndarray):
+            copy.setflags(write=False)
+        object.__setattr__(self, slot, copy)
+        return copy
+
     def _float64(self) -> np.ndarray:
         """Read-only float64 copy of data, built on first use and kept."""
-        arr = getattr(self, "_f64", None)
-        if arr is None:
-            arr = self.data.astype(np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, "_f64", arr)
-        return arr
+        if hasattr(self, "_f64"):
+            return self._f64
+        return self._keep("_f64", self.data.astype(np.float64))
 
     def _float32_t(self) -> np.ndarray:
         """Read-only C-contiguous float32 copy of data.T, built on first use and kept."""
-        arr = getattr(self, "_f32t", None)
-        if arr is None:
-            arr = np.empty((self.cols, self.rows), dtype=np.float32)
-            # in blocks of rows: about 3x faster than one transposing copy
-            for s in range(0, self.rows, 512):
-                arr[:, s:s + 512] = self.data[s:s + 512].T
-            arr.setflags(write=False)
-            object.__setattr__(self, "_f32t", arr)
-        return arr
+        if hasattr(self, "_f32t"):
+            return self._f32t
+        arr = np.empty((self.cols, self.rows), dtype=np.float32)
+        # in blocks of rows: about 3x faster than one transposing copy
+        for s in range(0, self.rows, 512):
+            arr[:, s:s + 512] = self.data[s:s + 512].T
+        return self._keep("_f32t", arr)
 
     # -- norms ----------------------------------------------------------
 
@@ -213,13 +227,33 @@ class MatrixZq:
 
 
 class BitPlanes(MatrixZq):
-    """A MatrixZq whose entries are all 0 or 1; only ue.ord_bits builds one.
+    """A MatrixZq whose entries are all 0 or 1; only ord_bits builds one.
 
     Adds no state: the type alone lets a product with it on the left take
     the float32 route (module docstring).
     """
 
     __slots__ = ()
+
+
+def ord_bits(M: MatrixZq) -> BitPlanes:
+    """Bit-plane decomposition, least significant plane first.
+
+    Defined for any width: entry (i, j) satisfies
+    M[i, j] = sum_k 2**(k-1) * out[i, (k-1)*cols + j].  The result is marked
+    as 0/1 (BitPlanes), so large products with it run in float32 chunks.
+    """
+    planes = M.data[:, None, :] >> _PLANES[M.D]
+    planes &= np.uint16(1)
+    return BitPlanes._new(planes.reshape(M.rows, -1), M.D)
+
+
+def tensor_d(M: MatrixZq) -> MatrixZq:
+    """Vertical stack of 2**(k-1) * M mod q for k = 1..D, low plane on top; kept on M."""
+    if hasattr(M, "_tensor_d"):
+        return M._tensor_d
+    stack = (M.data << _PLANES[M.D][:, :, None]) & _MASK16[M.D]   # uint16 shifts
+    return M._keep("_tensor_d", MatrixZq._new(stack.reshape(-1, M.cols), M.D))
 
 
 def _lincomb(*terms) -> MatrixZq:
@@ -262,7 +296,7 @@ def _lincomb(*terms) -> MatrixZq:
         else:
             acc += term
     out = acc.astype(np.int64).astype(np.uint16)     # exact, then wraps mod 2**16
-    if D < 16:
+    if D < MAX_D:
         out &= _MASK16[D]
     return MatrixZq._new(out, D)
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .matrix import MAX_D
+
 
 class UnknownParamSetError(KeyError):
     """Raised when a parameter-set name is not registered."""
@@ -50,8 +52,8 @@ class ParamSet:
     paramset_id: int
 
     def __post_init__(self) -> None:
-        if not (1 <= self.B <= self.D <= 16):
-            raise ValueError(f"need 1 <= B <= D <= 16, got B={self.B} D={self.D}")
+        if not (1 <= self.B <= self.D <= MAX_D):
+            raise ValueError(f"need 1 <= B <= D <= {MAX_D}, got B={self.B} D={self.D}")
         if self.n <= 0 or self.n % 8 != 0:
             raise ValueError(f"n must be a positive multiple of 8, got {self.n}")
         if self.m_bar <= 0 or self.n_bar <= 0:

@@ -75,12 +75,8 @@ def random_message_bits(rng: RngHandle, p: ParamSet) -> np.ndarray:
 
 def encode(m, p: ParamSet) -> MatrixZq:
     """Pack ell message bits into an m_bar x n_bar matrix via k -> k * 2**(D-B)."""
-    bits = as_bits(m, p.ell)
-    groups = bits.reshape(p.m_bar * p.n_bar, p.B).astype(np.uint32)
-    weights = np.uint32(1) << np.arange(p.B, dtype=np.uint32)
-    k = groups @ weights
-    entries = (k << np.uint32(p.D - p.B)).reshape(p.m_bar, p.n_bar)
-    return MatrixZq(entries.astype(np.uint16), p.D)
+    k = as_bits(m, p.ell).reshape(-1, p.B) @ (1 << np.arange(p.B, dtype=np.int64))
+    return MatrixZq((k << (p.D - p.B)).reshape(p.m_bar, p.n_bar), p.D)
 
 
 def decode(M: MatrixZq, p: ParamSet) -> np.ndarray:

@@ -2,15 +2,8 @@
 
 A token Delta_{e+1} is, in essence, a homomorphic encryption of the old
 secret key under the new public key.  Applying it to a ciphertext
-homomorphically decrypts under the old key and re-randomizes under the new
-one, without touching the plaintext.  The two supporting transforms are:
-
-  ord_bits    bit-plane decomposition: M (rows x cols over Z_q) becomes a
-              0/1 matrix of shape rows x cols*D whose k-th column block
-              (width cols) holds bit k-1 of every entry,
-  tensor_d    the gadget dual: vertical stack of 2**(k-1) * M for k = 1..D,
-
-which satisfy ord_bits(C) @ tensor_d(S) == C @ S exactly.
+homomorphically decrypts under the old key (by the gadget of frue.matrix)
+and re-randomizes under the new one, without touching the plaintext.
 
 Epoch tags are carried on ciphertexts and tokens and enforced at every
 operation; mismatches raise instead of silently producing garbage.
@@ -22,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matrix import (BitPlanes, DimensionMismatchError, MatrixZq, RngHandle,
-                     _lincomb, sample_chi)
+from .matrix import (DimensionMismatchError, MatrixZq, RngHandle, _lincomb,
+                     ord_bits, sample_chi, tensor_d)
 from .params import ParamSet
 from .pke import EpochKey, UeCiphertext, pke_dec, pke_enc, pke_keygen
 
@@ -52,32 +45,6 @@ class UpdateToken:
     def __post_init__(self):
         if self.epoch < 1:
             raise EpochMismatchError("token epoch must be >= 1")
-
-
-_PLANES = [np.arange(D, dtype=np.uint16)[:, None] for D in range(17)]   # shifts per D
-
-
-def ord_bits(M: MatrixZq) -> BitPlanes:
-    """Bit-plane decomposition, least significant plane first.
-
-    Defined for any width: entry (i, j) satisfies
-    M[i, j] = sum_k 2**(k-1) * out[i, (k-1)*cols + j].  The result is marked
-    as 0/1 (BitPlanes), so large products with it run in float32 chunks.
-    """
-    planes = M.data[:, None, :] >> _PLANES[M.D]
-    planes &= np.uint16(1)
-    return BitPlanes._new(planes.reshape(M.rows, -1), M.D)
-
-
-def tensor_d(M: MatrixZq) -> MatrixZq:
-    """Vertical stack of 2**(k-1) * M mod q for k = 1..D, low plane on top;
-    built once per matrix and kept on it, read-only (D times M's words)."""
-    out = getattr(M, "_tensor_d", None)
-    if out is None:
-        stack = (M.data << _PLANES[M.D][:, :, None]) & np.uint16(M.q - 1)   # uint16 shifts
-        out = MatrixZq._new(stack.reshape(-1, M.cols), M.D)
-        object.__setattr__(M, "_tensor_d", out)
-    return out
 
 
 def ue_kg(rng: RngHandle, p: ParamSet, A: MatrixZq, epoch: int) -> EpochKey:

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +231,28 @@ def test_matrices_immutable():
     with pytest.raises(AttributeError):
         s._tensor_d = MatrixZq.zeros(128, 8, 16)
     assert tensor_d(s) is stack
+
+
+def test_word_format_has_one_owner():
+    # frue.matrix alone knows the word dtype and writes MatrixZq's slots, so
+    # widening the words (or changing the gadget) touches that one module
+    paths = sorted((Path(__file__).resolve().parent.parent / "src" / "frue").glob("*.py"))
+    assert "matrix.py" in {path.name for path in paths}
+    found = []
+    for path in paths:
+        if path.name == "matrix.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            named = ((isinstance(node, ast.Name) and node.id == "uint16")
+                     or (isinstance(node, ast.Attribute) and node.attr == "uint16")
+                     or (isinstance(node, ast.Constant) and node.value in ("uint16", "<u2")))
+            setattr_call = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "__setattr__"
+                            and isinstance(node.func.value, ast.Name)
+                            and node.func.value.id == "object")
+            if named or setattr_call:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
 
 
 # -- signed representative and norm ------------------------------------------
