@@ -2,12 +2,13 @@
 benchmarks, and the test-oracle commands.
 
 Exit codes are stable: 0 success, 1 `verify-bound` verdict NOT certified,
-2 usage error (bad flags or values, a directory given as a file path, or
-a file the OS will not open, such as an output path in a missing directory),
-3 malformed envelope, game-run script record or mismatched input files,
-4 epoch mismatch, 5 message length error, 6 unknown parameter-set name or
-bench target.  One place maps exceptions to codes: the group class of
-`main`, so every command shares it.
+2 usage error (bad flags or values, a directory given as a file path, an
+output path that resolves to a key or token file the command reads or to
+its other output, or a file the OS will not open, such as an output path
+in a missing directory), 3 malformed envelope, game-run script record or
+mismatched input files, 4 epoch mismatch, 5 message length error, 6 unknown
+parameter-set name or bench target.  One place maps exceptions to codes:
+the group class of `main`, so every command shares it.
 
 File encryption frames the plaintext inside the ell-bit message block as an
 8-byte little-endian length followed by the raw bytes and zero padding, so
@@ -18,6 +19,7 @@ cannot hold the frame and are rejected for file encryption.
 from __future__ import annotations
 
 import json
+import os
 import secrets
 import struct
 import sys
@@ -94,6 +96,13 @@ def _rng_from(seed: bytes | None, label: str) -> RngHandle:
     return RngHandle(seed or secrets.token_bytes(32)).derive(label)
 
 
+def _no_clash(out: tuple[str, str], *keys: tuple[str, str]) -> None:
+    """Usage error if output (option, path) resolves to the file of one of keys."""
+    for option, path in keys:
+        if os.path.realpath(path) == os.path.realpath(out[1]):
+            raise click.UsageError(f"{out[0]} and {option} name the same file {path!r}")
+
+
 # -- message framing --------------------------------------------------------
 
 def message_capacity(p) -> int:
@@ -167,6 +176,7 @@ def params_show(name, out_path):
 @click.option("--out-pub", type=_OUT_FILE, required=True)
 def keygen(params_name, epoch, seed, out_key, out_pub):
     """Generate an epoch key; writes the secret key file and the public-key file."""
+    _no_clash(("--out-pub", out_pub), ("--out-key", out_key))
     p = load_paramset(params_name)
     master = seed or secrets.token_bytes(32)
     a_seed, A = pke_setup(_rng_from(master, "a-seed"), p)
@@ -209,6 +219,7 @@ def _read_pair(path_a, kind_a: int, path_b, kind_b: int):
 @click.option("--out", type=_OUT_FILE, required=True)
 def encrypt(key_path, message_file, seed, out):
     """Encrypt a file under an epoch key (public-key file suffices)."""
+    _no_clash(("--out", out), ("--key", key_path))
     p, epoch, pk_B, a_seed = _load_key_material(key_path)
     with open(message_file, "rb") as fh:
         data = fh.read()
@@ -226,6 +237,7 @@ def encrypt(key_path, message_file, seed, out):
 @click.option("--out", type=_OUT_FILE, required=True)
 def decrypt(key_path, ct_path, out):
     """Decrypt a ciphertext file with the matching epoch key."""
+    _no_clash(("--out", out), ("--key", key_path))
     ke, ce = _read_pair(key_path, env.KIND_EPOCH_KEY, ct_path, env.KIND_CIPHERTEXT)
     key, _ = ke.payload
     bits = ue_dec(ke.p, key, ce.payload)
@@ -244,6 +256,7 @@ def decrypt(key_path, ct_path, out):
 @click.option("--out", type=_OUT_FILE, required=True)
 def token(prev_key, next_pub, seed, out):
     """Generate the update token from the old secret key and new public key."""
+    _no_clash(("--out", out), ("--prev-key", prev_key), ("--next-pub", next_pub))
     ke, pe = _read_pair(prev_key, env.KIND_EPOCH_KEY, next_pub, env.KIND_PUBLIC_KEY)
     key, a_seed_prev = ke.payload
     pk_next, a_seed_next = pe.payload
@@ -266,7 +279,8 @@ def token(prev_key, next_pub, seed, out):
 @click.option("--seed", callback=_hex_seed)
 @click.option("--out", type=_OUT_FILE, required=True)
 def update(token_path, ct_path, seed, out):
-    """Re-encrypt a ciphertext file to the token's target epoch."""
+    """Re-encrypt a ciphertext file to the token's target epoch; --out may be --ct."""
+    _no_clash(("--out", out), ("--token", token_path))
     te, ce = _read_pair(token_path, env.KIND_TOKEN, ct_path, env.KIND_CIPHERTEXT)
     ct2 = ue_upd(_rng_from(seed, "update"), te.p, te.payload, ce.payload)
     with open(out, "wb") as fh:

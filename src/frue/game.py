@@ -166,7 +166,8 @@ def tstar_op_uni(ls: LeakageSets, kstar: set[int]) -> set[int]:
 
 
 def cstar(ls: LeakageSets, tstar: set[int], cc: str = "uni") -> set[int]:
-    """Challenge-equal epochs reachable through known tokens.
+    """Challenge-equal epochs reachable through known tokens, by a
+    left-to-right sweep and, for bi, then a right-to-left one.
 
     uni: a known version at e-1 plus token e rides forward to e.
     bi:  additionally, a known version at e+1 plus token e+1 rides back to e.
@@ -174,18 +175,13 @@ def cstar(ls: LeakageSets, tstar: set[int], cc: str = "uni") -> set[int]:
     if cc not in ("uni", "bi"):
         raise ValueError("cc must be 'uni' or 'bi'")
     known = set(ls.C)
-    changed = True
-    while changed:
-        changed = False
-        for e in range(ls.l + 1):
-            if e in known:
-                continue
-            if (e - 1) in known and e in tstar:
+    for e in range(ls.l + 1):
+        if (e - 1) in known and e in tstar:
+            known.add(e)
+    if cc == "bi":
+        for e in range(ls.l, -1, -1):
+            if (e + 1) in known and (e + 1) in tstar:
                 known.add(e)
-                changed = True
-            elif cc == "bi" and (e + 1) in known and (e + 1) in tstar:
-                known.add(e)
-                changed = True
     return known
 
 

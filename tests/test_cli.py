@@ -270,6 +270,58 @@ def test_failed_output_leaves_no_secret_or_dump(runner, tmp_path):
     assert res.exit_code == 2 and "name=" not in res.stdout
 
 
+# per command: arguments in which an output names a key or token file the
+# command reads, or its other output, then the two options that name that file
+_CLASHES = [
+    (["keygen", "--params", "toy-16", "--epoch", "2", "--seed", "aa11",
+      "--out-key", "{d}/x", "--out-pub", "{d}/x"], "--out-key", "--out-pub"),
+    (["encrypt", "--key", "{d}/p0.frue", "--message-file", "{d}/msg", "--out", "{d}/p0.frue"],
+     "--key", "--out"),
+    (["decrypt", "--key", "{d}/k0.frue", "--ct", "{d}/ct0", "--out", "{d}/./k0.frue"],
+     "--key", "--out"),
+    (["token", "--prev-key", "{d}/k0.frue", "--next-pub", "{d}/p1.frue",
+      "--out", "{d}/sub/../k0.frue"], "--prev-key", "--out"),
+    (["update", "--token", "{d}/t1", "--ct", "{d}/ct0", "--out", "{d}/t1"], "--token", "--out"),
+]
+
+
+def _lifecycle_files(runner, tmp_path):
+    """Keys for epochs 0 and 1, a message, its epoch-0 ciphertext and the token."""
+    make_keys(runner, tmp_path, (0, 1))
+    (tmp_path / "msg").write_bytes(b"hi")
+    (tmp_path / "sub").mkdir()
+    for args in (["encrypt", "--key", "{d}/p0.frue", "--message-file", "{d}/msg",
+                  "--out", "{d}/ct0"],
+                 ["token", "--prev-key", "{d}/k0.frue", "--next-pub", "{d}/p1.frue",
+                  "--out", "{d}/t1"]):
+        assert invoke(runner, *[a.format(d=tmp_path) for a in args]).exit_code == 0
+    return {f.name: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()}
+
+
+@pytest.mark.parametrize("args, option_a, option_b", _CLASHES,
+                         ids=[args[0] for args, *_ in _CLASHES])
+def test_output_naming_a_file_of_the_command_is_usage_error(runner, tmp_path, args,
+                                                           option_a, option_b):
+    before = _lifecycle_files(runner, tmp_path)
+    res = runner.invoke(main, [a.format(d=tmp_path) for a in args])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)          # reported, not a traceback
+    assert option_a in res.stderr and option_b in res.stderr
+    assert "Traceback" not in res.stderr
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()} == before
+
+
+def test_update_may_rotate_in_place(runner, tmp_path):
+    before = _lifecycle_files(runner, tmp_path)
+    res = invoke(runner, "update", "--token", str(tmp_path / "t1"), "--ct",
+                 str(tmp_path / "ct0"), "--out", str(tmp_path / "ct0"), "--seed", "03")
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "ct0").read_bytes() != before["ct0"]
+    res = invoke(runner, "decrypt", "--key", str(tmp_path / "k1.frue"), "--ct",
+                 str(tmp_path / "ct0"), "--out", str(tmp_path / "out"))
+    assert res.exit_code == 0 and (tmp_path / "out").read_bytes() == b"hi"
+
+
 def _commands(group: click.Group):
     for cmd in group.commands.values():
         yield cmd
