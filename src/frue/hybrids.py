@@ -26,7 +26,7 @@ from .ue import (TokenRandomness, UeCiphertext, UpdateToken, ord_bits,
 
 
 def hyb_ue_upd(rng: RngHandle, p: ParamSet, A: MatrixZq, ct: UeCiphertext,
-               pk_next: MatrixZq, m, E_ct: MatrixZq,
+               pk_next: MatrixZq, msg: MatrixZq, E_ct: MatrixZq,
                tr: TokenRandomness) -> UeCiphertext:
     """Rebuild the updated ciphertext from plaintext-side data.
 
@@ -34,8 +34,9 @@ def hyb_ue_upd(rng: RngHandle, p: ParamSet, A: MatrixZq, ct: UeCiphertext,
       S+  = O @ S1p + R @ S2p
       E+  = O @ E1p + R @ E2p
       E++ = O @ E1pp + R @ E2pp + E_ct
-    and the output is (S+ A + E+,  S+ B_next + E++ + encode(m)), where E_ct
-    is the C2 noise of the ciphertext being updated (caller-instrumented).
+    and the output is (S+ A + E+,  S+ B_next + E++ + msg), where msg is the
+    plaintext m already encoded (encode(m, p)) and E_ct is the C2 noise of
+    the ciphertext being updated (caller-instrumented).
     """
     R = sample_chi(rng, p.m_bar, p.n, p)
     O = ord_bits(ct.C1)
@@ -44,7 +45,7 @@ def hyb_ue_upd(rng: RngHandle, p: ParamSet, A: MatrixZq, ct: UeCiphertext,
         epoch=ct.epoch + 1,
         C1=_lincomb((1, s_dag, A), (1, O, tr.E1p), (1, R, tr.E2p)),
         C2=_lincomb((1, s_dag, pk_next), (1, O, tr.E1pp), (1, R, tr.E2pp),
-                    (1, E_ct), (1, encode(m, p))))
+                    (1, E_ct), (1, msg)))
 
 
 def sim_ue_kg(rng: RngHandle, p: ParamSet) -> MatrixZq:
@@ -126,10 +127,12 @@ def real_update_sampler(inst: UpdateInstance, rng: RngHandle) -> Callable[[], Ue
 
 def hyb_update_sampler(inst: UpdateInstance, rng: RngHandle) -> Callable[[], UeCiphertext]:
     """One draw = fresh token randomness, then the hybrid reconstruction."""
+    msg = encode(inst.m, inst.p)      # the same plaintext on every draw
+
     def draw() -> UeCiphertext:
         tr = sample_token_randomness(rng, inst.p)
         return hyb_ue_upd(rng, inst.p, inst.A, inst.ct, inst.pk_next,
-                          inst.m, inst.E_ct, tr)
+                          msg, inst.E_ct, tr)
 
     return draw
 

@@ -82,11 +82,17 @@ class MatrixZq:
     def __init__(self, data, D: int):
         if not (1 <= D <= MAX_D):
             raise ValueError(f"D must be in [1, {MAX_D}], got {D}")
-        arr = np.ascontiguousarray(data, dtype=np.uint16)
+        arr = np.asarray(data)
         if arr.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
-        if arr.size and int(arr.max()) >= (1 << D):
-            raise ValueError(f"entries must be < 2**{D}")
+        # range-check the input itself, before any cast could wrap it
+        if arr.size and ((arr.dtype.kind not in "ub" and int(arr.min()) < 0)
+                         or int(arr.max()) >= (1 << D)):
+            raise ValueError(f"entries must lie in [0, 2**{D})")
+        # a read-only uint16 input (a parsed record) is kept as it is; any
+        # other is copied, so the caller's own array stays writable
+        if arr.dtype != np.uint16 or arr.flags.writeable or not arr.flags.c_contiguous:
+            arr = arr.astype(np.uint16, order="C")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "D", D)
@@ -316,6 +322,13 @@ class RngHandle:
     must use independent handles obtained via derive(), which reseeds with
     domain separation.  Backed by Philox, a counter-based generator whose
     output is specified independently of platform or library version.
+
+    sample_chi reads the raw 64-bit Philox outputs directly, as four
+    little-endian 16-bit lanes each: word 4i + j of a draw is bits
+    16j .. 16j + 15 of output i.  A draw of w words consumes ceil(w / 4)
+    outputs, so consecutive draws whose sizes are multiples of 4 read the
+    stream exactly as one draw of their total size does.  The other methods
+    go through numpy's Generator on the same Philox state.
     """
 
     __slots__ = ("seed", "_gen")
@@ -327,7 +340,7 @@ class RngHandle:
             nbytes = max(16, (seed.bit_length() + 8) // 8)
             seed = seed.to_bytes(nbytes, "little", signed=True)
         digest = hashlib.sha256(b"frue-rng:" + seed).digest()
-        key = np.frombuffer(digest[:16], dtype=np.uint64)
+        key = np.frombuffer(digest[:16], dtype="<u8")
         object.__setattr__(self, "seed", bytes(seed))
         object.__setattr__(self, "_gen", np.random.Generator(np.random.Philox(key=key)))
 
@@ -373,18 +386,34 @@ def _chi_lut(chi_cdf: tuple[int, ...], chi_sample_bits: int, D: int) -> np.ndarr
     return lut
 
 
+_CHI_BLOCK = 1 << 16   # words per lookup: take's intp copy of them stays in L2
+
+
 def sample_chi(rng: RngHandle, rows: int, cols: int, p: ParamSet) -> MatrixZq:
     """Matrix with i.i.d. entries from chi, stored as residues mod q.
 
-    Per entry: draw one (chi_sample_bits + 1)-bit word r; the low bit is the
-    sign, the remaining word u selects the magnitude as the count of table
-    entries strictly below u.  Outputs always lie in [-s, s] (signed).
-    The (word -> residue) map is precomputed once per parameter set.
+    Entry k (row-major) is the 16-bit word k of the raw Philox stream:
+    lane k % 4 of output k // 4, little-endian (RngHandle), so a draw of
+    w = rows * cols entries consumes ceil(w / 4) outputs.  The word is
+    masked to chi_sample_bits + 1 <= 16 bits, r; the low bit of r is the
+    sign, and the rest, u, selects the magnitude as the count of table
+    entries strictly below u (FrodoKEM's sampler).  Outputs always lie in
+    [-s, s] (signed).  The (word -> residue) map is precomputed once per
+    parameter set and applied in place, in blocks of _CHI_BLOCK words.
     """
-    bits = p.chi_sample_bits
-    r = rng.integers(0, 1 << (bits + 1), size=(rows, cols), dtype=np.uint32)
+    w, bits = rows * cols, p.chi_sample_bits
+    raw = rng._gen.bit_generator.random_raw(-(-w // 4))
+    words = raw.astype("<u8", copy=False).view("<u2")[:w]
+    words &= _MASK16[bits + 1]
     lut = _chi_lut(p.chi_cdf, bits, p.D)
-    return MatrixZq._new(lut.take(r), p.D)
+    # Each block's residues overwrite its words: take reads a block only
+    # through its own intp copy of it.  take(out=) buffers its output in the
+    # default mode "raise"; the masked words are all < len(lut), so "clip"
+    # never acts and skips that copy.
+    for s in range(0, w, _CHI_BLOCK):
+        block = words[s:s + _CHI_BLOCK]
+        lut.take(block, out=block, mode="clip")
+    return MatrixZq._new(words.reshape(rows, cols), p.D)
 
 
 def _expand_shake(seed: bytes, p: ParamSet) -> np.ndarray:

@@ -36,6 +36,8 @@ class ParamSet:
     chi_cdf is the cumulative sampling table: an entry value v is produced
     with probability (chi_cdf[v] - chi_cdf[v-1]) / 2**chi_sample_bits
     (v = 0 uses chi_cdf[0] + 1 counts), then a uniform sign is applied.
+    The sampler reads one 16-bit word per entry, the table index plus the
+    sign bit, so chi_sample_bits is at most 15 (every registered set uses 15).
     """
 
     name: str
@@ -70,6 +72,9 @@ class ParamSet:
             raise ValueError("chi_cdf must be non-decreasing")
         if any(c < 0 for c in self.chi_cdf):
             raise ValueError("chi_cdf entries must be non-negative")
+        if self.chi_sample_bits > 15:
+            raise ValueError("chi_sample_bits must be at most 15: the sampler reads "
+                             f"one 16-bit word per entry, got {self.chi_sample_bits}")
         if self.chi_cdf[-1] != (1 << self.chi_sample_bits) - 1:
             raise ValueError("chi_cdf must end at 2**chi_sample_bits - 1")
 

@@ -82,8 +82,10 @@ def sample_token_randomness(rng: RngHandle, p: ParamSet) -> TokenRandomness:
 
     This is the one place the layout and order are written down; ue_tg and
     the hybrid oracles both draw through it.  The six matrices come from one
-    flat chi batch, sliced row-major, which consumes the generator exactly
-    as six separate draws in the same order would.
+    flat chi batch, sliced row-major.  A draw of w words consumes ceil(w / 4)
+    Philox outputs (sample_chi), and every size here has the factor n, a
+    multiple of 8, so the batch yields exactly what six separate draws in
+    the same order would.
     """
     nD = p.n * p.D
     shapes = ((nD, p.n), (nD, p.n), (nD, p.n_bar),

@@ -2,9 +2,13 @@
 
 These deliberately use different algorithmic shapes than the production code
 (fixpoint iteration and graph reachability instead of directional sweeps,
-rational arithmetic instead of bit tricks) so that a bug in one route cannot
-hide in the other.
+rational arithmetic instead of bit tricks, binary search instead of a lookup
+table) so that a bug in one route cannot hide in the other.
 """
+
+import hashlib
+
+import numpy as np
 
 
 def dc_reference(c, D, B):
@@ -46,3 +50,27 @@ def cstar_brute(C, tstar, l, cc):
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
+
+
+def chi_reference(seed, sizes, p):
+    """Signed chi draws of the given sizes from a fresh RngHandle(seed), one
+    after the other, rebuilt from the raw Philox stream.
+
+    The key is the first 16 bytes of SHA-256(b"frue-rng:" + seed), read as
+    two little-endian 64-bit words.  Word 4i + j of the stream is
+    (raw[i] >> 16*j) & 0xFFFF; each draw of w words starts at the next unused
+    output and leaves the rest of its last output unread.  A word, masked to
+    chi_sample_bits + 1 bits, is a sign bit (low) over u, and the magnitude
+    is found by binary search (np.searchsorted) of u in chi_cdf.
+    """
+    key = np.frombuffer(hashlib.sha256(b"frue-rng:" + seed).digest()[:16], dtype="<u8")
+    outputs = [-(-w // 4) for w in sizes]
+    raw = np.random.Philox(key=key).random_raw(sum(outputs))
+    lanes = np.stack([(raw >> np.uint64(16 * j)) & np.uint64(0xFFFF) for j in range(4)], axis=1)
+    draws, start = [], 0
+    for w, k in zip(sizes, outputs):
+        r = lanes[start:start + k].ravel()[:w].astype(np.int64) % (2 << p.chi_sample_bits)
+        magnitude = np.searchsorted(p.chi_cdf, r >> 1, side="left")
+        draws.append(np.where(r & 1, -magnitude, magnitude))
+        start += k
+    return draws

@@ -19,7 +19,7 @@ from frue.hybrids import (high_bits_projection, hyb_ue_upd, hyb_update_sampler,
                           statistical_distance_estimate, token_from_randomness)
 from frue.matrix import MatrixZq, RngHandle, sample_uniform
 from frue.params import validate_correctness_bound
-from frue.pke import decode, pke_enc_traced, random_message_bits
+from frue.pke import decode, encode, pke_enc_traced, random_message_bits
 from frue.ue import (NoValidPlaneError, derive_prev_secret, ord_bits,
                      select_recovery_plane, tensor_d, ue_dec, ue_enc, ue_kg,
                      ue_tg, ue_upd)
@@ -192,7 +192,7 @@ def test_criterion_7_hybrid_equivalence(deployment16):
         ct, e_ct = pke_enc_traced(rng, p, d["A"], k0.pk_B, m)
         tr = sample_token_randomness(rng, p)
         real = ue_upd(rng, p, token_from_randomness(p, d["A"], k0.sk_S, k1.pk_B, 1, tr), ct)
-        hyb = hyb_ue_upd(rng, p, d["A"], ct, k1.pk_B, m, e_ct, tr)
+        hyb = hyb_ue_upd(rng, p, d["A"], ct, k1.pk_B, encode(m, p), e_ct, tr)
         a, b = ue_dec(p, k1, real), ue_dec(p, k1, hyb)
         agree += np.array_equal(a, b) and np.array_equal(a, m)
     assert agree == 1000

@@ -36,7 +36,7 @@ def test_hyb_output_decrypts_to_same_message(toy16):
         m = random_message_bits(rng, toy16)
         ct, e_ct = pke_enc_traced(rng, toy16, A, k0.pk_B, m)
         tr = sample_token_randomness(rng, toy16)
-        out = hyb_ue_upd(rng, toy16, A, ct, k1.pk_B, m, e_ct, tr)
+        out = hyb_ue_upd(rng, toy16, A, ct, k1.pk_B, encode(m, toy16), e_ct, tr)
         assert out.epoch == 1
         ok += np.array_equal(ue_dec(toy16, k1, out), m)
     assert ok == 200
@@ -48,7 +48,7 @@ def test_hyb_noiseless_collapses_to_encoded_message():
     m = random_message_bits(rng, p)
     ct, e_ct = pke_enc_traced(rng, p, A, k0.pk_B, m)
     tr = sample_token_randomness(rng, p)
-    out = hyb_ue_upd(rng, p, A, ct, k1.pk_B, m, e_ct, tr)
+    out = hyb_ue_upd(rng, p, A, ct, k1.pk_B, encode(m, p), e_ct, tr)
     assert out.C1 == MatrixZq.zeros(p.m_bar, p.n, p.D)
     assert out.C2 == encode(m, p)
 
@@ -70,7 +70,7 @@ def test_real_and_hybrid_agree_up_to_garbage_term(toy16):
     tr = sample_token_randomness(rng, p)
     tok = token_from_randomness(p, A, k0.sk_S, k1.pk_B, 1, tr)
     real = ue_upd(RngHandle(b"pairing-R"), p, tok, ct)         # same seed: same R
-    hyb = hyb_ue_upd(RngHandle(b"pairing-R"), p, A, ct, k1.pk_B, m, e2, tr)
+    hyb = hyb_ue_upd(RngHandle(b"pairing-R"), p, A, ct, k1.pk_B, msg, e2, tr)
     garbage = s1 @ (k0.pk_B - A @ k0.sk_S) - e1 @ k0.sk_S
     assert real.C1 == hyb.C1
     assert real.C2 - hyb.C2 == garbage

@@ -1,18 +1,20 @@
 import ast
 import hashlib
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frue.matrix import (DimensionMismatchError, MatrixZq, RngHandle,
+from frue.matrix import (DimensionMismatchError, MatrixZq, RngHandle, _chi_lut,
                          _lincomb, gen_public_matrix, sample_chi, sample_uniform,
                          signed_rep)
-from frue.params import load_paramset
+from frue.params import load_paramset, registered_names
 from frue.ue import ord_bits, tensor_d
 
 from conftest import adhoc_paramset, noiseless_paramset
+from oracles import chi_reference
 
 CHI2_CUTOFF_15DF_001 = 37.697   # chi-square critical value, df=15, alpha=0.001
 
@@ -195,6 +197,27 @@ def test_entries_validated_on_construction():
         MatrixZq([1, 2, 3], 4)          # not 2-D
 
 
+def test_out_of_range_integers_raise_before_any_cast():
+    # range-checked on the input, so nothing wraps to a valid word
+    for data, D in (([[-1]], 16), (np.array([[-1]]), 16),
+                    (np.array([[262145]]), 4), ([[2**70]], 16)):
+        with pytest.raises(ValueError, match="entries must lie in"):
+            MatrixZq(data, D)
+    assert MatrixZq(np.array([[3, 0]], dtype=np.int64), 2).data.tolist() == [[3, 0]]
+
+
+def test_construction_leaves_the_callers_array_writable():
+    a = np.zeros((2, 2), dtype=np.uint16)
+    m = MatrixZq(a, 4)
+    a[0, 0] = 1                         # the matrix holds its own copy
+    assert m.data[0, 0] == 0 and not m.data.flags.writeable
+    # a read-only uint16 input, such as a parsed record, is kept without a copy
+    ro = np.frombuffer(np.arange(6, dtype="<u2").tobytes(), dtype="<u2").reshape(2, 3)
+    assert MatrixZq(ro, 4).data is ro
+    back, _ = MatrixZq.from_bytes_at(MatrixZq(ro, 4).to_bytes())
+    assert back == MatrixZq(ro, 4) and not back.data.flags.owndata
+
+
 def test_matrices_immutable():
     m = MatrixZq([[1]], 4)
     with pytest.raises(AttributeError):
@@ -233,25 +256,40 @@ def test_matrices_immutable():
     assert tensor_d(s) is stack
 
 
+def _nodes_outside_matrix():
+    """(file name, AST node) of every node in a src/frue module but matrix.py."""
+    paths = sorted((Path(__file__).resolve().parent.parent / "src" / "frue").glob("*.py"))
+    assert "matrix.py" in {path.name for path in paths}
+    for path in paths:
+        if path.name != "matrix.py":
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                yield path.name, node
+
+
 def test_word_format_has_one_owner():
     # frue.matrix alone knows the word dtype and writes MatrixZq's slots, so
     # widening the words (or changing the gadget) touches that one module
-    paths = sorted((Path(__file__).resolve().parent.parent / "src" / "frue").glob("*.py"))
-    assert "matrix.py" in {path.name for path in paths}
     found = []
-    for path in paths:
-        if path.name == "matrix.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            named = ((isinstance(node, ast.Name) and node.id == "uint16")
-                     or (isinstance(node, ast.Attribute) and node.attr == "uint16")
-                     or (isinstance(node, ast.Constant) and node.value in ("uint16", "<u2")))
-            setattr_call = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                            and node.func.attr == "__setattr__"
-                            and isinstance(node.func.value, ast.Name)
-                            and node.func.value.id == "object")
-            if named or setattr_call:
-                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    for name, node in _nodes_outside_matrix():
+        named = ((isinstance(node, ast.Name) and node.id == "uint16")
+                 or (isinstance(node, ast.Attribute) and node.attr == "uint16")
+                 or (isinstance(node, ast.Constant) and node.value in ("uint16", "<u2")))
+        setattr_call = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "__setattr__"
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == "object")
+        if named or setattr_call:
+            found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
+def test_randomness_has_one_owner():
+    # only frue.matrix reaches the Philox state behind RngHandle, so the key
+    # stream's layout (sample_chi's 16-bit lanes) is written in one module
+    found = [f"{name}:{node.lineno}: {ast.unparse(node)}"
+             for name, node in _nodes_outside_matrix()
+             if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+             in ("_gen", "bit_generator", "random_raw")]
     assert found == []
 
 
@@ -351,6 +389,29 @@ def test_chi_deterministic_under_seed(toy16):
     a = sample_chi(RngHandle(b"det"), 20, 20, toy16)
     b = sample_chi(RngHandle(b"det"), 20, 20, toy16)
     assert a == b
+
+
+def test_chi_matches_the_lane_reference():
+    # sizes that are not multiples of 4 leave the rest of their last output unread
+    narrow = adhoc_paramset(D=6, s=2, chi_cdf=(1, 5, 7), chi_sample_bits=3)
+    for p in (load_paramset("toy-16"), load_paramset("frodo-640-shake"), narrow):
+        shapes = ((5, 3), (16, 8), (1, 1), (0, 4), (640, 8), (2, 7))
+        rng = RngHandle(b"lanes-" + p.name.encode())
+        want = chi_reference(b"lanes-" + p.name.encode(), [r * c for r, c in shapes], p)
+        for (r, c), ref in zip(shapes, want):
+            got = sample_chi(rng, r, c, p)
+            assert np.array_equal(got.signed().ravel(), ref), (p.name, r, c)
+
+
+def test_chi_table_counts_equal_chi_pmf_exactly():
+    # every (chi_sample_bits + 1)-bit word once: the table is chi itself
+    sets = [load_paramset(name) for name in registered_names()]
+    for p in sets + [adhoc_paramset(D=6, s=2, chi_cdf=(1, 5, 7), chi_sample_bits=3)]:
+        lut = MatrixZq(_chi_lut(p.chi_cdf, p.chi_sample_bits, p.D)[None, :], p.D)
+        values, counts = np.unique(lut.signed(), return_counts=True)
+        total = 2 << p.chi_sample_bits
+        assert {int(v): Fraction(int(c), total) for v, c in zip(values, counts)} == \
+            {z: f for z, f in p.chi_pmf().items() if f}
 
 
 # -- public matrix expansion ----------------------------------------------------

@@ -160,3 +160,5 @@ def test_invalid_constructions_rejected():
         adhoc_paramset(chi_cdf=(100, 200), s=1)   # wrong terminal value
     with pytest.raises(ValueError):
         adhoc_paramset(gen_mode="weird")
+    with pytest.raises(ValueError, match="at most 15"):   # one 16-bit word per sample
+        adhoc_paramset(chi_cdf=(32767, 65535), chi_sample_bits=16)

@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from frue import envelope as env
 from frue.hybrids import hyb_ue_upd
 from frue.matrix import MatrixZq, RngHandle, sample_chi, sample_uniform
-from frue.params import load_paramset
-from frue.pke import (pke_dec, pke_enc, pke_enc_traced, pke_keygen, pke_setup,
+from frue.params import load_paramset, registered_names
+from frue.pke import (encode, pke_dec, pke_enc, pke_enc_traced, pke_keygen, pke_setup,
                       random_message_bits)
 from frue.ue import (EpochMismatchError, NoValidPlaneError,
                      derive_prev_secret, ord_bits, sample_token_randomness,
@@ -272,12 +272,25 @@ def test_one_token_many_ciphertexts_exact_at_frodo640():
     assert hasattr(tok.d2_a, "_f64") and not hasattr(tok.d2_a, "_f32t")
 
 
+def test_token_randomness_equals_six_consecutive_chi_draws():
+    # a draw of w words reads ceil(w / 4) Philox outputs, and every TG shape
+    # has the factor n (a multiple of 8), so the one flat batch and six draws
+    # on one handle read the same words
+    for name in registered_names():
+        p = load_paramset(name)
+        tr = sample_token_randomness(RngHandle(b"six-draws"), p)
+        rng = RngHandle(b"six-draws")
+        for mat in (getattr(tr, f.name) for f in fields(tr)):
+            assert sample_chi(rng, mat.rows, mat.cols, p) == mat, name
+        del tr, mat
+
+
 # Pinned key stream: a change to the draw order or dtype of TG, Upd or the
 # hybrid must update these digests on purpose, and say so.
 GOLDEN_SHA256 = {
-    "token": "47cf949a3b5121ae5843f91300831bb46a62d216e4f5867ca82da569fce9475f",
-    "upd": "c4e631de46a5988ebe6e88553ec0ca54f8fea6f66ca115d708a896bce00bdba2",
-    "hyb": "54987571fa5fbba57d81f790bbdeff11fb8c615a9c1fb8be2c6239ae59c0a3ec",
+    "token": "c514760cb779aaf004545c796619848b6b8ee8ee54871f920f4688dfee1f8e4f",
+    "upd": "ce5f6e8841d08b47ea00555bc4e19b706bf2ca3426c03d682db2eb0d19ad229d",
+    "hyb": "3464a0c6a4bcf37522629ac5dcc6fd31c13a7a721739df0a19593eb62b79a7cc",
 }
 
 
@@ -291,7 +304,7 @@ def test_key_stream_matches_golden_digests(toy16):
     tok = ue_tg(RngHandle(b"golden-tg"), p, A, k0.sk_S, k1.pk_B, 1)
     upd = ue_upd(RngHandle(b"golden-upd"), p, tok, ct)
     tr = sample_token_randomness(RngHandle(b"golden-tg"), p)
-    hyb = hyb_ue_upd(RngHandle(b"golden-upd"), p, A, ct, k1.pk_B, m, e_ct, tr)
+    hyb = hyb_ue_upd(RngHandle(b"golden-upd"), p, A, ct, k1.pk_B, encode(m, p), e_ct, tr)
     got = {"token": env.pack_token(p, tok), "upd": env.pack_ciphertext(p, upd),
            "hyb": env.pack_ciphertext(p, hyb)}
     assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == GOLDEN_SHA256
@@ -299,8 +312,8 @@ def test_key_stream_matches_golden_digests(toy16):
 
 # The same at frodo-640-shake, whose update runs the float32 chunk route
 GOLDEN_SHA256_640 = {
-    "token": "4bad882062aab14395f0cf8950050c5bc2991d8c6b6b8b7a44a796735f4953be",
-    "upd": "5c5503347c41bae69eb8697b5004150f863487fbff081709afa892a528ae96cd",
+    "token": "8c93ca49d53a119773f670a76b533a12b70918420bb7a6dc9a3f55444e715c86",
+    "upd": "3a79573dfcc235e47f6e6cfcd85cfd19fad064a3ae8a5ade9fed0a3ae491a03b",
 }
 
 
