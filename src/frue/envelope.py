@@ -78,8 +78,10 @@ def _pack(kind: int, p: ParamSet, epoch: int, fields: dict[str, MatrixZq],
           a_seed: bytes = b"") -> bytes:
     if kind in _SEEDED and len(a_seed) != A_SEED_LEN:
         raise MalformedEnvelopeError(f"a_seed must be {A_SEED_LEN} bytes")
+    # one join of every record's header and words: no record is copied first
     return b"".join([_header(kind, p, epoch),
-                     *(fields[name].to_bytes() for name, _, _ in _layout(kind, p)),
+                     *(part for name, _, _ in _layout(kind, p)
+                       for part in fields[name]._record()),
                      a_seed])
 
 

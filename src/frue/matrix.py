@@ -16,12 +16,14 @@ which satisfy ord_bits(C) @ tensor_d(S) == C @ S exactly.
 
 Arithmetic must be exact.  Every formula of the scheme is a linear
 combination sum(+-X_i @ Y_i) + sum(+-M_j) (`@`, `+`, `-` are its smallest
-cases); _lincomb sums it in one float64 accumulator of integers and masks it
-to q once.  One guard covers the whole sum, which is exact while
-sum(inner_i) * (q - 1)**2 + #M_j * (q - 1) < 2**53: at D = 16 a total inner
-dimension of 2 097 216, about 97 times frodo-1344's n * D = 21 504.  Past it,
-DimensionMismatchError is raised before any copy is built.  Each product
-runs on one of two routes:
+cases).  _lincomb sums the products in one float64 accumulator of integers,
+converts it to words once, and adds the matrix terms (and any paired
+products, below) as words, mod 2**16, before one mask to q.  One guard
+covers the products, which are exact while sum(inner_i) * (q - 1)**2 <
+2**53: at D = 16 a total inner dimension of 2 097 216, about 97 times
+frodo-1344's n * D = 21 504.  Past it, DimensionMismatchError is raised
+before any copy is built, whatever route a product would take.  Each
+product runs on one of three routes:
 
   float64   the default: one BLAS product of the float64 copies.
   float32   when the left operand is a BitPlanes matrix (entries 0 or 1,
@@ -36,14 +38,38 @@ runs on one of two routes:
             half the bytes of the wide operand.  Smaller bit-plane products,
             such as all of toy-16's, stay on float64, where one BLAS call
             costs less Python than a chunk loop.
+  paired    when the left operand is a ChiMatrix (drawn by sample_chi) of
+            at least _PAIR_ROWS rows, such as token generation's S'_(1)
+            (nD rows) and S'_(2) (n rows), and L * q/2 < 2**26, where L is
+            its largest row l1 norm of signed entries s.  Rows i and i + h
+            (h = ceil(rows / 2)) share one float64 row,
+            P[i] = s[i] + 2**27 * s[i + h], and one product of half the
+            height, Z = P @ Y, runs on the right operand's centred copy Y
+            (residues lifted to [-q/2, q/2), so |Y| <= q/2).  Each half of
+            Z, s[i] @ Y and s[i + h] @ Y, is an integer of magnitude at most
+            L * q/2 <= 2**26 - 1, so every partial sum BLAS forms, in any
+            order and with or without FMA, is an integer below
+            (2**26 - 1) * (2**27 + 1) < 2**53: exact.  The low half is Z mod
+            2**27 (so mod q), the high half (Z + 2**26) >> 27, read from Z
+            as int64.  Mod q, s @ Y equals the product of the words.  When
+            L * q/2 >= 2**26 the product takes the float64 route (ten draws
+            of S'_(1) per frodo level measured L from 1578 to 1984; L may
+            reach 2047 at D = 16 and 4095 at D = 15).  The row floor keeps
+            the route off products where packing costs more than it saves
+            (one BLAS thread, 2-core x86-64): toy-16's (128-row S'_(1) times
+            8 x 8: 35 against 15 us) and the m_bar-row R and S_1 of Upd and
+            Enc (8 rows times frodo-640's A: 0.47 against 0.36 ms).
 
-Each route's copy of an operand (float64 of data; float32 of data.T), like
-a matrix's tensor_d stack, is built once, the first time it is needed, and
-kept (read-only) for the matrix's lifetime; matrices are immutable, so it
-never goes stale.  A token reused across many updates, or the public matrix
-reused across many products, is converted only once.  The price is memory:
-the float64 copy is four times the uint16 words, the float32 copy twice and
-the tensor_d stack D times; a matrix term (sum(+-M_j)) gets none.
+Each route's copy of an operand (float64 of data; float32 of data.T; the
+packed rows P, or None past the paired guard, on the left; the centred
+float64 copy on the right), like a matrix's tensor_d stack, is built once,
+the first time it is needed, and kept (read-only) for the matrix's
+lifetime; matrices are immutable, so it never goes stale.  A token reused
+across many updates, or the public matrix reused across many products, is
+converted only once.  The price is memory: the float64 copies are four
+times the uint16 words, P twice (and S'_(1) keeps nothing else), the
+float32 copy twice and the tensor_d stack D times; a matrix term
+(sum(+-M_j)) gets none.
 """
 
 from __future__ import annotations
@@ -69,15 +95,18 @@ MAX_D = 16                                      # largest D a 16-bit word holds
 _MASK = [(1 << D) - 1 for D in range(MAX_D + 1)]  # q - 1 per D, built once
 _MASK16 = [np.uint16(m) for m in _MASK]
 _PLANES = [np.arange(D, dtype=np.uint16)[:, None] for D in range(MAX_D + 1)]  # shifts per D
+_PAIR_ROWS = 512        # fewest left rows for the paired route (module docstring)
+_PAIR_SHIFT = 27        # the high row of a pair is scaled by 2**_PAIR_SHIFT
 
 
 class MatrixZq:
     """Immutable dense matrix over Z_{2**D}."""
 
-    # _f64: float64 copy of data, _f32t: float32 copy of data.T (the two
-    # product routes), _tensor_d: tensor_d of this matrix; each left unset
-    # until first needed (_keep), so constructing a matrix costs nothing extra
-    __slots__ = ("data", "D", "_f64", "_f32t", "_tensor_d")
+    # _f64: float64 copy of data, _f32t: float32 copy of data.T, _pairs:
+    # packed rows (or None), _f64c: centred float64 copy (the three product
+    # routes), _tensor_d: tensor_d of this matrix; each left unset until
+    # first needed (_keep), so constructing a matrix costs nothing extra
+    __slots__ = ("data", "D", "_f64", "_f32t", "_pairs", "_f64c", "_tensor_d")
 
     def __init__(self, data, D: int):
         if not (1 <= D <= MAX_D):
@@ -85,6 +114,8 @@ class MatrixZq:
         arr = np.asarray(data)
         if arr.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
+        if arr.dtype.kind in "fc":
+            raise ValueError(f"entries must be integers, got {arr.dtype}")
         # range-check the input itself, before any cast could wrap it
         if arr.size and ((arr.dtype.kind not in "ub" and int(arr.min()) < 0)
                          or int(arr.max()) >= (1 << D)):
@@ -200,6 +231,13 @@ class MatrixZq:
             arr[:, s:s + 512] = self.data[s:s + 512].T
         return self._keep("_f32t", arr)
 
+    def _centred(self) -> np.ndarray:
+        """Read-only float64 copy of the residues lifted to [-q/2, q/2), built
+        on first use and kept."""
+        if hasattr(self, "_f64c"):
+            return self._f64c
+        return self._keep("_f64c", _lift(self.data, self.D).astype(np.float64))
+
     # -- norms ----------------------------------------------------------
 
     def signed(self) -> np.ndarray:
@@ -214,13 +252,19 @@ class MatrixZq:
 
     # -- serialization ---------------------------------------------------
 
-    def to_bytes(self) -> bytes:
+    def _record(self) -> tuple[bytes, np.ndarray]:
+        """The record's header and its words as little-endian uint16, uncopied
+        where the words already are; b"".join of the two is to_bytes()."""
         header = _MATRIX_HEADER.pack(self.rows, self.cols, self.D)
-        return header + self.data.astype("<u2").tobytes()
+        return header, np.ascontiguousarray(self.data, dtype="<u2")
+
+    def to_bytes(self) -> bytes:
+        return b"".join(self._record())
 
     @classmethod
     def from_bytes_at(cls, buf: bytes, offset: int = 0) -> tuple["MatrixZq", int]:
-        """Parse one matrix record; returns (matrix, next offset)."""
+        """Parse one matrix record; returns (matrix, next offset).  The
+        matrix reads its words in place, from buf itself."""
         end = offset + _MATRIX_HEADER.size
         if end > len(buf):
             raise ValueError("truncated matrix header")
@@ -228,8 +272,8 @@ class MatrixZq:
         body = end + 2 * rows * cols
         if body > len(buf):
             raise ValueError("truncated matrix body")
-        data = np.frombuffer(buf[end:body], dtype="<u2").reshape(rows, cols)
-        return cls(data, D), body
+        data = np.frombuffer(buf, dtype="<u2", count=rows * cols, offset=end)
+        return cls(data.reshape(rows, cols), D), body
 
 
 class BitPlanes(MatrixZq):
@@ -240,6 +284,63 @@ class BitPlanes(MatrixZq):
     """
 
     __slots__ = ()
+
+
+class ChiMatrix(MatrixZq):
+    """A MatrixZq of chi draws; only sample_chi (and slices of its draws) builds one.
+
+    Adds no state: the type alone lets a product with it on the left, of at
+    least _PAIR_ROWS rows, take the paired route (module docstring).
+    """
+
+    __slots__ = ()
+
+    def _paired(self) -> np.ndarray | None:
+        """Rows i and i + h of the signed entries as s[i] + 2**27 * s[i + h]
+        (float64, h = ceil(rows / 2) rows), or None when L * q/2 >= 2**26;
+        built on first use and kept."""
+        if hasattr(self, "_pairs"):
+            return self._pairs
+        h, half = -(-self.rows // 2), self.q // 2
+        # row l1 norms: |s| <= q/2 fits uint16, each row sum fits `acc`
+        acc = np.uint32 if self.cols * half < 2**32 else np.int64
+        P, L = np.empty((h, self.cols)), 0
+        step = max(1, _CHI_BLOCK // max(1, self.cols))     # blocks that stay in L2
+        for s in range(0, h, step):
+            e = min(s + step, h)
+            lo, hi = _lift(self.data[s:e], self.D), _lift(self.data[h + s:h + e], self.D)
+            for x in (lo, hi):
+                if x.size:
+                    L = max(L, int(np.abs(x).view(np.uint16).sum(axis=1, dtype=acc).max()))
+            block = P[s:e]
+            np.multiply(hi, float(2**_PAIR_SHIFT), out=block[:len(hi)])
+            block[len(hi):] = 0                     # the last row, when rows is odd
+            block += lo
+        return self._keep("_pairs", P if L * half < 2**(_PAIR_SHIFT - 1) else None)
+
+    def _pair_product(self, other: MatrixZq) -> np.ndarray | None:
+        """self @ other mod 2**16 as uint16 words from one half-height
+        product, or None when the paired guard fails (module docstring)."""
+        P = self._paired()
+        if P is None:
+            return None
+        Z = P @ other._centred()
+        h, cols = Z.shape
+        out = np.empty((self.rows, cols), dtype=np.uint16)
+        step = max(1, _CHI_BLOCK // max(1, cols))      # int64 blocks that stay in L2
+        for s in range(0, h, step):
+            z = Z[s:s + step].astype(np.int64)
+            out[s:s + len(z)] = z               # the low half, mod 2**16
+            z += 1 << (_PAIR_SHIFT - 1)
+            z >>= _PAIR_SHIFT
+            hi = out[h + s:h + s + len(z)]      # shorter at the end when rows is odd
+            hi[...] = z[:len(hi)]
+        return out
+
+
+def _lift(data: np.ndarray, D: int) -> np.ndarray:
+    """Words < 2**D lifted to their representatives in [-q/2, q/2), as int16."""
+    return (data << np.uint16(MAX_D - D)).view(np.int16) >> (MAX_D - D)
 
 
 def ord_bits(M: MatrixZq) -> BitPlanes:
@@ -263,9 +364,10 @@ def tensor_d(M: MatrixZq) -> MatrixZq:
 
 
 def _lincomb(*terms) -> MatrixZq:
-    """sum(+-X @ Y) + sum(+-M) mod q from terms (sign, X, Y) and (sign, M), in
-    one float64 accumulator behind one guard (module docstring)."""
-    D, shape, inner, nmat = terms[0][1].D, None, 0, 0
+    """sum(+-X @ Y) + sum(+-M) mod q from terms (sign, X, Y) and (sign, M):
+    the products in one float64 accumulator behind one guard, the rest as
+    words mod 2**16 (module docstring)."""
+    D, shape, inner = terms[0][1].D, None, 0
     for t in terms:
         for x in t[1:]:
             if not isinstance(x, MatrixZq):
@@ -277,34 +379,44 @@ def _lincomb(*terms) -> MatrixZq:
             if out[1] != t[2].data.shape[0]:
                 raise DimensionMismatchError(f"mul: {out} @ {t[2].data.shape}")
             inner, out = inner + out[1], (out[0], t[2].data.shape[1])
-        nmat += len(t) == 2
         if shape not in (None, out):
             raise DimensionMismatchError(f"sum: {shape} vs {out}")
         shape = out
     mask = _MASK[D]
-    if inner * mask * mask + nmat * mask >= 2**53:
+    if inner * mask * mask >= 2**53:
         raise DimensionMismatchError(
             f"inner dimension {inner} at D={D} is past the exact float64 range")
-    acc = None
+    acc = out = None        # float64 sum of products; uint16 sum of words
     for t in terms:
         if len(t) == 2:
-            term = t[1].data
-        elif type(t[1]) is BitPlanes and t[1].data.shape[1] * mask > 2**24:
+            continue
+        if type(t[1]) is BitPlanes and t[1].data.shape[1] * mask > 2**24:
             term = t[1]._bit_product(t[2])
+        elif (type(t[1]) is ChiMatrix and t[1].data.shape[0] >= _PAIR_ROWS
+              and (words := t[1]._pair_product(t[2])) is not None):
+            out = _accumulate(out, t[0], words)
+            continue
         else:
             term = t[1]._float64() @ t[2]._float64()
-        if acc is None:     # a product is a fresh float64 array; words are copied
-            acc = term.astype(np.float64) if len(t) == 2 else term
-            if t[0] < 0:
-                np.negative(acc, out=acc)
-        elif t[0] < 0:
-            acc -= term
-        else:
-            acc += term
-    out = acc.astype(np.int64).astype(np.uint16)     # exact, then wraps mod 2**16
+        acc = _accumulate(acc, t[0], term)
+    if acc is not None:     # exact, then wraps mod 2**16
+        out = _accumulate(out, 1, acc.astype(np.int64).astype(np.uint16))
+    if out is None:
+        out = np.zeros(shape, dtype=np.uint16)
+    for t in terms:
+        if len(t) == 2:
+            _accumulate(out, t[0], t[1].data)
     if D < MAX_D:
         out &= _MASK16[D]
     return MatrixZq._new(out, D)
+
+
+def _accumulate(total, sign: int, term: np.ndarray) -> np.ndarray:
+    """total + sign * term, in place; with no total yet, the fresh term
+    (negated in place) starts it."""
+    if total is None:
+        return np.negative(term, out=term) if sign < 0 else term
+    return (np.subtract if sign < 0 else np.add)(total, term, out=total)
 
 
 def signed_rep(x: int, D: int) -> int:
@@ -389,7 +501,7 @@ def _chi_lut(chi_cdf: tuple[int, ...], chi_sample_bits: int, D: int) -> np.ndarr
 _CHI_BLOCK = 1 << 16   # words per lookup: take's intp copy of them stays in L2
 
 
-def sample_chi(rng: RngHandle, rows: int, cols: int, p: ParamSet) -> MatrixZq:
+def sample_chi(rng: RngHandle, rows: int, cols: int, p: ParamSet) -> ChiMatrix:
     """Matrix with i.i.d. entries from chi, stored as residues mod q.
 
     Entry k (row-major) is the 16-bit word k of the raw Philox stream:
@@ -400,6 +512,8 @@ def sample_chi(rng: RngHandle, rows: int, cols: int, p: ParamSet) -> MatrixZq:
     entries strictly below u (FrodoKEM's sampler).  Outputs always lie in
     [-s, s] (signed).  The (word -> residue) map is precomputed once per
     parameter set and applied in place, in blocks of _CHI_BLOCK words.
+    The result is marked as a chi draw (ChiMatrix), so large products with
+    it on the left take the paired route.
     """
     w, bits = rows * cols, p.chi_sample_bits
     raw = rng._gen.bit_generator.random_raw(-(-w // 4))
@@ -413,7 +527,7 @@ def sample_chi(rng: RngHandle, rows: int, cols: int, p: ParamSet) -> MatrixZq:
     for s in range(0, w, _CHI_BLOCK):
         block = words[s:s + _CHI_BLOCK]
         lut.take(block, out=block, mode="clip")
-    return MatrixZq._new(words.reshape(rows, cols), p.D)
+    return ChiMatrix._new(words.reshape(rows, cols), p.D)
 
 
 def _expand_shake(seed: bytes, p: ParamSet) -> np.ndarray:

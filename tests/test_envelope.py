@@ -1,5 +1,6 @@
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -67,6 +68,17 @@ def test_roundtrip_with_real_objects(toy16, deployment16):
     assert env.read_envelope(blob).payload == ct
     blob = env.pack_token(toy16, d["tokens"][1])
     assert env.read_envelope(blob).payload == d["tokens"][1]
+
+
+def test_parsed_records_share_memory_with_the_envelope(toy16):
+    # each record reads its words in place from the envelope bytes, uncopied
+    key, tok, ct = synthetic_objects(toy16, b"env-shared")
+    blob = env.pack_token(toy16, tok)
+    raw = np.frombuffer(blob, dtype=np.uint8)
+    got = env.read_envelope(blob).payload
+    for m in (got.d1_a, got.d1_b, got.d2_a, got.d2_b):
+        assert np.shares_memory(m.data, raw)
+    assert got == tok and env.pack_token(toy16, got) == blob
 
 
 def test_malformed_inputs_rejected(toy16):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frue.matrix import (DimensionMismatchError, MatrixZq, RngHandle, _chi_lut,
-                         _lincomb, gen_public_matrix, sample_chi, sample_uniform,
-                         signed_rep)
+from frue.matrix import (_PAIR_ROWS, ChiMatrix, DimensionMismatchError, MatrixZq,
+                         RngHandle, _chi_lut, _lincomb, gen_public_matrix, sample_chi,
+                         sample_uniform, signed_rep)
 from frue.params import load_paramset, registered_names
 from frue.ue import ord_bits, tensor_d
 
@@ -190,6 +190,56 @@ def test_lincomb_guard_covers_the_whole_sum():
     assert (row @ col).data.tolist() == [[(1_048_600 * top * top) % 2**16]]
 
 
+@pytest.mark.parametrize("D", (15, 16))
+def test_paired_route_matches_int64(D):
+    # chi operands of at least _PAIR_ROWS rows, of even and odd height, take
+    # the paired route beside a plain product and matrix terms of both signs,
+    # in either term order; a paired product may come first with either sign
+    p640 = load_paramset("frodo-640-shake")
+    p = adhoc_paramset(D=D, s=p640.s, chi_cdf=p640.chi_cdf)
+    rng = RngHandle(b"paired-%d" % D)
+    for rows in (_PAIR_ROWS, _PAIR_ROWS + 1, 1023):
+        S1, S2 = sample_chi(rng, rows, 640, p), sample_chi(rng, rows, 40, p)
+        terms = [(1, S1, sample_uniform(rng, 640, 7, p)),
+                 (-1, sample_uniform(rng, rows, 7, p)),
+                 (1, sample_uniform(rng, rows, 3, p), sample_uniform(rng, 3, 7, p)),
+                 (-1, S2, sample_uniform(rng, 40, 7, p)),
+                 (1, sample_uniform(rng, rows, 7, p))]
+        want = np.zeros((rows, 7), dtype=np.int64)
+        for sign, *ops in terms:
+            mats = [m.data.astype(np.int64) for m in ops]
+            want += sign * (mats[0] @ mats[1] if len(mats) == 2 else mats[0])
+        for order in (terms, terms[::-1]):
+            assert _lincomb(*order).data.tolist() == (want & (2**D - 1)).tolist()
+        for S in (S1, S2):
+            assert S._pairs.shape == (-(-rows // 2), S.cols)
+            assert not hasattr(S, "_f64")
+    # one row fewer stays on float64
+    small = sample_chi(rng, _PAIR_ROWS - 1, 8, p)
+    y = sample_uniform(rng, 8, 2, p)
+    assert (small @ y).data.tolist() == (
+        (small.data.astype(np.int64) @ y.data.astype(np.int64)) & (2**D - 1)).tolist()
+    assert hasattr(small, "_f64") and not hasattr(small, "_pairs")
+
+
+@pytest.mark.parametrize("D", (15, 16))
+def test_paired_guard_edge_is_exact(D):
+    # The route packs while L * q/2 < 2**26 (L: largest row l1 norm).  L * q/2
+    # is a multiple of q/2, so the last L that packs gives 2**26 - q/2 (4095
+    # at D = 15, 2047 at D = 16) and the next gives 2**26, which falls back to
+    # float64.  Entries -1 and +1 against words q/2 (lifted to -q/2) bring
+    # every partial sum of both halves to the bound
+    q, limit = 2**D, 2**26 // 2**(D - 1)
+    for L, packs in ((limit - 1, True), (limit, False)):
+        left = np.full((_PAIR_ROWS + 1, L), q - 1, dtype=np.uint16)
+        left[1::3] = 1
+        S = ChiMatrix(left, D)
+        right = MatrixZq(np.full((L, 3), q // 2, dtype=np.uint16), D)
+        want = (left.astype(np.int64) @ right.data.astype(np.int64)) & (q - 1)
+        assert (S @ right).data.tolist() == want.tolist()
+        assert (S._pairs is not None) == packs and hasattr(S, "_f64") == (not packs)
+
+
 def test_entries_validated_on_construction():
     with pytest.raises(ValueError):
         MatrixZq([[16]], 4)
@@ -204,6 +254,20 @@ def test_out_of_range_integers_raise_before_any_cast():
         with pytest.raises(ValueError, match="entries must lie in"):
             MatrixZq(data, D)
     assert MatrixZq(np.array([[3, 0]], dtype=np.int64), 2).data.tolist() == [[3, 0]]
+
+
+def test_non_integer_input_raises_before_any_cast():
+    # a float or complex entry is refused, not truncated to a word
+    for data in ([[1.5]], np.array([[1.5]]), [[2.0]], np.array([[1 + 0j]]),
+                 np.array([[3]], dtype=np.float32)):
+        with pytest.raises(ValueError, match="integers"):
+            MatrixZq(data, 4)
+    # bool, unsigned, signed and Python-int inputs construct as before
+    for data in (np.array([[True, False]]), np.array([[1, 0]], dtype=np.uint8),
+                 np.array([[1, 0]], dtype=np.int16), [[1, 0]]):
+        assert MatrixZq(data, 4).data.tolist() == [[1, 0]]
+    with pytest.raises(ValueError, match="entries must lie in"):
+        MatrixZq([[2**70]], 16)
 
 
 def test_construction_leaves_the_callers_array_writable():

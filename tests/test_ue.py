@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frue.ue
 from frue import envelope as env
 from frue.hybrids import hyb_ue_upd
-from frue.matrix import MatrixZq, RngHandle, sample_chi, sample_uniform
+from frue.matrix import ChiMatrix, MatrixZq, RngHandle, sample_chi, sample_uniform
 from frue.params import load_paramset, registered_names
 from frue.pke import (encode, pke_dec, pke_enc, pke_enc_traced, pke_keygen, pke_setup,
                       random_message_bits)
@@ -272,6 +273,37 @@ def test_one_token_many_ciphertexts_exact_at_frodo640():
     assert hasattr(tok.d2_a, "_f64") and not hasattr(tok.d2_a, "_f32t")
 
 
+def test_product_routes_keep_their_copies(toy16, monkeypatch):
+    # frodo-640's S'_(1) (nD rows) and S'_(2) (n rows) take the paired route
+    # and keep only their packed rows; Upd's m_bar-row R and toy-16's token
+    # randomness are too short for it and keep float64 copies
+    p = load_paramset("frodo-640-shake")
+    rng = RngHandle(b"slots640")
+    _, A = pke_setup(rng, p)
+    k0, k1 = ue_kg(rng, p, A, 0), ue_kg(rng, p, A, 1)
+    ct = ue_enc(rng, p, A, k0, random_message_bits(rng, p))
+    tr = sample_token_randomness(rng, p)
+    tok = token_from_randomness(p, A, k0.sk_S, k1.pk_B, 1, tr)
+    assert all(type(getattr(tr, f.name)) is ChiMatrix for f in fields(tr))
+    for S in (tr.S1p, tr.S2p):
+        assert isinstance(S._pairs, np.ndarray) and not hasattr(S, "_f64")
+    assert tr.S1p._pairs.nbytes == 24_576_000           # 4800 x 640 float64
+    drawn = []
+    monkeypatch.setattr(frue.ue, "sample_chi",
+                        lambda *args: drawn.append(sample_chi(*args)) or drawn[-1])
+    ue_upd(rng, p, tok, ct)
+    monkeypatch.undo()
+    (R,) = drawn
+    assert hasattr(R, "_f64") and not hasattr(R, "_pairs")
+    del A, tok, tr
+    _, A = pke_setup(rng, toy16)
+    k0, k1 = ue_kg(rng, toy16, A, 0), ue_kg(rng, toy16, A, 1)
+    tr = sample_token_randomness(rng, toy16)
+    token_from_randomness(toy16, A, k0.sk_S, k1.pk_B, 1, tr)
+    for S in (tr.S1p, tr.S2p):
+        assert hasattr(S, "_f64") and not hasattr(S, "_pairs")
+
+
 def test_token_randomness_equals_six_consecutive_chi_draws():
     # a draw of w words reads ceil(w / 4) Philox outputs, and every TG shape
     # has the factor n (a multiple of 8), so the one flat batch and six draws
@@ -329,6 +361,25 @@ def test_key_stream_matches_golden_digests_at_frodo640():
     assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == GOLDEN_SHA256_640
     # the update reads C1's bit planes without keeping anything on C1
     assert [s for s in MatrixZq.__slots__ if hasattr(ct.C1, s)] == ["data", "D"]
+
+
+# frodo-976 and frodo-1344 tokens, pinned before their S'·A products took the
+# paired route, where the centred copy of A holds words down to -q/2 at D = 16
+GOLDEN_SHA256_TOKEN = {
+    "frodo-976-shake": "152231f5a02a330f55f96ffc2152e8a7def587185cfb15b242ebca0fb95828ad",
+    "frodo-1344-shake": "46a150ca6526403d4a310bf777fee47b948cfa59e1cc9bb3d51839216eafdc8b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256_TOKEN))
+def test_token_matches_golden_digest_at_d16(name):
+    p = load_paramset(name)
+    level = str(p.n).encode()
+    rng = RngHandle(b"golden-scene-" + level)
+    _, A = pke_setup(rng, p)
+    k0, k1 = ue_kg(rng, p, A, 0), ue_kg(rng, p, A, 1)
+    tok = ue_tg(RngHandle(b"golden-tg-" + level), p, A, k0.sk_S, k1.pk_B, 1)
+    assert hashlib.sha256(env.pack_token(p, tok)).hexdigest() == GOLDEN_SHA256_TOKEN[name]
 
 
 # -- backward-leak key derivation ---------------------------------------------
