@@ -18,58 +18,58 @@ Arithmetic must be exact.  Every formula of the scheme is a linear
 combination sum(+-X_i @ Y_i) + sum(+-M_j) (`@`, `+`, `-` are its smallest
 cases).  _lincomb sums the products in one float64 accumulator of integers,
 converts it to words once, and adds the matrix terms (and any paired
-products, below) as words, mod 2**16, before one mask to q.  One guard
-covers the products, which are exact while sum(inner_i) * (q - 1)**2 <
-2**53: at D = 16 a total inner dimension of 2 097 216, about 97 times
+products, below) as words, mod 2**16, before one mask to q.  Every float
+copy a product keeps holds the signed lift of the words, in [-q/2, q/2),
+and each exactness argument below rests on |x| <= q/2.  One guard covers
+the products, which are exact while sum(inner_i) * (q/2)**2 < 2**53: at
+D = 16 a total inner dimension below 8 388 608, about 390 times
 frodo-1344's n * D = 21 504.  Past it, DimensionMismatchError is raised
 before any copy is built, whatever route a product would take.  Each
 product runs on one of three routes:
 
   float64   the default: one BLAS product of the float64 copies.
   float32   when the left operand is a BitPlanes matrix (entries 0 or 1,
-            built by ord_bits) and inner * (q - 1) > 2**24, so one
-            float32 product would not be exact.  The inner dimension is
-            split into chunks of k = 2**24 // (q - 1) (512 at D = 15, 256 at
-            D = 16).  Within a chunk every partial sum BLAS forms, in any
-            order and with or without FMA, is an integer of at most
-            k * (q - 1) <= 2**24, and float32 holds every such integer
-            exactly.  The chunks are summed into the float64 accumulator.
-            The result is bit-identical to the float64 route's; it streams
-            half the bytes of the wide operand.  Smaller bit-plane products,
-            such as all of toy-16's, stay on float64, where one BLAS call
-            costs less Python than a chunk loop.
+            built by ord_bits) and inner * q/2 > 2**24, so one float32
+            product would not be exact.  The inner dimension is split into
+            chunks of k = 2**24 // (q/2) (1024 at D = 15, 512 at D = 16).
+            Within a chunk every partial sum BLAS forms, in any order and
+            with or without FMA, is an integer of magnitude at most
+            k * q/2 <= 2**24, and float32 holds every such integer exactly.
+            The chunks are summed into the float64 accumulator.  The result
+            is bit-identical to the float64 route's; it streams half the
+            bytes of the wide operand.  Smaller bit-plane products, such as
+            all of toy-16's, stay on float64, where one BLAS call costs less
+            Python than a chunk loop.
   paired    when the left operand is a ChiMatrix (drawn by sample_chi) of
             at least _PAIR_ROWS rows, such as token generation's S'_(1)
             (nD rows) and S'_(2) (n rows), and L * q/2 < 2**26, where L is
             its largest row l1 norm of signed entries s.  Rows i and i + h
             (h = ceil(rows / 2)) share one float64 row,
             P[i] = s[i] + 2**27 * s[i + h], and one product of half the
-            height, Z = P @ Y, runs on the right operand's centred copy Y
-            (residues lifted to [-q/2, q/2), so |Y| <= q/2).  Each half of
-            Z, s[i] @ Y and s[i + h] @ Y, is an integer of magnitude at most
-            L * q/2 <= 2**26 - 1, so every partial sum BLAS forms, in any
-            order and with or without FMA, is an integer below
-            (2**26 - 1) * (2**27 + 1) < 2**53: exact.  The low half is Z mod
-            2**27 (so mod q), the high half (Z + 2**26) >> 27, read from Z
-            as int64.  Mod q, s @ Y equals the product of the words.  When
-            L * q/2 >= 2**26 the product takes the float64 route (ten draws
-            of S'_(1) per frodo level measured L from 1578 to 1984; L may
-            reach 2047 at D = 16 and 4095 at D = 15).  The row floor keeps
-            the route off products where packing costs more than it saves
-            (one BLAS thread, 2-core x86-64): toy-16's (128-row S'_(1) times
-            8 x 8: 35 against 15 us) and the m_bar-row R and S_1 of Upd and
-            Enc (8 rows times frodo-640's A: 0.47 against 0.36 ms).
+            height, Z = P @ Y, runs on the right operand's float64 copy Y.
+            Each half of Z, s[i] @ Y and s[i + h] @ Y, is an integer of
+            magnitude at most L * q/2 <= 2**26 - 1, so every partial sum
+            BLAS forms, in any order and with or without FMA, is an integer
+            below (2**26 - 1) * (2**27 + 1) < 2**53: exact.  The low half is
+            Z mod 2**27 (so mod q), the high half (Z + 2**26) >> 27, read
+            from Z as int64.  Mod q, s @ Y equals the product of the words.
+            When L * q/2 >= 2**26 the product takes the float64 route (ten
+            draws of S'_(1) per frodo level measured L from 1578 to 1984; L
+            may reach 2047 at D = 16 and 4095 at D = 15).  The row floor
+            keeps the route off products where packing costs more than it
+            saves (one BLAS thread, 2-core x86-64): toy-16's (128-row S'_(1)
+            times 8 x 8: 35 against 15 us) and the m_bar-row R and S_1 of
+            Upd and Enc (8 rows times frodo-640's A: 0.47 against 0.36 ms).
 
-Each route's copy of an operand (float64 of data; float32 of data.T; the
-packed rows P, or None past the paired guard, on the left; the centred
-float64 copy on the right), like a matrix's tensor_d stack, is built once,
-the first time it is needed, and kept (read-only) for the matrix's
-lifetime; matrices are immutable, so it never goes stale.  A token reused
-across many updates, or the public matrix reused across many products, is
-converted only once.  The price is memory: the float64 copies are four
-times the uint16 words, P twice (and S'_(1) keeps nothing else), the
-float32 copy twice and the tensor_d stack D times; a matrix term
-(sum(+-M_j)) gets none.
+Each route's copy of an operand (float64 of the lift; float32 of the lift,
+transposed; the packed rows P, or None past the paired guard, on the
+left), like a matrix's tensor_d stack, is built once, the first time it is
+needed, and kept (read-only) for the matrix's lifetime; matrices are
+immutable, so it never goes stale.  A token reused across many updates, or
+the public matrix reused across many products, is converted only once.  The
+price is memory: the float64 copy is four times the uint16 words, P twice
+(and S'_(1) keeps nothing else), the float32 copy twice and the tensor_d
+stack D times; a matrix term (sum(+-M_j)) gets none.
 """
 
 from __future__ import annotations
@@ -92,8 +92,7 @@ class DimensionMismatchError(ValueError):
 _MATRIX_HEADER = struct.Struct("<IIB")  # rows, cols, D
 
 MAX_D = 16                                      # largest D a 16-bit word holds
-_MASK = [(1 << D) - 1 for D in range(MAX_D + 1)]  # q - 1 per D, built once
-_MASK16 = [np.uint16(m) for m in _MASK]
+_MASK16 = [np.uint16((1 << D) - 1) for D in range(MAX_D + 1)]  # q - 1 per D, built once
 _PLANES = [np.arange(D, dtype=np.uint16)[:, None] for D in range(MAX_D + 1)]  # shifts per D
 _PAIR_ROWS = 512        # fewest left rows for the paired route (module docstring)
 _PAIR_SHIFT = 27        # the high row of a pair is scaled by 2**_PAIR_SHIFT
@@ -102,11 +101,11 @@ _PAIR_SHIFT = 27        # the high row of a pair is scaled by 2**_PAIR_SHIFT
 class MatrixZq:
     """Immutable dense matrix over Z_{2**D}."""
 
-    # _f64: float64 copy of data, _f32t: float32 copy of data.T, _pairs:
-    # packed rows (or None), _f64c: centred float64 copy (the three product
-    # routes), _tensor_d: tensor_d of this matrix; each left unset until
-    # first needed (_keep), so constructing a matrix costs nothing extra
-    __slots__ = ("data", "D", "_f64", "_f32t", "_pairs", "_f64c", "_tensor_d")
+    # _f64: float64 copy of the lift, _f32t: float32 copy of its transpose,
+    # _pairs: packed rows (or None) (the three product routes), _tensor_d:
+    # tensor_d of this matrix; each left unset until first needed (_keep),
+    # so constructing a matrix costs nothing extra
+    __slots__ = ("data", "D", "_f64", "_f32t", "_pairs", "_tensor_d")
 
     def __init__(self, data, D: int):
         if not (1 <= D <= MAX_D):
@@ -169,7 +168,10 @@ class MatrixZq:
     @classmethod
     def from_signed(cls, data, D: int) -> "MatrixZq":
         """Build from signed integers, reducing mod 2**D."""
-        return cls(np.asarray(data, dtype=np.int64) & ((1 << D) - 1), D)
+        arr = np.asarray(data)
+        if arr.dtype.kind not in "fc":      # a float reaches __init__ uncast: refused
+            arr = arr.astype(np.int64) & ((1 << D) - 1)
+        return cls(arr, D)
 
     def transpose(self) -> "MatrixZq":
         return MatrixZq(self.data.T, self.D)
@@ -201,7 +203,7 @@ class MatrixZq:
 
     def _bit_product(self, other: "MatrixZq") -> np.ndarray:
         """self @ other as float64, from float32 chunks each exact (module docstring)."""
-        k = 2**24 // (self.q - 1)
+        k = 2**24 // (self.q // 2)
         bits, wide = self._float32_t(), other._float32_t()
         acc = np.zeros((self.rows, other.cols))
         for s in range(0, self.cols, k):
@@ -216,27 +218,20 @@ class MatrixZq:
         return copy
 
     def _float64(self) -> np.ndarray:
-        """Read-only float64 copy of data, built on first use and kept."""
+        """Read-only float64 copy of the lift, built on first use and kept."""
         if hasattr(self, "_f64"):
             return self._f64
-        return self._keep("_f64", self.data.astype(np.float64))
+        return self._keep("_f64", _lift(self.data, self.D).astype(np.float64))
 
     def _float32_t(self) -> np.ndarray:
-        """Read-only C-contiguous float32 copy of data.T, built on first use and kept."""
+        """Read-only C-contiguous float32 copy of the lift's transpose, kept once built."""
         if hasattr(self, "_f32t"):
             return self._f32t
         arr = np.empty((self.cols, self.rows), dtype=np.float32)
         # in blocks of rows: about 3x faster than one transposing copy
         for s in range(0, self.rows, 512):
-            arr[:, s:s + 512] = self.data[s:s + 512].T
+            arr[:, s:s + 512] = _lift(self.data[s:s + 512], self.D).T
         return self._keep("_f32t", arr)
-
-    def _centred(self) -> np.ndarray:
-        """Read-only float64 copy of the residues lifted to [-q/2, q/2), built
-        on first use and kept."""
-        if hasattr(self, "_f64c"):
-            return self._f64c
-        return self._keep("_f64c", _lift(self.data, self.D).astype(np.float64))
 
     # -- norms ----------------------------------------------------------
 
@@ -324,7 +319,7 @@ class ChiMatrix(MatrixZq):
         P = self._paired()
         if P is None:
             return None
-        Z = P @ other._centred()
+        Z = P @ other._float64()
         h, cols = Z.shape
         out = np.empty((self.rows, cols), dtype=np.uint16)
         step = max(1, _CHI_BLOCK // max(1, cols))      # int64 blocks that stay in L2
@@ -340,6 +335,8 @@ class ChiMatrix(MatrixZq):
 
 def _lift(data: np.ndarray, D: int) -> np.ndarray:
     """Words < 2**D lifted to their representatives in [-q/2, q/2), as int16."""
+    if D == MAX_D:
+        return data.view(np.int16)
     return (data << np.uint16(MAX_D - D)).view(np.int16) >> (MAX_D - D)
 
 
@@ -382,15 +379,15 @@ def _lincomb(*terms) -> MatrixZq:
         if shape not in (None, out):
             raise DimensionMismatchError(f"sum: {shape} vs {out}")
         shape = out
-    mask = _MASK[D]
-    if inner * mask * mask >= 2**53:
+    half = 1 << (D - 1)     # |lift| <= q/2 (module docstring)
+    if inner * half * half >= 2**53:
         raise DimensionMismatchError(
             f"inner dimension {inner} at D={D} is past the exact float64 range")
     acc = out = None        # float64 sum of products; uint16 sum of words
     for t in terms:
         if len(t) == 2:
             continue
-        if type(t[1]) is BitPlanes and t[1].data.shape[1] * mask > 2**24:
+        if type(t[1]) is BitPlanes and t[1].data.shape[1] * half > 2**24:
             term = t[1]._bit_product(t[2])
         elif (type(t[1]) is ChiMatrix and t[1].data.shape[0] >= _PAIR_ROWS
               and (words := t[1]._pair_product(t[2])) is not None):

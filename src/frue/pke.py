@@ -49,12 +49,13 @@ A_SEED_LEN = 16             # bytes of the seed that expands the public matrix A
 # -- message bits ---------------------------------------------------------
 
 def as_bits(m, ell: int) -> np.ndarray:
-    bits = np.asarray(m, dtype=np.uint8)
+    bits = np.asarray(m)
     if bits.ndim != 1 or bits.size != ell:
         raise MessageLengthError(f"expected {ell} message bits, got shape {bits.shape}")
-    if bits.size and int(bits.max()) > 1:
+    # checked before the cast, which would wrap 256 to 0 and truncate 0.9 to 0
+    if bits.dtype.kind in "fc" or (bits.size and (bits.min() < 0 or bits.max() > 1)):
         raise MessageLengthError("message entries must be bits")
-    return bits
+    return bits.astype(np.uint8, copy=False)
 
 
 def bits_from_bytes(data: bytes, nbits: int) -> np.ndarray:

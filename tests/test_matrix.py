@@ -94,15 +94,21 @@ def test_matmul_float_path_agrees_with_plain_integers():
     pairs = [(a, b), (b, c), (c, a), (top, top), *small, frodo]
     expected = [(x, y, ref(x, y)) for x, y in pairs]
 
-    # bit-plane products on the float32 route, checked in int64.  All-(q - 1)
-    # operands bring every chunk sum to exactly k * (q - 1), the largest the
-    # chunk length allows: inner 9600 at D = 15 (k = 512) and 21 504 at
-    # D = 16 (k = 256); 9615 is not a multiple of 512
+    # bit-plane products on the float32 route, checked in int64.  All-one
+    # bit planes against words q/2, which lift to -q/2, bring every full
+    # chunk sum to exactly k * q/2 = 2**24, the largest the chunk length
+    # allows: inner 9600 at D = 15 (k = 1024) and 21 504 at D = 16 (k = 512).
+    # The other two columns, words q/2 + 1 and q - 1, lift to odd values;
+    # 9615 is not a multiple of 1024
     def full(rows, cols, D):
         return MatrixZq(np.full((rows, cols), 2**D - 1, dtype=np.uint16), D)
 
-    bit_pairs = [(ord_bits(full(1, 640, 15)), full(9600, 3, 15)),
-                 (ord_bits(full(1, 1344, 16)), full(21504, 3, 16)),
+    def edge(rows, D):
+        return MatrixZq(np.tile(np.array([2**(D - 1), 2**(D - 1) + 1, 2**D - 1],
+                                         dtype=np.uint16), (rows, 1)), D)
+
+    bit_pairs = [(ord_bits(full(1, 640, 15)), edge(9600, 15)),
+                 (ord_bits(full(1, 1344, 16)), edge(21504, 16)),
                  (ord_bits(sample_uniform(rng, 2, 641, p15)), sample_uniform(rng, 9615, 5, p15)),
                  (ord_bits(sample_uniform(rng, 8, 640, p15)), sample_uniform(rng, 9600, 640, p15))]
     for x, y in bit_pairs:
@@ -116,23 +122,26 @@ def test_matmul_float_path_agrees_with_plain_integers():
 
 
 def test_matmul_exactness_guard():
-    # at D = 16 with every entry q - 1, inner 2 097 216 is the last exact
-    # float64 accumulation; one more raises before any copy is built, on
-    # either route
-    top = 2**16 - 1
-    row = MatrixZq(np.full((1, 2_097_216), top, dtype=np.uint16), 16)
-    col = MatrixZq(np.full((2_097_216, 1), top, dtype=np.uint16), 16)
-    assert (row @ col).data.tolist() == [[64]]
-    row = MatrixZq(np.full((1, 2_097_217), top, dtype=np.uint16), 16)
-    col = MatrixZq(np.full((2_097_217, 1), top, dtype=np.uint16), 16)
-    with pytest.raises(DimensionMismatchError, match="2097217"):
+    # at D = 16 with every word q/2, which lifts to -q/2, inner 8 388 607 is
+    # the last exact float64 accumulation (sum 2**53 - 2**30); one more raises
+    # before any copy is built, on either route.  One word q/2 - 1 in the row
+    # (lift +q/2 - 1) makes the sum 8 388 605 * 2**30 + 2**15, so word 2**15
+    half = 2**15
+    row = np.full((1, 8_388_607), half, dtype=np.uint16)
+    row[0, 0] = half - 1
+    row = MatrixZq(row, 16)
+    col = MatrixZq(np.full((8_388_607, 1), half, dtype=np.uint16), 16)
+    assert (row @ col).data.tolist() == [[half]]
+    del row, col
+    row = MatrixZq(np.full((1, 8_388_608), half, dtype=np.uint16), 16)
+    col = MatrixZq(np.full((8_388_608, 1), half, dtype=np.uint16), 16)
+    with pytest.raises(DimensionMismatchError, match="8388608"):
         row @ col
     for m in (row, col):
         assert not hasattr(m, "_f64")
-    # a bit-plane product past the same guard: 131 077 * 16 = 2 097 232 inner
-    bits = ord_bits(MatrixZq(np.full((1, 131_077), top, dtype=np.uint16), 16))
-    col = MatrixZq(np.full((2_097_232, 1), top, dtype=np.uint16), 16)
-    with pytest.raises(DimensionMismatchError, match="2097232"):
+    # a bit-plane product past the same guard: 524 288 * 16 = 8 388 608 inner
+    bits = ord_bits(MatrixZq(np.full((1, 524_288), 2**16 - 1, dtype=np.uint16), 16))
+    with pytest.raises(DimensionMismatchError, match="8388608"):
         bits @ col
     for m in (bits, col):
         assert not hasattr(m, "_f64") and not hasattr(m, "_f32t")
@@ -145,7 +154,7 @@ signs = st.sampled_from((1, -1))
 @given(st.sampled_from((1, 8, 15, 16)), st.data())
 def test_lincomb_matches_int64(D, data):
     # sum(+-X @ Y) + sum(+-M) against int64 arithmetic, in any term order.  The
-    # bit-plane term's inner dimension is past 2**24 // (q - 1), so it takes
+    # bit-plane term's inner dimension is past 2**24 // (q/2), so it takes
     # the float32 chunk route; at D = 1 that needs 2**24 columns (hundreds of
     # MB), so there it stays small and on float64
     p = adhoc_paramset(D=D)
@@ -153,7 +162,7 @@ def test_lincomb_matches_int64(D, data):
     rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     width = data.draw(st.integers(1, 20))
     if D > 1:
-        width += 2**24 // (2**D - 1) // D
+        width += 2**24 // 2**(D - 1) // D
     O = ord_bits(sample_uniform(rng, rows, width, p))
     terms = [(data.draw(signs), O, sample_uniform(rng, width * D, cols, p))]
     for _ in range(data.draw(st.integers(0, 2))):
@@ -175,19 +184,19 @@ def test_lincomb_matches_int64(D, data):
 
 def test_lincomb_guard_covers_the_whole_sum():
     # at D = 16 each term alone is within the float64 limit (total inner
-    # 2 097 216 with no matrix term), their sum is not: it raises before any
-    # operand copy exists, also the bit-plane term's float32 one
-    top = 2**16 - 1
-    bits = ord_bits(MatrixZq(np.full((1, 65_539), top, dtype=np.uint16), 16))
-    wide = MatrixZq(np.full((1_048_624, 1), top, dtype=np.uint16), 16)
-    row = MatrixZq(np.full((1, 1_048_600), top, dtype=np.uint16), 16)
-    col = MatrixZq(np.full((1_048_600, 1), top, dtype=np.uint16), 16)
-    with pytest.raises(DimensionMismatchError, match="2097224"):
+    # 8 388 607 with no matrix term), their sum, 8 388 608, is not: it raises
+    # before any operand copy exists, also the bit-plane term's float32 one
+    top, half = 2**16 - 1, 2**15
+    bits = ord_bits(MatrixZq(np.full((1, 262_147), top, dtype=np.uint16), 16))
+    wide = MatrixZq(np.full((4_194_352, 1), half + 1, dtype=np.uint16), 16)
+    row = MatrixZq(np.full((1, 4_194_256), half, dtype=np.uint16), 16)
+    col = MatrixZq(np.full((4_194_256, 1), half + 1, dtype=np.uint16), 16)
+    with pytest.raises(DimensionMismatchError, match="8388608"):
         _lincomb((1, bits, wide), (-1, row, col))
     for m in (bits, wide, row, col):
         assert not hasattr(m, "_f64") and not hasattr(m, "_f32t")
-    assert (bits @ wide).data.tolist() == [[(1_048_624 * top) % 2**16]]
-    assert (row @ col).data.tolist() == [[(1_048_600 * top * top) % 2**16]]
+    assert (bits @ wide).data.tolist() == [[(4_194_352 * (half + 1)) % 2**16]]
+    assert (row @ col).data.tolist() == [[(4_194_256 * half * (half + 1)) % 2**16]]
 
 
 @pytest.mark.parametrize("D", (15, 16))
@@ -262,6 +271,11 @@ def test_non_integer_input_raises_before_any_cast():
                  np.array([[3]], dtype=np.float32)):
         with pytest.raises(ValueError, match="integers"):
             MatrixZq(data, 4)
+    # also where the signed input is reduced mod q: 1.5 and -0.7 are not 1 and 0
+    for data in ([[1.5, -0.7]], np.array([[-2.0]]), [[1j]]):
+        with pytest.raises(ValueError, match="integers"):
+            MatrixZq.from_signed(data, 4)
+    assert MatrixZq.from_signed([[-1, 3]], 4).data.tolist() == [[15, 3]]
     # bool, unsigned, signed and Python-int inputs construct as before
     for data in (np.array([[True, False]]), np.array([[1, 0]], dtype=np.uint8),
                  np.array([[1, 0]], dtype=np.int16), [[1, 0]]):
@@ -299,8 +313,8 @@ def test_matrices_immutable():
     with pytest.raises(AttributeError):
         a._f64 = np.zeros((64, 64))
     assert a @ b == before
-    # so is the float32 copy of data.T a bit-plane product keeps (inner 1024
-    # is past 2**24 / (q - 1), so the product takes the float32 route)
+    # so is the float32 copy of the lift's transpose a bit-plane product keeps
+    # (inner 1024 is past 2**24 / (q/2), so the product takes the float32 route)
     o, w = ord_bits(sample_uniform(rng, 2, 64, p16)), sample_uniform(rng, 1024, 64, p16)
     before = o @ w
     for m in (o, w):

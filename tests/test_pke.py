@@ -43,6 +43,23 @@ def test_encode_rejects_wrong_length(toy16):
         encode(np.full(toy16.ell, 2, np.uint8), toy16)
 
 
+def test_message_entries_are_checked_before_any_cast(toy16):
+    # a uint8 cast would read 256 as 0, 257 as 1 and 0.9 as 0
+    rng, A, kp = setup_scene(toy16)
+    ell = toy16.ell
+    bad = [np.full(ell, 256), np.full(ell, 257), np.full(ell, 0.9), np.zeros(ell),
+           np.zeros(ell, dtype=complex), np.full(ell, -1), [1.0] * ell]
+    for m in bad:
+        with pytest.raises(MessageLengthError, match="bits"):
+            encode(m, toy16)
+        with pytest.raises(MessageLengthError, match="bits"):
+            pke_enc(rng, toy16, A, kp.pk_B, m)
+    # bool, uint8, int and list inputs encode as before
+    want = encode(np.ones(ell, np.uint8), toy16)
+    for m in (np.ones(ell, bool), np.ones(ell, np.int64), [1] * ell, [True] * ell):
+        assert encode(m, toy16) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers())
 def test_decode_left_inverse_of_encode(seed):

@@ -276,8 +276,14 @@ def test_one_token_many_ciphertexts_exact_at_frodo640():
 def test_product_routes_keep_their_copies(toy16, monkeypatch):
     # frodo-640's S'_(1) (nD rows) and S'_(2) (n rows) take the paired route
     # and keep only their packed rows; Upd's m_bar-row R and toy-16's token
-    # randomness are too short for it and keep float64 copies
+    # randomness are too short for it and keep float64 copies.  Every float
+    # copy holds the signed lift, in [-q/2, q/2): A, on the right of the
+    # paired route and on either side of the float64 one, keeps one copy
     p = load_paramset("frodo-640-shake")
+
+    def lift(m):
+        return ((m.data.astype(np.int64) + m.q // 2) & (m.q - 1)) - m.q // 2
+
     rng = RngHandle(b"slots640")
     _, A = pke_setup(rng, p)
     k0, k1 = ue_kg(rng, p, A, 0), ue_kg(rng, p, A, 1)
@@ -288,6 +294,8 @@ def test_product_routes_keep_their_copies(toy16, monkeypatch):
     for S in (tr.S1p, tr.S2p):
         assert isinstance(S._pairs, np.ndarray) and not hasattr(S, "_f64")
     assert tr.S1p._pairs.nbytes == 24_576_000           # 4800 x 640 float64
+    assert [s for s in MatrixZq.__slots__ if hasattr(A, s)] == ["data", "D", "_f64"]
+    assert A._f64.nbytes == 8 * p.n**2 and np.array_equal(A._f64, lift(A))
     drawn = []
     monkeypatch.setattr(frue.ue, "sample_chi",
                         lambda *args: drawn.append(sample_chi(*args)) or drawn[-1])
@@ -295,6 +303,7 @@ def test_product_routes_keep_their_copies(toy16, monkeypatch):
     monkeypatch.undo()
     (R,) = drawn
     assert hasattr(R, "_f64") and not hasattr(R, "_pairs")
+    assert np.array_equal(tok.d1_a._f32t, lift(tok.d1_a).T)
     del A, tok, tr
     _, A = pke_setup(rng, toy16)
     k0, k1 = ue_kg(rng, toy16, A, 0), ue_kg(rng, toy16, A, 1)
