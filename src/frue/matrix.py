@@ -25,51 +25,46 @@ the products, which are exact while sum(inner_i) * (q/2)**2 < 2**53: at
 D = 16 a total inner dimension below 8 388 608, about 390 times
 frodo-1344's n * D = 21 504.  Past it, DimensionMismatchError is raised
 before any copy is built, whatever route a product would take.  Each
-product runs on one of three routes:
+product runs on one of these routes:
 
   float64   the default: one BLAS product of the float64 copies.
-  float32   when the left operand is a BitPlanes matrix (entries 0 or 1,
-            built by ord_bits) and inner * q/2 > 2**24, so one float32
-            product would not be exact.  The inner dimension is split into
-            chunks of k = 2**24 // (q/2) (1024 at D = 15, 512 at D = 16).
-            Within a chunk every partial sum BLAS forms, in any order and
-            with or without FMA, is an integer of magnitude at most
-            k * q/2 <= 2**24, and float32 holds every such integer exactly.
-            The chunks are summed into the float64 accumulator.  The result
-            is bit-identical to the float64 route's; it streams half the
-            bytes of the wide operand.  Smaller bit-plane products, such as
-            all of toy-16's, stay on float64, where one BLAS call costs less
-            Python than a chunk loop.
-  paired    when the left operand is a ChiMatrix (drawn by sample_chi) of
-            at least _PAIR_ROWS rows, such as token generation's S'_(1)
-            (nD rows) and S'_(2) (n rows), and L * q/2 < 2**26, where L is
-            its largest row l1 norm of signed entries s.  Rows i and i + h
-            (h = ceil(rows / 2)) share one float64 row,
-            P[i] = s[i] + 2**27 * s[i + h], and one product of half the
-            height, Z = P @ Y, runs on the right operand's float64 copy Y.
-            Each half of Z, s[i] @ Y and s[i + h] @ Y, is an integer of
-            magnitude at most L * q/2 <= 2**26 - 1, so every partial sum
+  paired    two entries of a copy share one float64 word, x + 2**27 * x',
+            so one product Z of half the size yields two.  When each half
+            is an integer of magnitude at most 2**26 - 1, every partial sum
             BLAS forms, in any order and with or without FMA, is an integer
-            below (2**26 - 1) * (2**27 + 1) < 2**53: exact.  The low half is
-            Z mod 2**27 (so mod q), the high half (Z + 2**26) >> 27, read
-            from Z as int64.  Mod q, s @ Y equals the product of the words.
-            When L * q/2 >= 2**26 the product takes the float64 route (ten
-            draws of S'_(1) per frodo level measured L from 1578 to 1984; L
-            may reach 2047 at D = 16 and 4095 at D = 15).  The row floor
-            keeps the route off products where packing costs more than it
-            saves (one BLAS thread, 2-core x86-64): toy-16's (128-row S'_(1)
-            times 8 x 8: 35 against 15 us) and the m_bar-row R and S_1 of
-            Upd and Enc (8 rows times frodo-640's A: 0.47 against 0.36 ms).
+            below (2**26 - 1) * (2**27 + 1) < 2**53: exact.  _unpair reads Z
+            as int64 and writes, as words, its low half Z mod 2**27 (so mod
+            q) and its high half (Z + 2**26) >> 27.  Pairs are taken from
+     rows   of a left ChiMatrix (drawn by sample_chi) of at least _PAIR_ROWS
+            rows, such as token generation's S'_(1) (nD rows) and S'_(2) (n
+            rows): with h = ceil(rows / 2), its signed entries s make
+            P[i] = s[i] + 2**27 * s[i + h], and Z = P @ Y runs on the right
+            operand's float64 copy.  Each half is at most L * q/2, with L
+            the largest row l1 norm of s; when L * q/2 >= 2**26 the product
+            takes the float64 route (ten draws of S'_(1) per frodo level
+            measured L from 1578 to 1984; L may reach 2047 at D = 16 and
+            4095 at D = 15).
+     cols   of the right operand y when the left is a BitPlanes matrix (0/1,
+            built by ord_bits) of at least _PAIR_ROWS inner rows, such as
+            Upd's ord_bits(C1) (nD): with h = ceil(cols / 2),
+            Yp[:, j] = y[:, j] + 2**27 * y[:, j + h], and Z = bits[:, c] @
+            Yp[c] runs on the planes' float64 copy in chunks c of
+            k = (2**26 - 1) // (q/2) inner rows (4095 at D = 15, 2047 at
+            D = 16) whose words are summed; each half is at most k * q/2.
+            The floor keeps both off products where packing costs more than
+            it saves (one BLAS thread, 2-core x86-64): toy-16's (128-row
+            S'_(1) times 8 x 8: 35 against 15 us; bit planes of inner 128)
+            and Upd's and Enc's m_bar-row R and S_1 (8 rows times
+            frodo-640's A: 0.47 against 0.36 ms).
 
-Each route's copy of an operand (float64 of the lift; float32 of the lift,
-transposed; the packed rows P, or None past the paired guard, on the
-left), like a matrix's tensor_d stack, is built once, the first time it is
-needed, and kept (read-only) for the matrix's lifetime; matrices are
-immutable, so it never goes stale.  A token reused across many updates, or
-the public matrix reused across many products, is converted only once.  The
-price is memory: the float64 copy is four times the uint16 words, P twice
-(and S'_(1) keeps nothing else), the float32 copy twice and the tensor_d
-stack D times; a matrix term (sum(+-M_j)) gets none.
+Each route's copy of an operand (float64 of the lift, packed columns Yp
+on the right, packed rows P or None on the left), like a matrix's tensor_d
+stack, is built on first use and kept, read-only, for the matrix's
+lifetime; matrices are immutable, so it never goes stale.  A token reused
+across many updates, or the public matrix across many products, is
+converted once.  The price is memory: the float64 copy is four times the
+uint16 words, P and Yp twice (S'_(1) and a token's d1_a keep nothing
+else), the tensor_d stack D times; a matrix term (sum(+-M_j)) gets none.
 """
 
 from __future__ import annotations
@@ -94,18 +89,17 @@ _MATRIX_HEADER = struct.Struct("<IIB")  # rows, cols, D
 MAX_D = 16                                      # largest D a 16-bit word holds
 _MASK16 = [np.uint16((1 << D) - 1) for D in range(MAX_D + 1)]  # q - 1 per D, built once
 _PLANES = [np.arange(D, dtype=np.uint16)[:, None] for D in range(MAX_D + 1)]  # shifts per D
-_PAIR_ROWS = 512        # fewest left rows for the paired route (module docstring)
-_PAIR_SHIFT = 27        # the high row of a pair is scaled by 2**_PAIR_SHIFT
+_PAIR_ROWS = 512        # fewest chi rows or bit-plane inner rows to pair (module docstring)
+_PAIR_SHIFT = 27        # the high entry of a pair is scaled by 2**_PAIR_SHIFT
 
 
 class MatrixZq:
     """Immutable dense matrix over Z_{2**D}."""
 
-    # _f64: float64 copy of the lift, _f32t: float32 copy of its transpose,
-    # _pairs: packed rows (or None) (the three product routes), _tensor_d:
-    # tensor_d of this matrix; each left unset until first needed (_keep),
-    # so constructing a matrix costs nothing extra
-    __slots__ = ("data", "D", "_f64", "_f32t", "_pairs", "_tensor_d")
+    # product copies (_f64: float64 of the lift; _colpairs, _pairs: packed
+    # columns, packed rows or None) and _tensor_d; each unset until first
+    # needed (_keep), so constructing a matrix costs nothing extra
+    __slots__ = ("data", "D", "_f64", "_colpairs", "_pairs", "_tensor_d")
 
     def __init__(self, data, D: int):
         if not (1 <= D <= MAX_D):
@@ -201,15 +195,6 @@ class MatrixZq:
     def __matmul__(self, other: "MatrixZq") -> "MatrixZq":
         return _lincomb((1, self, other))
 
-    def _bit_product(self, other: "MatrixZq") -> np.ndarray:
-        """self @ other as float64, from float32 chunks each exact (module docstring)."""
-        k = 2**24 // (self.q // 2)
-        bits, wide = self._float32_t(), other._float32_t()
-        acc = np.zeros((self.rows, other.cols))
-        for s in range(0, self.cols, k):
-            acc += (wide[:, s:s + k] @ bits[s:s + k]).T
-        return acc
-
     def _keep(self, slot: str, copy):
         """Keep `copy`, read-only, in `slot` for the matrix's lifetime; return it."""
         if isinstance(copy, np.ndarray):
@@ -223,15 +208,17 @@ class MatrixZq:
             return self._f64
         return self._keep("_f64", _lift(self.data, self.D).astype(np.float64))
 
-    def _float32_t(self) -> np.ndarray:
-        """Read-only C-contiguous float32 copy of the lift's transpose, kept once built."""
-        if hasattr(self, "_f32t"):
-            return self._f32t
-        arr = np.empty((self.cols, self.rows), dtype=np.float32)
-        # in blocks of rows: about 3x faster than one transposing copy
-        for s in range(0, self.rows, 512):
-            arr[:, s:s + 512] = _lift(self.data[s:s + 512], self.D).T
-        return self._keep("_f32t", arr)
+    def _column_pairs(self) -> np.ndarray:
+        """Columns j and j + ceil(cols / 2) of the lift, packed by _pack; kept once built."""
+        if hasattr(self, "_colpairs"):
+            return self._colpairs
+        h = -(-self.cols // 2)
+        Yp = np.empty((self.rows, h))
+        step = max(1, _CHI_BLOCK // max(1, self.cols))     # blocks that stay in L2
+        for s in range(0, self.rows, step):
+            y = _lift(self.data[s:s + step], self.D)
+            _pack(Yp[s:s + step], y[:, :h], y[:, h:])
+        return self._keep("_colpairs", Yp)
 
     # -- norms ----------------------------------------------------------
 
@@ -274,11 +261,22 @@ class MatrixZq:
 class BitPlanes(MatrixZq):
     """A MatrixZq whose entries are all 0 or 1; only ord_bits builds one.
 
-    Adds no state: the type alone lets a product with it on the left take
-    the float32 route (module docstring).
+    Adds no state: the type alone lets a product with it on the left, of at
+    least _PAIR_ROWS inner rows, pair the right side's columns (module docstring).
     """
 
     __slots__ = ()
+
+    def _bit_product(self, other: MatrixZq) -> np.ndarray:
+        """self @ other mod 2**16 as uint16 words, from exact column-paired chunks."""
+        k = (2**(_PAIR_SHIFT - 1) - 1) // (self.q // 2)
+        bits, Yp, h = self._float64(), other._column_pairs(), -(-other.cols // 2)
+        out = np.zeros((self.rows, other.cols), dtype=np.uint16)
+        words = np.empty_like(out)                      # one chunk's product
+        for s in range(0, self.cols, k):
+            _unpair(bits[:, s:s + k] @ Yp[s:s + k], words[:, :h], words[:, h:])
+            out += words
+        return out
 
 
 class ChiMatrix(MatrixZq):
@@ -307,30 +305,34 @@ class ChiMatrix(MatrixZq):
             for x in (lo, hi):
                 if x.size:
                     L = max(L, int(np.abs(x).view(np.uint16).sum(axis=1, dtype=acc).max()))
-            block = P[s:e]
-            np.multiply(hi, float(2**_PAIR_SHIFT), out=block[:len(hi)])
-            block[len(hi):] = 0                     # the last row, when rows is odd
-            block += lo
+            _pack(P[s:e], lo, hi)
         return self._keep("_pairs", P if L * half < 2**(_PAIR_SHIFT - 1) else None)
 
     def _pair_product(self, other: MatrixZq) -> np.ndarray | None:
-        """self @ other mod 2**16 as uint16 words from one half-height
-        product, or None when the paired guard fails (module docstring)."""
-        P = self._paired()
-        if P is None:
+        """self @ other mod 2**16 as uint16 words, or None past the paired guard."""
+        if (P := self._paired()) is None:
             return None
-        Z = P @ other._float64()
-        h, cols = Z.shape
-        out = np.empty((self.rows, cols), dtype=np.uint16)
-        step = max(1, _CHI_BLOCK // max(1, cols))      # int64 blocks that stay in L2
-        for s in range(0, h, step):
-            z = Z[s:s + step].astype(np.int64)
-            out[s:s + len(z)] = z               # the low half, mod 2**16
-            z += 1 << (_PAIR_SHIFT - 1)
-            z >>= _PAIR_SHIFT
-            hi = out[h + s:h + s + len(z)]      # shorter at the end when rows is odd
-            hi[...] = z[:len(hi)]
+        out = np.empty((self.rows, other.cols), dtype=np.uint16)
+        _unpair(P @ other._float64(), out[:len(P)], out[len(P):])
         return out
+
+
+def _pack(out: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """out = lo + 2**27 * hi, zero where hi is a row or column short of lo."""
+    np.multiply(hi, float(2**_PAIR_SHIFT), out=out[:len(hi), :hi.shape[1]])
+    out[len(hi):], out[:, hi.shape[1]:] = 0, 0
+    out += lo
+
+
+def _unpair(Z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Write paired product Z's halves (module docstring) as words: low to lo, high to hi."""
+    step = max(1, _CHI_BLOCK // max(1, Z.shape[1]))     # int64 blocks that stay in L2
+    for s in range(0, len(Z), step):
+        z, high = Z[s:s + step].astype(np.int64), hi[s:s + step]
+        lo[s:s + step] = z
+        z += 1 << (_PAIR_SHIFT - 1)
+        z >>= _PAIR_SHIFT
+        high[...] = z[:len(high), :high.shape[1]]
 
 
 def _lift(data: np.ndarray, D: int) -> np.ndarray:
@@ -345,7 +347,7 @@ def ord_bits(M: MatrixZq) -> BitPlanes:
 
     Defined for any width: entry (i, j) satisfies
     M[i, j] = sum_k 2**(k-1) * out[i, (k-1)*cols + j].  The result is marked
-    as 0/1 (BitPlanes), so large products with it run in float32 chunks.
+    as 0/1 (BitPlanes), so large products with it pair the right side's columns.
     """
     planes = M.data[:, None, :] >> _PLANES[M.D]
     planes &= np.uint16(1)
@@ -387,15 +389,13 @@ def _lincomb(*terms) -> MatrixZq:
     for t in terms:
         if len(t) == 2:
             continue
-        if type(t[1]) is BitPlanes and t[1].data.shape[1] * half > 2**24:
-            term = t[1]._bit_product(t[2])
+        if type(t[1]) is BitPlanes and t[1].data.shape[1] >= _PAIR_ROWS:
+            out = _accumulate(out, t[0], t[1]._bit_product(t[2]))
         elif (type(t[1]) is ChiMatrix and t[1].data.shape[0] >= _PAIR_ROWS
               and (words := t[1]._pair_product(t[2])) is not None):
             out = _accumulate(out, t[0], words)
-            continue
         else:
-            term = t[1]._float64() @ t[2]._float64()
-        acc = _accumulate(acc, t[0], term)
+            acc = _accumulate(acc, t[0], t[1]._float64() @ t[2]._float64())
     if acc is not None:     # exact, then wraps mod 2**16
         out = _accumulate(out, 1, acc.astype(np.int64).astype(np.uint16))
     if out is None:

@@ -94,22 +94,26 @@ def test_matmul_float_path_agrees_with_plain_integers():
     pairs = [(a, b), (b, c), (c, a), (top, top), *small, frodo]
     expected = [(x, y, ref(x, y)) for x, y in pairs]
 
-    # bit-plane products on the float32 route, checked in int64.  All-one
-    # bit planes against words q/2, which lift to -q/2, bring every full
-    # chunk sum to exactly k * q/2 = 2**24, the largest the chunk length
-    # allows: inner 9600 at D = 15 (k = 1024) and 21 504 at D = 16 (k = 512).
-    # The other two columns, words q/2 + 1 and q - 1, lift to odd values;
-    # 9615 is not a multiple of 1024
+    # bit-plane products on the column-paired route, checked in int64.
+    # All-one bit planes against words q/2, which lift to -q/2, bring both
+    # halves of every full chunk to exactly k * q/2 = 2**26 - q/2, the
+    # largest the chunk length allows: inner 9600 at D = 15 (k = 4095) and
+    # 21 504 at D = 16 (k = 2047).  Columns j and j + 3 pair: q/2 with q/2,
+    # q/2 + 1 with q/2 + 1 (odd lifts), and q - 1 with the zero padding of
+    # width 5.  Random right operands of odd widths 5 and 641 pad too; 9615
+    # is not a multiple of 4095
     def full(rows, cols, D):
         return MatrixZq(np.full((rows, cols), 2**D - 1, dtype=np.uint16), D)
 
     def edge(rows, D):
-        return MatrixZq(np.tile(np.array([2**(D - 1), 2**(D - 1) + 1, 2**D - 1],
+        half = 2**(D - 1)
+        return MatrixZq(np.tile(np.array([half, half + 1, 2**D - 1, half, half + 1],
                                          dtype=np.uint16), (rows, 1)), D)
 
     bit_pairs = [(ord_bits(full(1, 640, 15)), edge(9600, 15)),
                  (ord_bits(full(1, 1344, 16)), edge(21504, 16)),
                  (ord_bits(sample_uniform(rng, 2, 641, p15)), sample_uniform(rng, 9615, 5, p15)),
+                 (ord_bits(sample_uniform(rng, 3, 40, p16)), sample_uniform(rng, 640, 641, p16)),
                  (ord_bits(sample_uniform(rng, 8, 640, p15)), sample_uniform(rng, 9600, 640, p15))]
     for x, y in bit_pairs:
         want = (x.data.astype(np.int64) @ y.data.astype(np.int64)) & (x.q - 1)
@@ -117,8 +121,16 @@ def test_matmul_float_path_agrees_with_plain_integers():
     for _ in range(2):
         for x, y, want in expected:
             assert (x @ y).data.tolist() == want
+    # each keeps its planes' float64 copy and, on the right, the packed lift
+    # y[:, j] + 2**27 * y[:, j + h], zero where an odd width pads the pair
     for x, y in bit_pairs:
-        assert hasattr(y, "_f32t") and not hasattr(y, "_f64")
+        assert hasattr(x, "_f64") and not hasattr(x, "_colpairs")
+        assert not hasattr(y, "_f64")
+        lift = ((y.data.astype(np.int64) + y.q // 2) & (y.q - 1)) - y.q // 2
+        h = -(-y.cols // 2)
+        high = np.zeros((y.rows, h), dtype=np.int64)
+        high[:, :y.cols - h] = lift[:, h:]
+        assert np.array_equal(y._colpairs, lift[:, :h] + 2**27 * high)
 
 
 def test_matmul_exactness_guard():
@@ -144,7 +156,7 @@ def test_matmul_exactness_guard():
     with pytest.raises(DimensionMismatchError, match="8388608"):
         bits @ col
     for m in (bits, col):
-        assert not hasattr(m, "_f64") and not hasattr(m, "_f32t")
+        assert not hasattr(m, "_f64") and not hasattr(m, "_colpairs")
 
 
 signs = st.sampled_from((1, -1))
@@ -154,17 +166,18 @@ signs = st.sampled_from((1, -1))
 @given(st.sampled_from((1, 8, 15, 16)), st.data())
 def test_lincomb_matches_int64(D, data):
     # sum(+-X @ Y) + sum(+-M) against int64 arithmetic, in any term order.  The
-    # bit-plane term's inner dimension is past 2**24 // (q/2), so it takes
-    # the float32 chunk route; at D = 1 that needs 2**24 columns (hundreds of
-    # MB), so there it stays small and on float64
+    # bit-plane term's inner dimension is at least _PAIR_ROWS, so it takes
+    # the column-paired route at every D; at D = 15 and 16 it also spans
+    # more than two chunks of k = (2**26 - 1) // (q/2) inner rows
     p = adhoc_paramset(D=D)
     rng = RngHandle(data.draw(st.binary(max_size=8)))
     rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-    width = data.draw(st.integers(1, 20))
-    if D > 1:
-        width += 2**24 // 2**(D - 1) // D
+    chunk = (2**26 - 1) // 2**(D - 1)
+    inner = 2 * chunk + 1 if D >= 15 else _PAIR_ROWS      # fewest inner rows
+    width = data.draw(st.integers(1, 20)) + -(-inner // D)
     O = ord_bits(sample_uniform(rng, rows, width, p))
-    terms = [(data.draw(signs), O, sample_uniform(rng, width * D, cols, p))]
+    Y = sample_uniform(rng, width * D, cols, p)
+    terms = [(data.draw(signs), O, Y)]
     for _ in range(data.draw(st.integers(0, 2))):
         k = data.draw(st.integers(1, 6))
         terms.append((data.draw(signs), sample_uniform(rng, rows, k, p),
@@ -179,13 +192,13 @@ def test_lincomb_matches_int64(D, data):
     got = _lincomb(*terms)
     assert type(got) is MatrixZq and got.D == D
     assert got.data.tolist() == (want & (2**D - 1)).tolist()
-    assert hasattr(O, "_f32t") == (D > 1)
+    assert hasattr(O, "_f64") and hasattr(Y, "_colpairs") and not hasattr(Y, "_f64")
 
 
 def test_lincomb_guard_covers_the_whole_sum():
     # at D = 16 each term alone is within the float64 limit (total inner
     # 8 388 607 with no matrix term), their sum, 8 388 608, is not: it raises
-    # before any operand copy exists, also the bit-plane term's float32 one
+    # before any operand copy exists, also the bit-plane term's column pairs
     top, half = 2**16 - 1, 2**15
     bits = ord_bits(MatrixZq(np.full((1, 262_147), top, dtype=np.uint16), 16))
     wide = MatrixZq(np.full((4_194_352, 1), half + 1, dtype=np.uint16), 16)
@@ -194,7 +207,7 @@ def test_lincomb_guard_covers_the_whole_sum():
     with pytest.raises(DimensionMismatchError, match="8388608"):
         _lincomb((1, bits, wide), (-1, row, col))
     for m in (bits, wide, row, col):
-        assert not hasattr(m, "_f64") and not hasattr(m, "_f32t")
+        assert not hasattr(m, "_f64") and not hasattr(m, "_colpairs")
     assert (bits @ wide).data.tolist() == [[(4_194_352 * (half + 1)) % 2**16]]
     assert (row @ col).data.tolist() == [[(4_194_256 * half * (half + 1)) % 2**16]]
 
@@ -313,15 +326,16 @@ def test_matrices_immutable():
     with pytest.raises(AttributeError):
         a._f64 = np.zeros((64, 64))
     assert a @ b == before
-    # so is the float32 copy of the lift's transpose a bit-plane product keeps
-    # (inner 1024 is past 2**24 / (q/2), so the product takes the float32 route)
+    # so are the copies a bit-plane product keeps (inner 1024 is at least
+    # _PAIR_ROWS, so the product takes the column-paired route): the planes'
+    # float64 copy and the right side's column pairs
     o, w = ord_bits(sample_uniform(rng, 2, 64, p16)), sample_uniform(rng, 1024, 64, p16)
     before = o @ w
-    for m in (o, w):
+    for m, slot in ((o, "_f64"), (w, "_colpairs")):
         with pytest.raises(ValueError):
-            m._f32t[0, 0] = 1.0
+            getattr(m, slot)[0, 0] = 1.0
         with pytest.raises(AttributeError):
-            m._f32t = np.zeros(m._f32t.shape, dtype=np.float32)
+            setattr(m, slot, np.zeros(getattr(m, slot).shape))
     assert o @ w == before
     # and so is the tensor_d stack a matrix keeps: built once, then reused
     s = sample_uniform(rng, 8, 8, p16)

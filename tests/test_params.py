@@ -43,8 +43,8 @@ def test_every_registered_set_satisfies_type_invariants():
         assert p.T_max >= 1
         # n * D is the largest inner dimension of any scheme product
         # (ord_bits(C1) @ d1_a); MatrixZq @ raises at or past this float64
-        # bound.  That product runs in float32 chunks of 2**24 // (q - 1)
-        # inner entries, each exact at any n * D, summed under this bound.
+        # bound.  That product pairs d1_a's columns in chunks of
+        # (2**26 - 1) // (q/2) inner rows, each exact at any n * D.
         assert p.n * p.D * (p.q - 1) ** 2 < 2**53
 
 

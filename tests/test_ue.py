@@ -169,12 +169,12 @@ def test_update_chain_decrypts_and_respects_error_budget(deployment16):
             assert (phi - phi_prev).max_norm() <= per_update_bound
             phi_prev = phi
         assert np.array_equal(ue_dec(p, d["keys"][p.T_max], ct), m)
-    # toy-16's bit-plane products (inner n * D = 128) are exact in one
-    # float32 product, so they stay on the float64 route
+    # toy-16's bit-plane products (inner n * D = 128) are below _PAIR_ROWS,
+    # so they stay on the float64 route and pair no columns
     mats = [ct.C1, ct.C2, *(getattr(t, f) for t in d["tokens"].values()
                             for f in ("d1_a", "d1_b", "d2_a", "d2_b"))]
     assert hasattr(d["tokens"][1].d1_a, "_f64")
-    assert not any(hasattr(x, "_f32t") for x in mats)
+    assert not any(hasattr(x, "_colpairs") for x in mats)
 
 
 def test_update_error_telescopes(deployment16):
@@ -244,21 +244,20 @@ def test_updated_ciphertext_unreadable_under_old_key(deployment16):
     assert wrong >= 99
 
 
-def test_one_token_many_ciphertexts_exact_at_frodo640():
-    # each token matrix is converted once and reused: ord_bits(C1) @ d1_a and
-    # @ d1_b run in float32 chunks, R @ d2_a and @ d2_b in float64; every
-    # update must still be bit-exact
-    p = load_paramset("frodo-640-shake")
-    rng = RngHandle(b"upd640")
+def _updates_match_row_selection(p, label, count):
+    """Run `count` updates on one token and check each against int64 row
+    selection; returns the token, whose kept copies the caller checks."""
+    rng = RngHandle(b"upd" + label)
     _, A = pke_setup(rng, p)
     k0, k1 = ue_kg(rng, p, A, 0), ue_kg(rng, p, A, 1)
     tok = ue_tg(rng, p, A, k0.sk_S, k1.pk_B, 1)
     mask = p.q - 1
     d2_a, d2_b = tok.d2_a.data.astype(np.int64), tok.d2_b.data.astype(np.int64)
-    for i in range(3):
+    for i in range(count):
         ct = ue_enc(rng, p, A, k0, random_message_bits(rng, p))
-        got = ue_upd(RngHandle(b"upd640-%d" % i), p, tok, ct)
-        R = sample_chi(RngHandle(b"upd640-%d" % i), p.m_bar, p.n, p).data.astype(np.int64)
+        got = ue_upd(RngHandle(b"upd%s-%d" % (label, i)), p, tok, ct)
+        R = sample_chi(RngHandle(b"upd%s-%d" % (label, i)), p.m_bar, p.n, p)
+        R = R.data.astype(np.int64)
         # O @ X as row selection: row i of O marks bit k of C1[i, j] at k*n + j
         c1 = ct.C1.data.astype(np.int64)
         O = ((c1[:, None, :] >> np.arange(p.D)[None, :, None]) & 1).reshape(p.m_bar, -1) == 1
@@ -268,9 +267,24 @@ def test_one_token_many_ciphertexts_exact_at_frodo640():
         assert np.array_equal(got.C1.data, (o_d1a + R @ d2_a) & mask)
         assert np.array_equal(got.C2.data,
                               (ct.C2.data.astype(np.int64) + o_d1b + R @ d2_b) & mask)
-    # d1_a keeps only its float32 copy (half the bytes of a float64 one)
-    assert hasattr(tok.d1_a, "_f32t") and not hasattr(tok.d1_a, "_f64")
-    assert hasattr(tok.d2_a, "_f64") and not hasattr(tok.d2_a, "_f32t")
+    return tok
+
+
+def test_one_token_many_ciphertexts_exact_at_frodo640():
+    # each token matrix is converted once and reused: ord_bits(C1) @ d1_a and
+    # @ d1_b pair d1's columns in chunks of 4095 inner rows (D = 15), R @ d2_a
+    # and @ d2_b run in float64; every update must still be bit-exact
+    tok = _updates_match_row_selection(load_paramset("frodo-640-shake"), b"640", 3)
+    # d1_a keeps only its column pairs (half the bytes of a float64 copy)
+    assert hasattr(tok.d1_a, "_colpairs") and not hasattr(tok.d1_a, "_f64")
+    assert hasattr(tok.d2_a, "_f64") and not hasattr(tok.d2_a, "_colpairs")
+
+
+def test_update_exact_at_frodo1344():
+    # D = 16: the bit-plane products run in chunks of 2047 inner rows, 11 of
+    # them over n * D = 21 504, each half of a chunk up to 2047 * 2**15
+    tok = _updates_match_row_selection(load_paramset("frodo-1344-shake"), b"1344", 1)
+    assert tok.d1_a._colpairs.shape == (21_504, 672) and not hasattr(tok.d1_a, "_f64")
 
 
 def test_product_routes_keep_their_copies(toy16, monkeypatch):
@@ -296,14 +310,26 @@ def test_product_routes_keep_their_copies(toy16, monkeypatch):
     assert tr.S1p._pairs.nbytes == 24_576_000           # 4800 x 640 float64
     assert [s for s in MatrixZq.__slots__ if hasattr(A, s)] == ["data", "D", "_f64"]
     assert A._f64.nbytes == 8 * p.n**2 and np.array_equal(A._f64, lift(A))
-    drawn = []
+    drawn, planes = [], []
     monkeypatch.setattr(frue.ue, "sample_chi",
                         lambda *args: drawn.append(sample_chi(*args)) or drawn[-1])
+    monkeypatch.setattr(frue.ue, "ord_bits",
+                        lambda M: planes.append(ord_bits(M)) or planes[-1])
     ue_upd(rng, p, tok, ct)
     monkeypatch.undo()
     (R,) = drawn
     assert hasattr(R, "_f64") and not hasattr(R, "_pairs")
-    assert np.array_equal(tok.d1_a._f32t, lift(tok.d1_a).T)
+    # d1_a, on the right of the bit-plane products, keeps its column pairs
+    # (9600 x 320 float64, the bytes of S'_(1)'s packed rows); C1's bit
+    # planes, fresh per update, keep a float64 copy, 8 x 9600
+    (O,) = planes
+    assert [s for s in MatrixZq.__slots__ if hasattr(O, s)] == ["data", "D", "_f64"]
+    assert O._f64.nbytes == 614_400 and np.array_equal(O._f64, O.data)
+    y = lift(tok.d1_a)
+    assert [s for s in MatrixZq.__slots__ if hasattr(tok.d1_a, s)] == ["data", "D", "_colpairs"]
+    assert tok.d1_a._colpairs.nbytes == 24_576_000
+    assert np.array_equal(tok.d1_a._colpairs, y[:, :320] + 2**27 * y[:, 320:])
+    assert not tok.d1_a._colpairs.flags.writeable
     del A, tok, tr
     _, A = pke_setup(rng, toy16)
     k0, k1 = ue_kg(rng, toy16, A, 0), ue_kg(rng, toy16, A, 1)
@@ -351,7 +377,7 @@ def test_key_stream_matches_golden_digests(toy16):
     assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == GOLDEN_SHA256
 
 
-# The same at frodo-640-shake, whose update runs the float32 chunk route
+# The same at frodo-640-shake, whose update pairs d1's columns in chunks
 GOLDEN_SHA256_640 = {
     "token": "8c93ca49d53a119773f670a76b533a12b70918420bb7a6dc9a3f55444e715c86",
     "upd": "3a79573dfcc235e47f6e6cfcd85cfd19fad064a3ae8a5ade9fed0a3ae491a03b",
