@@ -247,6 +247,15 @@ def decrypt(key_path, ct_path, out):
     click.echo(f"wrote {out} ({len(data)} bytes)")
 
 
+def _warn_without_chain_budget(p) -> None:
+    """One line on stderr when neither the bound nor the library's trials
+    give p one clean update: its updated ciphertexts are not expected to
+    decrypt.  The command's exit code and files stay as they are."""
+    if max_certified_epochs(p) == 0 and empirical_chain_epochs(p) == 0:
+        click.echo(f"warning: {p.name} is certified for 0 chained updates and 0 ran "
+                   "clean in trials; updated ciphertexts may not decrypt", err=True)
+
+
 @main.command()
 @click.option("--prev-key", type=_IN_FILE, required=True,
               help="Epoch-key file for epoch e.")
@@ -271,6 +280,7 @@ def token(prev_key, next_pub, seed, out):
     with open(out, "wb") as fh:
         fh.write(env.pack_token(ke.p, tok))
     click.echo(f"wrote {out} (token into epoch {pe.epoch})")
+    _warn_without_chain_budget(ke.p)
 
 
 @main.command()
@@ -286,6 +296,7 @@ def update(token_path, ct_path, seed, out):
     with open(out, "wb") as fh:
         fh.write(env.pack_ciphertext(te.p, ct2))
     click.echo(f"wrote {out} (epoch {ct2.epoch})")
+    _warn_without_chain_budget(te.p)
 
 
 @main.command("verify-bound")

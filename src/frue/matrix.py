@@ -19,52 +19,43 @@ combination sum(+-X_i @ Y_i) + sum(+-M_j) (`@`, `+`, `-` are its smallest
 cases).  _lincomb sums the products in one float64 accumulator of integers,
 converts it to words once, and adds the matrix terms (and any paired
 products, below) as words, mod 2**16, before one mask to q.  Every float
-copy a product keeps holds the signed lift of the words, in [-q/2, q/2),
-and each exactness argument below rests on |x| <= q/2.  One guard covers
-the products, which are exact while sum(inner_i) * (q/2)**2 < 2**53: at
-D = 16 a total inner dimension below 8 388 608, about 390 times
-frodo-1344's n * D = 21 504.  Past it, DimensionMismatchError is raised
-before any copy is built, whatever route a product would take.  Each
-product runs on one of these routes:
+copy a product keeps holds the signed lift of the words, in [-q/2, q/2).
+One guard covers the products, which are exact while sum(inner_i) *
+(q/2)**2 < 2**53: at D = 16 a total inner dimension below 8 388 608, about
+390 times frodo-1344's n * D = 21 504.  Past it, DimensionMismatchError is
+raised before any copy is built.
 
-  float64   the default: one BLAS product of the float64 copies.
-  paired    two entries of a copy share one float64 word, x + 2**27 * x',
-            so one product Z of half the size yields two.  When each half
-            is an integer of magnitude at most 2**26 - 1, every partial sum
-            BLAS forms, in any order and with or without FMA, is an integer
-            below (2**26 - 1) * (2**27 + 1) < 2**53: exact.  _unpair reads Z
-            as int64 and writes, as words, its low half Z mod 2**27 (so mod
-            q) and its high half (Z + 2**26) >> 27.  Pairs are taken from
-     rows   of a left ChiMatrix (drawn by sample_chi) of at least _PAIR_ROWS
-            rows, such as token generation's S'_(1) (nD rows) and S'_(2) (n
-            rows): with h = ceil(rows / 2), its signed entries s make
-            P[i] = s[i] + 2**27 * s[i + h], and Z = P @ Y runs on the right
-            operand's float64 copy.  Each half is at most L * q/2, with L
-            the largest row l1 norm of s; when L * q/2 >= 2**26 the product
-            takes the float64 route (ten draws of S'_(1) per frodo level
-            measured L from 1578 to 1984; L may reach 2047 at D = 16 and
-            4095 at D = 15).
-     cols   of the right operand y when the left is a BitPlanes matrix (0/1,
-            built by ord_bits) of at least _PAIR_ROWS inner rows, such as
-            Upd's ord_bits(C1) (nD): with h = ceil(cols / 2),
-            Yp[:, j] = y[:, j] + 2**27 * y[:, j + h], and Z = bits[:, c] @
-            Yp[c] runs on the planes' float64 copy in chunks c of
-            k = (2**26 - 1) // (q/2) inner rows (4095 at D = 15, 2047 at
-            D = 16) whose words are summed; each half is at most k * q/2.
-            The floor keeps both off products where packing costs more than
-            it saves (one BLAS thread, 2-core x86-64): toy-16's (128-row
-            S'_(1) times 8 x 8: 35 against 15 us; bit planes of inner 128)
-            and Upd's and Enc's m_bar-row R and S_1 (8 rows times
-            frodo-640's A: 0.47 against 0.36 ms).
+A product X @ Y with at least _PAIR_ROWS inner rows is paired: two entries
+of its larger operand share a float64 word, x + 2**27 * x', so one product
+Z of half the size yields two.  When X has more rows than Y has columns,
+X's rows i and i + ceil(rows / 2) are packed and Z runs on Y's float64
+copy; otherwise Y's columns j and j + ceil(cols / 2) are packed and Z runs
+on X's.  Z is taken in chunks c of inner rows whose words are summed, and
+each half of Z is at most rho(c) * q/2, where rho(c) bounds the l1 norm of
+a row of X over c inner rows: c for ord_bits output (BitPlanes, whose type
+fixes its entries to 0 and 1), otherwise X's largest row l1 norm L,
+measured once while X's rows are packed.  Rows are kept packed only while
+L * q/2 < 2**26, so bit planes past that pack Y's columns whatever the
+shape.  c is the longest chunk with rho(c) * q/2 < 2**26 (for bit planes
+4095 rows at D = 15 and 2047 at D = 16, else all inner rows), so
+every partial sum BLAS forms, in any order and with or without FMA, is an
+integer below (2**26 - 1) * (2**27 + 1) < 2**53: exact.  _unpair reads Z as
+int64 and writes, as words, its low half Z mod 2**27 (so mod q) and its
+high half (Z + 2**26) >> 27.  When no chunk qualifies (L * q/2 >= 2**26),
+the product runs as one float64 BLAS product; the measurement stops at the
+first block of rows past the limit, so a uniform X (KeyGen's A) pays one
+block.  Ten draws of S'_(1) per frodo level measured L from 1578 to 1984; L
+may reach 2047 at D = 16 and 4095 at D = 15.  Products below the floor,
+where packing costs more than it saves, run in float64 too; every toy-16
+product has an inner dimension of at most 128.
 
-Each route's copy of an operand (float64 of the lift, packed columns Yp
-on the right, packed rows P or None on the left), like a matrix's tensor_d
-stack, is built on first use and kept, read-only, for the matrix's
-lifetime; matrices are immutable, so it never goes stale.  A token reused
-across many updates, or the public matrix across many products, is
-converted once.  The price is memory: the float64 copy is four times the
-uint16 words, P and Yp twice (S'_(1) and a token's d1_a keep nothing
-else), the tensor_d stack D times; a matrix term (sum(+-M_j)) gets none.
+Each copy of an operand (float64 of the lift, packed rows or None, packed
+columns), like a matrix's tensor_d stack, is built on first use and kept,
+read-only, for the matrix's lifetime; matrices are immutable, so it never
+goes stale.  A token reused across many updates, or the public matrix
+across many products, is converted once.  The price is memory: the
+float64 copy is four times the uint16 words, packed rows or columns twice,
+the tensor_d stack D times; a matrix term (sum(+-M_j)) gets none.
 """
 
 from __future__ import annotations
@@ -89,7 +80,7 @@ _MATRIX_HEADER = struct.Struct("<IIB")  # rows, cols, D
 MAX_D = 16                                      # largest D a 16-bit word holds
 _MASK16 = [np.uint16((1 << D) - 1) for D in range(MAX_D + 1)]  # q - 1 per D, built once
 _PLANES = [np.arange(D, dtype=np.uint16)[:, None] for D in range(MAX_D + 1)]  # shifts per D
-_PAIR_ROWS = 512        # fewest chi rows or bit-plane inner rows to pair (module docstring)
+_PAIR_ROWS = 512        # fewest inner rows of a paired product (module docstring)
 _PAIR_SHIFT = 27        # the high entry of a pair is scaled by 2**_PAIR_SHIFT
 
 
@@ -220,6 +211,33 @@ class MatrixZq:
             _pack(Yp[s:s + step], y[:, :h], y[:, h:])
         return self._keep("_colpairs", Yp)
 
+    def _row_pairs(self) -> np.ndarray | None:
+        """Rows i and i + ceil(rows / 2) of the lift, packed by _pack, or None
+        when the largest row l1 norm L has L * q/2 >= 2**26; measured block
+        by block while packing, stopping at the first block past the limit.
+        Kept once built, None too."""
+        if hasattr(self, "_pairs"):
+            return self._pairs
+        h, half = -(-self.rows // 2), self.q // 2
+        # row l1 norms: |x| <= q/2 fits uint16, each row sum fits `acc`
+        acc = np.uint32 if self.cols * half < 2**32 else np.int64
+        P = np.empty((h, self.cols))
+        step = max(1, _CHI_BLOCK // max(1, self.cols))     # blocks that stay in L2
+        for s in range(0, h, step):
+            e = min(s + step, h)
+            lo, hi = _lift(self.data[s:e], self.D), _lift(self.data[h + s:h + e], self.D)
+            L = max((int(np.abs(x).view(np.uint16).sum(axis=1, dtype=acc).max())
+                     for x in (lo, hi) if x.size), default=0)
+            if L * half >= 2**(_PAIR_SHIFT - 1):
+                return self._keep("_pairs", None)
+            _pack(P[s:e], lo, hi)
+        return self._keep("_pairs", P)
+
+    def _chunk(self) -> int:
+        """Longest chunk of inner rows whose paired product is exact, or 0
+        (module docstring): all of them while L * q/2 < 2**26."""
+        return self.cols if self._row_pairs() is not None else 0
+
     # -- norms ----------------------------------------------------------
 
     def signed(self) -> np.ndarray:
@@ -261,60 +279,14 @@ class MatrixZq:
 class BitPlanes(MatrixZq):
     """A MatrixZq whose entries are all 0 or 1; only ord_bits builds one.
 
-    Adds no state: the type alone lets a product with it on the left, of at
-    least _PAIR_ROWS inner rows, pair the right side's columns (module docstring).
+    Adds no state: the type alone bounds the l1 norm of a row over c inner
+    rows by c, so products with it need not measure it (module docstring).
     """
 
     __slots__ = ()
 
-    def _bit_product(self, other: MatrixZq) -> np.ndarray:
-        """self @ other mod 2**16 as uint16 words, from exact column-paired chunks."""
-        k = (2**(_PAIR_SHIFT - 1) - 1) // (self.q // 2)
-        bits, Yp, h = self._float64(), other._column_pairs(), -(-other.cols // 2)
-        out = np.zeros((self.rows, other.cols), dtype=np.uint16)
-        words = np.empty_like(out)                      # one chunk's product
-        for s in range(0, self.cols, k):
-            _unpair(bits[:, s:s + k] @ Yp[s:s + k], words[:, :h], words[:, h:])
-            out += words
-        return out
-
-
-class ChiMatrix(MatrixZq):
-    """A MatrixZq of chi draws; only sample_chi (and slices of its draws) builds one.
-
-    Adds no state: the type alone lets a product with it on the left, of at
-    least _PAIR_ROWS rows, take the paired route (module docstring).
-    """
-
-    __slots__ = ()
-
-    def _paired(self) -> np.ndarray | None:
-        """Rows i and i + h of the signed entries as s[i] + 2**27 * s[i + h]
-        (float64, h = ceil(rows / 2) rows), or None when L * q/2 >= 2**26;
-        built on first use and kept."""
-        if hasattr(self, "_pairs"):
-            return self._pairs
-        h, half = -(-self.rows // 2), self.q // 2
-        # row l1 norms: |s| <= q/2 fits uint16, each row sum fits `acc`
-        acc = np.uint32 if self.cols * half < 2**32 else np.int64
-        P, L = np.empty((h, self.cols)), 0
-        step = max(1, _CHI_BLOCK // max(1, self.cols))     # blocks that stay in L2
-        for s in range(0, h, step):
-            e = min(s + step, h)
-            lo, hi = _lift(self.data[s:e], self.D), _lift(self.data[h + s:h + e], self.D)
-            for x in (lo, hi):
-                if x.size:
-                    L = max(L, int(np.abs(x).view(np.uint16).sum(axis=1, dtype=acc).max()))
-            _pack(P[s:e], lo, hi)
-        return self._keep("_pairs", P if L * half < 2**(_PAIR_SHIFT - 1) else None)
-
-    def _pair_product(self, other: MatrixZq) -> np.ndarray | None:
-        """self @ other mod 2**16 as uint16 words, or None past the paired guard."""
-        if (P := self._paired()) is None:
-            return None
-        out = np.empty((self.rows, other.cols), dtype=np.uint16)
-        _unpair(P @ other._float64(), out[:len(P)], out[len(P):])
-        return out
+    def _chunk(self) -> int:
+        return (2**(_PAIR_SHIFT - 1) - 1) // (self.q // 2)
 
 
 def _pack(out: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -347,7 +319,7 @@ def ord_bits(M: MatrixZq) -> BitPlanes:
 
     Defined for any width: entry (i, j) satisfies
     M[i, j] = sum_k 2**(k-1) * out[i, (k-1)*cols + j].  The result is marked
-    as 0/1 (BitPlanes), so large products with it pair the right side's columns.
+    as 0/1 (BitPlanes), so products with it need not measure its row norms.
     """
     planes = M.data[:, None, :] >> _PLANES[M.D]
     planes &= np.uint16(1)
@@ -389,11 +361,9 @@ def _lincomb(*terms) -> MatrixZq:
     for t in terms:
         if len(t) == 2:
             continue
-        if type(t[1]) is BitPlanes and t[1].data.shape[1] >= _PAIR_ROWS:
-            out = _accumulate(out, t[0], t[1]._bit_product(t[2]))
-        elif (type(t[1]) is ChiMatrix and t[1].data.shape[0] >= _PAIR_ROWS
-              and (words := t[1]._pair_product(t[2])) is not None):
-            out = _accumulate(out, t[0], words)
+        if t[1].data.shape[1] >= _PAIR_ROWS and (k := t[1]._chunk()):
+            for words in _paired(t[1], t[2], k):
+                out = _accumulate(out, t[0], words)
         else:
             acc = _accumulate(acc, t[0], t[1]._float64() @ t[2]._float64())
     if acc is not None:     # exact, then wraps mod 2**16
@@ -406,6 +376,22 @@ def _lincomb(*terms) -> MatrixZq:
     if D < MAX_D:
         out &= _MASK16[D]
     return MatrixZq._new(out, D)
+
+
+def _paired(X: MatrixZq, Y: MatrixZq, k: int):
+    """X @ Y mod 2**16 as uint16 words, one fresh array per chunk of k inner
+    rows: on X's packed rows when X has more rows than Y has columns and
+    they are packed, else on Y's packed columns (module docstring)."""
+    rows = X.rows > Y.cols and X._row_pairs() is not None
+    left, right = (X._row_pairs(), Y._float64()) if rows else (X._float64(), Y._column_pairs())
+    for s in range(0, X.cols, k):
+        Z = left[:, s:s + k] @ right[s:s + k]
+        words = np.empty((X.rows, Y.cols), dtype=np.uint16)
+        if rows:
+            _unpair(Z, words[:len(Z)], words[len(Z):])
+        else:
+            _unpair(Z, words[:, :Z.shape[1]], words[:, Z.shape[1]:])
+        yield words
 
 
 def _accumulate(total, sign: int, term: np.ndarray) -> np.ndarray:
@@ -498,7 +484,7 @@ def _chi_lut(chi_cdf: tuple[int, ...], chi_sample_bits: int, D: int) -> np.ndarr
 _CHI_BLOCK = 1 << 16   # words per lookup: take's intp copy of them stays in L2
 
 
-def sample_chi(rng: RngHandle, rows: int, cols: int, p: ParamSet) -> ChiMatrix:
+def sample_chi(rng: RngHandle, rows: int, cols: int, p: ParamSet) -> MatrixZq:
     """Matrix with i.i.d. entries from chi, stored as residues mod q.
 
     Entry k (row-major) is the 16-bit word k of the raw Philox stream:
@@ -509,8 +495,6 @@ def sample_chi(rng: RngHandle, rows: int, cols: int, p: ParamSet) -> ChiMatrix:
     entries strictly below u (FrodoKEM's sampler).  Outputs always lie in
     [-s, s] (signed).  The (word -> residue) map is precomputed once per
     parameter set and applied in place, in blocks of _CHI_BLOCK words.
-    The result is marked as a chi draw (ChiMatrix), so large products with
-    it on the left take the paired route.
     """
     w, bits = rows * cols, p.chi_sample_bits
     raw = rng._gen.bit_generator.random_raw(-(-w // 4))
@@ -524,7 +508,7 @@ def sample_chi(rng: RngHandle, rows: int, cols: int, p: ParamSet) -> ChiMatrix:
     for s in range(0, w, _CHI_BLOCK):
         block = words[s:s + _CHI_BLOCK]
         lut.take(block, out=block, mode="clip")
-    return ChiMatrix._new(words.reshape(rows, cols), p.D)
+    return MatrixZq._new(words.reshape(rows, cols), p.D)
 
 
 def _expand_shake(seed: bytes, p: ParamSet) -> np.ndarray:

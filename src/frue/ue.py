@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matrix import (ChiMatrix, DimensionMismatchError, MatrixZq, RngHandle,
-                     _lincomb, ord_bits, sample_chi, tensor_d)
+from .matrix import (DimensionMismatchError, MatrixZq, RngHandle, _lincomb,
+                     ord_bits, sample_chi, tensor_d)
 from .params import ParamSet
 from .pke import EpochKey, UeCiphertext, pke_dec, pke_enc, pke_keygen
 
@@ -93,7 +93,7 @@ def sample_token_randomness(rng: RngHandle, p: ParamSet) -> TokenRandomness:
     flat = sample_chi(rng, 1, sum(r * c for r, c in shapes), p).data
     mats, off = [], 0
     for r, c in shapes:
-        mats.append(ChiMatrix._new(flat[0, off:off + r * c].reshape(r, c), p.D))
+        mats.append(MatrixZq._new(flat[0, off:off + r * c].reshape(r, c), p.D))
         off += r * c
     return TokenRandomness(*mats)
 

@@ -81,6 +81,30 @@ def test_full_lifecycle_roundtrip(runner, tmp_path):
     assert out.read_bytes() == b"attack!\x00"
 
 
+def test_token_and_update_warn_without_chain_budget(runner, tmp_path):
+    # frodo-640's certified and empirical chain budgets are both 0: token and
+    # update still exit 0 and write their files, each with one warning line
+    # on stderr; toy-16 (certified for 7 updates, 4 clean in trials) warns not
+    warning = ("warning: frodo-640-shake is certified for 0 chained updates and 0 "
+               "ran clean in trials; updated ciphertexts may not decrypt")
+    for params, want in (("frodo-640", [warning]), ("toy-16", [])):
+        d = tmp_path / params
+        d.mkdir()
+        keys = make_keys(runner, d, (0, 1), params=params)
+        (d / "m").write_bytes(b"hi")
+        res = invoke(runner, "encrypt", "--key", str(keys[0][1]), "--message-file",
+                     str(d / "m"), "--out", str(d / "ct0"), "--seed", "01")
+        assert res.exit_code == 0 and res.stderr == ""
+        for args, out in (
+                (("token", "--prev-key", str(keys[0][0]), "--next-pub", str(keys[1][1]),
+                  "--seed", "02"), d / "t1"),
+                (("update", "--token", str(d / "t1"), "--ct", str(d / "ct0"),
+                  "--seed", "03"), d / "ct1")):
+            res = invoke(runner, *args, "--out", str(out))
+            assert res.exit_code == 0 and out.is_file()
+            assert res.stderr.splitlines() == want
+
+
 def test_update_epoch_mismatch_exit_code(runner, tmp_path):
     keys = make_keys(runner, tmp_path, (0, 1))
     msg = tmp_path / "m.bin"

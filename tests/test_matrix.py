@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frue.matrix import (_PAIR_ROWS, ChiMatrix, DimensionMismatchError, MatrixZq,
+import frue.matrix
+from frue.matrix import (_CHI_BLOCK, _PAIR_ROWS, DimensionMismatchError, MatrixZq,
                          RngHandle, _chi_lut, _lincomb, gen_public_matrix, sample_chi,
                          sample_uniform, signed_rep)
 from frue.params import load_paramset, registered_names
@@ -118,9 +119,27 @@ def test_matmul_float_path_agrees_with_plain_integers():
     for x, y in bit_pairs:
         want = (x.data.astype(np.int64) @ y.data.astype(np.int64)) & (x.q - 1)
         expected.append((x, y, want.tolist()))
+    # a tall bit-plane left side whose rows pack (L * q/2 < 2**26) runs on its
+    # packed rows instead: at D = 16, rows of 127 words 2**16 - 1 and one
+    # 2**15 - 1 hold L = 2047 ones, and against words q/2 both halves of every
+    # row reach 2047 * q/2 = 2**26 - q/2.  One more one in each row (L = 2048)
+    # is past the limit, and the product packs the right side's columns
+    tall = []
+    for top in (2**15 - 1, 2**16 - 1):
+        m = np.zeros((9, 1344), dtype=np.uint16)
+        m[:, :127], m[:, 127] = 2**16 - 1, top
+        tall.append((ord_bits(MatrixZq(m, 16)),
+                     MatrixZq(np.full((21504, 4), 2**15, dtype=np.uint16), 16)))
+    for x, y in tall:
+        want = (x.data.astype(np.int64) @ y.data.astype(np.int64)) & (x.q - 1)
+        expected.append((x, y, want.tolist()))
     for _ in range(2):
         for x, y, want in expected:
             assert (x @ y).data.tolist() == want
+    (x, y), (x2, y2) = tall
+    assert x._pairs.shape == (5, 21504) and not hasattr(x, "_f64")
+    assert hasattr(y, "_f64") and not hasattr(y, "_colpairs")
+    assert x2._pairs is None and hasattr(y2, "_colpairs") and not hasattr(y2, "_f64")
     # each keeps its planes' float64 copy and, on the right, the packed lift
     # y[:, j] + 2**27 * y[:, j + h], zero where an odd width pads the pair
     for x, y in bit_pairs:
@@ -150,13 +169,13 @@ def test_matmul_exactness_guard():
     with pytest.raises(DimensionMismatchError, match="8388608"):
         row @ col
     for m in (row, col):
-        assert not hasattr(m, "_f64")
+        assert not any(hasattr(m, s) for s in ("_f64", "_colpairs", "_pairs"))
     # a bit-plane product past the same guard: 524 288 * 16 = 8 388 608 inner
     bits = ord_bits(MatrixZq(np.full((1, 524_288), 2**16 - 1, dtype=np.uint16), 16))
     with pytest.raises(DimensionMismatchError, match="8388608"):
         bits @ col
     for m in (bits, col):
-        assert not hasattr(m, "_f64") and not hasattr(m, "_colpairs")
+        assert not any(hasattr(m, s) for s in ("_f64", "_colpairs", "_pairs"))
 
 
 signs = st.sampled_from((1, -1))
@@ -165,19 +184,26 @@ signs = st.sampled_from((1, -1))
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from((1, 8, 15, 16)), st.data())
 def test_lincomb_matches_int64(D, data):
-    # sum(+-X @ Y) + sum(+-M) against int64 arithmetic, in any term order.  The
-    # bit-plane term's inner dimension is at least _PAIR_ROWS, so it takes
-    # the column-paired route at every D; at D = 15 and 16 it also spans
-    # more than two chunks of k = (2**26 - 1) // (q/2) inner rows
+    # sum(+-X @ Y) + sum(+-M) against int64 arithmetic, in any term order.  Two
+    # terms have at least _PAIR_ROWS inner rows, so they are paired: a bit-plane
+    # term, which at D = 15 and 16 spans more than two chunks of
+    # k = (2**26 - 1) // (q/2) inner rows, and a term with small entries
+    # (|x| <= s = 1).  The sum is tall (more rows than columns: X's rows pack)
+    # or wide (Y's columns pack); a tall bit-plane term whose row norms pass
+    # the limit packs Y's columns instead, so one sum may take both
     p = adhoc_paramset(D=D)
     rng = RngHandle(data.draw(st.binary(max_size=8)))
-    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    tall = data.draw(st.booleans())
+    rows = data.draw(st.integers(2 if tall else 1, 3))
+    cols = data.draw(st.integers(1, rows - 1) if tall else st.integers(rows, 3))
     chunk = (2**26 - 1) // 2**(D - 1)
     inner = 2 * chunk + 1 if D >= 15 else _PAIR_ROWS      # fewest inner rows
     width = data.draw(st.integers(1, 20)) + -(-inner // D)
     O = ord_bits(sample_uniform(rng, rows, width, p))
     Y = sample_uniform(rng, width * D, cols, p)
-    terms = [(data.draw(signs), O, Y)]
+    k = data.draw(st.integers(_PAIR_ROWS, 1024))
+    S, W = sample_chi(rng, rows, k, p), sample_uniform(rng, k, cols, p)
+    terms = [(data.draw(signs), O, Y), (data.draw(signs), S, W)]
     for _ in range(data.draw(st.integers(0, 2))):
         k = data.draw(st.integers(1, 6))
         terms.append((data.draw(signs), sample_uniform(rng, rows, k, p),
@@ -192,7 +218,13 @@ def test_lincomb_matches_int64(D, data):
     got = _lincomb(*terms)
     assert type(got) is MatrixZq and got.D == D
     assert got.data.tolist() == (want & (2**D - 1)).tolist()
-    assert hasattr(O, "_f64") and hasattr(Y, "_colpairs") and not hasattr(Y, "_f64")
+    # the small term packs by shape (its L <= 1024 is below every limit);
+    # bit planes are measured only when tall
+    assert isinstance(S._pairs, np.ndarray)
+    assert hasattr(W, "_f64") == tall and hasattr(W, "_colpairs") == (not tall)
+    packed = tall and O._pairs is not None
+    assert hasattr(O, "_pairs") == tall and hasattr(O, "_f64") == (not packed)
+    assert hasattr(Y, "_f64") == packed and hasattr(Y, "_colpairs") == (not packed)
 
 
 def test_lincomb_guard_covers_the_whole_sum():
@@ -207,16 +239,18 @@ def test_lincomb_guard_covers_the_whole_sum():
     with pytest.raises(DimensionMismatchError, match="8388608"):
         _lincomb((1, bits, wide), (-1, row, col))
     for m in (bits, wide, row, col):
-        assert not hasattr(m, "_f64") and not hasattr(m, "_colpairs")
+        assert not any(hasattr(m, s) for s in ("_f64", "_colpairs", "_pairs"))
     assert (bits @ wide).data.tolist() == [[(4_194_352 * (half + 1)) % 2**16]]
     assert (row @ col).data.tolist() == [[(4_194_256 * half * (half + 1)) % 2**16]]
 
 
 @pytest.mark.parametrize("D", (15, 16))
 def test_paired_route_matches_int64(D):
-    # chi operands of at least _PAIR_ROWS rows, of even and odd height, take
-    # the paired route beside a plain product and matrix terms of both signs,
-    # in either term order; a paired product may come first with either sign
+    # chi operands of at least _PAIR_ROWS rows, of even and odd height, beside
+    # a plain product and matrix terms of both signs, in either term order; a
+    # paired product may come first with either sign.  S1 (inner 640, more
+    # rows than its right side has columns) packs its rows; S2 (inner 40) is
+    # below the floor and runs in float64
     p640 = load_paramset("frodo-640-shake")
     p = adhoc_paramset(D=D, s=p640.s, chi_cdf=p640.chi_cdf)
     rng = RngHandle(b"paired-%d" % D)
@@ -233,10 +267,10 @@ def test_paired_route_matches_int64(D):
             want += sign * (mats[0] @ mats[1] if len(mats) == 2 else mats[0])
         for order in (terms, terms[::-1]):
             assert _lincomb(*order).data.tolist() == (want & (2**D - 1)).tolist()
-        for S in (S1, S2):
-            assert S._pairs.shape == (-(-rows // 2), S.cols)
-            assert not hasattr(S, "_f64")
-    # one row fewer stays on float64
+        assert S1._pairs.shape == (-(-rows // 2), S1.cols)
+        assert not hasattr(S1, "_f64")
+        assert hasattr(S2, "_f64") and not hasattr(S2, "_pairs")
+    # so does an inner dimension of 8, below the floor
     small = sample_chi(rng, _PAIR_ROWS - 1, 8, p)
     y = sample_uniform(rng, 8, 2, p)
     assert (small @ y).data.tolist() == (
@@ -255,11 +289,39 @@ def test_paired_guard_edge_is_exact(D):
     for L, packs in ((limit - 1, True), (limit, False)):
         left = np.full((_PAIR_ROWS + 1, L), q - 1, dtype=np.uint16)
         left[1::3] = 1
-        S = ChiMatrix(left, D)
+        S = MatrixZq(left, D)
         right = MatrixZq(np.full((L, 3), q // 2, dtype=np.uint16), D)
         want = (left.astype(np.int64) @ right.data.astype(np.int64)) & (q - 1)
         assert (S @ right).data.tolist() == want.tolist()
         assert (S._pairs is not None) == packs and hasattr(S, "_f64") == (not packs)
+
+
+def test_left_side_past_the_limit_runs_in_float64(monkeypatch):
+    # a uniform left side (KeyGen's A @ S at frodo-640, D = 15) is past the
+    # limit in its first block of rows: measuring it lifts one block, keeps
+    # no packed rows, and the product runs in float64
+    p = load_paramset("frodo-640-shake")
+    rng = RngHandle(b"early-stop")
+    A, S = sample_uniform(rng, 640, 640, p), sample_chi(rng, 640, 8, p)
+    lifted, lift = [], frue.matrix._lift
+    monkeypatch.setattr(frue.matrix, "_lift",
+                        lambda data, D: lifted.append(len(data)) or lift(data, D))
+    want = (A.data.astype(np.int64) @ S.data.astype(np.int64)) & (p.q - 1)
+    assert (A @ S).data.tolist() == want.tolist()
+    assert A._pairs is None and hasattr(A, "_f64") and hasattr(S, "_f64")
+    # the measurement's lifts (rows i and i + 320 of one block), then the
+    # float64 copies' one lift each of all 640 rows
+    assert lifted[-2:] == [640, 640] and sum(lifted[:-2]) <= 2 * (_CHI_BLOCK // 640)
+    monkeypatch.undo()
+    # a chi draw at frodo-1344's S'_(2) shape (n x n, D = 16) whose last row
+    # reaches L = 2**26 / (q/2) = 2048, the limit, falls back for that draw
+    p = load_paramset("frodo-1344-shake")
+    chi = sample_chi(rng, 1344, 1344, p).data.copy()
+    chi[-1] = np.where(np.arange(1344) < 704, 2, p.q - 1)       # 704 * 2 + 640 = 2048
+    X, Y = MatrixZq(chi, p.D), sample_uniform(rng, 1344, 8, p)
+    want = (X.data.astype(np.int64) @ Y.data.astype(np.int64)) & (p.q - 1)
+    assert (X @ Y).data.tolist() == want.tolist()
+    assert X._pairs is None and hasattr(X, "_f64") and hasattr(Y, "_f64")
 
 
 def test_entries_validated_on_construction():
@@ -359,8 +421,9 @@ def _nodes_outside_matrix():
 
 
 def test_word_format_has_one_owner():
-    # frue.matrix alone knows the word dtype and writes MatrixZq's slots, so
-    # widening the words (or changing the gadget) touches that one module
+    # frue.matrix alone knows the word dtype, writes MatrixZq's slots and names
+    # the planner's types and copies, so widening the words (or changing the
+    # gadget or a product route) touches that one module
     found = []
     for name, node in _nodes_outside_matrix():
         named = ((isinstance(node, ast.Name) and node.id == "uint16")
@@ -370,8 +433,15 @@ def test_word_format_has_one_owner():
                         and node.func.attr == "__setattr__"
                         and isinstance(node.func.value, ast.Name)
                         and node.func.value.id == "object")
-        if named or setattr_call:
-            found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+        # the product planner's types and copy slots: the routing decision
+        # is made in frue.matrix alone
+        ident = (node.id if isinstance(node, ast.Name) else
+                 node.attr if isinstance(node, ast.Attribute) else
+                 node.name if isinstance(node, ast.alias) else
+                 node.value if isinstance(node, ast.Constant) else None)
+        planner = ident in ("ChiMatrix", "BitPlanes", "_f64", "_colpairs", "_pairs")
+        if named or setattr_call or planner:
+            found.append(f"{name}:{getattr(node, 'lineno', '?')}: {ast.unparse(node)}")
     assert found == []
 
 

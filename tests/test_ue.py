@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import frue.ue
 from frue import envelope as env
 from frue.hybrids import hyb_ue_upd
-from frue.matrix import ChiMatrix, MatrixZq, RngHandle, sample_chi, sample_uniform
+from frue.matrix import MatrixZq, RngHandle, sample_chi, sample_uniform
 from frue.params import load_paramset, registered_names
 from frue.pke import (encode, pke_dec, pke_enc, pke_enc_traced, pke_keygen, pke_setup,
                       random_message_bits)
@@ -272,12 +272,13 @@ def _updates_match_row_selection(p, label, count):
 
 def test_one_token_many_ciphertexts_exact_at_frodo640():
     # each token matrix is converted once and reused: ord_bits(C1) @ d1_a and
-    # @ d1_b pair d1's columns in chunks of 4095 inner rows (D = 15), R @ d2_a
-    # and @ d2_b run in float64; every update must still be bit-exact
+    # @ d1_b pair d1's columns in chunks of 4095 inner rows (D = 15), and the
+    # 8-row chi R pairs d2_a's and d2_b's columns in one chunk; every update
+    # must still be bit-exact
     tok = _updates_match_row_selection(load_paramset("frodo-640-shake"), b"640", 3)
-    # d1_a keeps only its column pairs (half the bytes of a float64 copy)
+    # d1_a and d2_a keep only their column pairs (half a float64 copy)
     assert hasattr(tok.d1_a, "_colpairs") and not hasattr(tok.d1_a, "_f64")
-    assert hasattr(tok.d2_a, "_f64") and not hasattr(tok.d2_a, "_colpairs")
+    assert hasattr(tok.d2_a, "_colpairs") and not hasattr(tok.d2_a, "_f64")
 
 
 def test_update_exact_at_frodo1344():
@@ -288,15 +289,20 @@ def test_update_exact_at_frodo1344():
 
 
 def test_product_routes_keep_their_copies(toy16, monkeypatch):
-    # frodo-640's S'_(1) (nD rows) and S'_(2) (n rows) take the paired route
-    # and keep only their packed rows; Upd's m_bar-row R and toy-16's token
-    # randomness are too short for it and keep float64 copies.  Every float
-    # copy holds the signed lift, in [-q/2, q/2): A, on the right of the
-    # paired route and on either side of the float64 one, keeps one copy
+    # at frodo-640 every product has at least 512 inner rows and pairs its
+    # larger operand.  S'_(1) (nD rows) packs its rows against A and B and
+    # keeps no float64 copy; S'_(2) (n rows) packs its rows against B and
+    # pairs A's columns, as Enc's S_1 and Upd's R (m_bar rows) do.  Every
+    # float copy holds the signed lift, in [-q/2, q/2).  KeyGen's uniform A
+    # on the left measures past the limit and keeps None for its rows.
+    # toy-16's products are below the floor and keep float64 copies
     p = load_paramset("frodo-640-shake")
 
     def lift(m):
         return ((m.data.astype(np.int64) + m.q // 2) & (m.q - 1)) - m.q // 2
+
+    def slots(m):
+        return [s for s in MatrixZq.__slots__ if hasattr(m, s)]
 
     rng = RngHandle(b"slots640")
     _, A = pke_setup(rng, p)
@@ -304,12 +310,15 @@ def test_product_routes_keep_their_copies(toy16, monkeypatch):
     ct = ue_enc(rng, p, A, k0, random_message_bits(rng, p))
     tr = sample_token_randomness(rng, p)
     tok = token_from_randomness(p, A, k0.sk_S, k1.pk_B, 1, tr)
-    assert all(type(getattr(tr, f.name)) is ChiMatrix for f in fields(tr))
-    for S in (tr.S1p, tr.S2p):
-        assert isinstance(S._pairs, np.ndarray) and not hasattr(S, "_f64")
+    assert all(type(getattr(tr, f.name)) is MatrixZq for f in fields(tr))
+    assert slots(tr.S1p) == ["data", "D", "_pairs"]
     assert tr.S1p._pairs.nbytes == 24_576_000           # 4800 x 640 float64
-    assert [s for s in MatrixZq.__slots__ if hasattr(A, s)] == ["data", "D", "_f64"]
+    assert slots(tr.S2p) == ["data", "D", "_f64", "_pairs"]
+    assert tr.S2p._pairs.nbytes == 1_638_400 and tr.S2p._f64.nbytes == 3_276_800
+    assert slots(A) == ["data", "D", "_f64", "_colpairs", "_pairs"] and A._pairs is None
     assert A._f64.nbytes == 8 * p.n**2 and np.array_equal(A._f64, lift(A))
+    y = lift(A)
+    assert np.array_equal(A._colpairs, y[:, :320] + 2**27 * y[:, 320:])
     drawn, planes = [], []
     monkeypatch.setattr(frue.ue, "sample_chi",
                         lambda *args: drawn.append(sample_chi(*args)) or drawn[-1])
@@ -318,18 +327,21 @@ def test_product_routes_keep_their_copies(toy16, monkeypatch):
     ue_upd(rng, p, tok, ct)
     monkeypatch.undo()
     (R,) = drawn
-    assert hasattr(R, "_f64") and not hasattr(R, "_pairs")
-    # d1_a, on the right of the bit-plane products, keeps its column pairs
-    # (9600 x 320 float64, the bytes of S'_(1)'s packed rows); C1's bit
-    # planes, fresh per update, keep a float64 copy, 8 x 9600
+    assert slots(R) == ["data", "D", "_f64", "_pairs"]
+    assert R._f64.nbytes == 40_960 and R._pairs.nbytes == 20_480
+    # d1_a and d2_a, on the right of Upd's products, keep their column pairs
+    # (9600 x 320 and 640 x 320 float64); C1's bit planes, fresh per update,
+    # keep a float64 copy, 8 x 9600, and are never measured
     (O,) = planes
-    assert [s for s in MatrixZq.__slots__ if hasattr(O, s)] == ["data", "D", "_f64"]
+    assert slots(O) == ["data", "D", "_f64"]
     assert O._f64.nbytes == 614_400 and np.array_equal(O._f64, O.data)
     y = lift(tok.d1_a)
-    assert [s for s in MatrixZq.__slots__ if hasattr(tok.d1_a, s)] == ["data", "D", "_colpairs"]
+    assert slots(tok.d1_a) == ["data", "D", "_colpairs"]
     assert tok.d1_a._colpairs.nbytes == 24_576_000
     assert np.array_equal(tok.d1_a._colpairs, y[:, :320] + 2**27 * y[:, 320:])
     assert not tok.d1_a._colpairs.flags.writeable
+    assert slots(tok.d2_a) == ["data", "D", "_colpairs"]
+    assert tok.d2_a._colpairs.nbytes == 1_638_400
     del A, tok, tr
     _, A = pke_setup(rng, toy16)
     k0, k1 = ue_kg(rng, toy16, A, 0), ue_kg(rng, toy16, A, 1)
