@@ -85,11 +85,15 @@ _OUT_FILE = click.Path(dir_okay=False)
 
 
 def _hex_seed(ctx, param, value: str | None) -> bytes | None:
-    """Click callback for --seed: hex text to bytes; not hex is a usage error."""
+    """Click callback for --seed: hex text to bytes; not hex, or no bytes
+    (which would draw a random seed), is a usage error."""
     try:
-        return bytes.fromhex(value) if value else None
+        seed = None if value is None else bytes.fromhex(value)
     except ValueError:
-        raise click.BadParameter(f"{value!r} is not a hex string") from None
+        seed = b""
+    if seed == b"":
+        raise click.BadParameter(f"{value!r} is not a hex string of at least one byte")
+    return seed
 
 
 def _rng_from(seed: bytes | None, label: str) -> RngHandle:

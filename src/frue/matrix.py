@@ -26,36 +26,38 @@ One guard covers the products, which are exact while sum(inner_i) *
 raised before any copy is built.
 
 A product X @ Y with at least _PAIR_ROWS inner rows is paired: two entries
-of its larger operand share a float64 word, x + 2**27 * x', so one product
-Z of half the size yields two.  When X has more rows than Y has columns,
+of one operand share a float64 word, x + 2**27 * x', so one product Z of
+half the size yields two.  Three independent decisions set its route.
+(1) Orientation, by shape alone: when X has more rows than Y has columns,
 X's rows i and i + ceil(rows / 2) are packed and Z runs on Y's float64
 copy; otherwise Y's columns j and j + ceil(cols / 2) are packed and Z runs
-on X's.  Z is taken in chunks c of inner rows whose words are summed, and
-each half of Z is at most rho(c) * q/2, where rho(c) bounds the l1 norm of
-a row of X over c inner rows: c for ord_bits output (BitPlanes, whose type
-fixes its entries to 0 and 1), otherwise X's largest row l1 norm L,
-measured once while X's rows are packed.  Rows are kept packed only while
-L * q/2 < 2**26, so bit planes past that pack Y's columns whatever the
-shape.  c is the longest chunk with rho(c) * q/2 < 2**26 (for bit planes
-4095 rows at D = 15 and 2047 at D = 16, else all inner rows), so
-every partial sum BLAS forms, in any order and with or without FMA, is an
-integer below (2**26 - 1) * (2**27 + 1) < 2**53: exact.  _unpair reads Z as
-int64 and writes, as words, its low half Z mod 2**27 (so mod q) and its
-high half (Z + 2**26) >> 27.  When no chunk qualifies (L * q/2 >= 2**26),
-the product runs as one float64 BLAS product; the measurement stops at the
-first block of rows past the limit, so a uniform X (KeyGen's A) pays one
-block.  Ten draws of S'_(1) per frodo level measured L from 1578 to 1984; L
-may reach 2047 at D = 16 and 4095 at D = 15.  Products below the floor,
-where packing costs more than it saves, run in float64 too; every toy-16
-product has an inner dimension of at most 128.
+on X's.  (2) Chunk: Z is taken in chunks c of inner rows whose words are
+summed.  Each half of Z is at most rho(c) * q/2, where rho(c) bounds the l1
+norm of a row of X over c inner rows, and c is the longest chunk with
+rho(c) * q/2 < 2**26.  _chunk measures X's largest row l1 norm L once and
+keeps c: all inner rows while L * q/2 < 2**26, else none qualifies and the
+product runs as one float64 BLAS product.  It measures block by block and
+stops at the first block past the limit, so a uniform X (KeyGen's A) pays
+one block.  Ten draws of S'_(1) per frodo level measured L from 1578 to
+1984; L may reach 2047 at D = 16 and 4095 at D = 15.  (3) The 0/1 bound:
+ord_bits output has entries 0 and 1, so rho(c) = c, and ord_bits records
+c = (2**26 - 1) // (q/2) on its output (4095 rows at D = 15, 2047 at
+D = 16), which is never measured.
 
-Each copy of an operand (float64 of the lift, packed rows or None, packed
-columns), like a matrix's tensor_d stack, is built on first use and kept,
-read-only, for the matrix's lifetime; matrices are immutable, so it never
-goes stale.  A token reused across many updates, or the public matrix
-across many products, is converted once.  The price is memory: the
-float64 copy is four times the uint16 words, packed rows or columns twice,
-the tensor_d stack D times; a matrix term (sum(+-M_j)) gets none.
+Every partial sum BLAS forms, in any order and with or without FMA, is then
+an integer below (2**26 - 1) * (2**27 + 1) < 2**53: exact.  _unpair reads Z
+as int64 and writes, as words, its low half Z mod 2**27 (so mod q) and its
+high half (Z + 2**26) >> 27.  Products below the floor, where packing costs
+more than it saves, run in float64 too; every toy-16 product has an inner
+dimension of at most 128.
+
+Each copy of an operand (float64 of the lift, packed rows, packed columns),
+like a matrix's tensor_d stack, is built on first use and kept, read-only,
+for the matrix's lifetime; matrices are immutable, so it never goes stale.
+A token reused across many updates, or the public matrix across many
+products, is converted once.  The price is memory: the float64 copy is four
+times the uint16 words, packed rows or columns twice, the tensor_d stack D
+times; a matrix term (sum(+-M_j)) gets none.
 """
 
 from __future__ import annotations
@@ -88,9 +90,9 @@ class MatrixZq:
     """Immutable dense matrix over Z_{2**D}."""
 
     # product copies (_f64: float64 of the lift; _colpairs, _pairs: packed
-    # columns, packed rows or None) and _tensor_d; each unset until first
-    # needed (_keep), so constructing a matrix costs nothing extra
-    __slots__ = ("data", "D", "_f64", "_colpairs", "_pairs", "_tensor_d")
+    # columns, packed rows), _k (_chunk's length) and _tensor_d; each unset
+    # until first needed (_keep), so constructing a matrix costs nothing extra
+    __slots__ = ("data", "D", "_f64", "_colpairs", "_pairs", "_k", "_tensor_d")
 
     def __init__(self, data, D: int):
         if not (1 <= D <= MAX_D):
@@ -205,38 +207,35 @@ class MatrixZq:
             return self._colpairs
         h = -(-self.cols // 2)
         Yp = np.empty((self.rows, h))
-        step = max(1, _CHI_BLOCK // max(1, self.cols))     # blocks that stay in L2
-        for s in range(0, self.rows, step):
-            y = _lift(self.data[s:s + step], self.D)
-            _pack(Yp[s:s + step], y[:, :h], y[:, h:])
+        for b in _blocks(self.rows, self.cols):
+            y = _lift(self.data[b], self.D)
+            _pack(Yp[b], y[:, :h], y[:, h:])
         return self._keep("_colpairs", Yp)
 
-    def _row_pairs(self) -> np.ndarray | None:
-        """Rows i and i + ceil(rows / 2) of the lift, packed by _pack, or None
-        when the largest row l1 norm L has L * q/2 >= 2**26; measured block
-        by block while packing, stopping at the first block past the limit.
-        Kept once built, None too."""
+    def _row_pairs(self) -> np.ndarray:
+        """Rows i and i + ceil(rows / 2) of the lift, packed by _pack; kept once built."""
         if hasattr(self, "_pairs"):
             return self._pairs
-        h, half = -(-self.rows // 2), self.q // 2
-        # row l1 norms: |x| <= q/2 fits uint16, each row sum fits `acc`
-        acc = np.uint32 if self.cols * half < 2**32 else np.int64
+        h = -(-self.rows // 2)
+        lo, hi = self.data[:h], self.data[h:]
         P = np.empty((h, self.cols))
-        step = max(1, _CHI_BLOCK // max(1, self.cols))     # blocks that stay in L2
-        for s in range(0, h, step):
-            e = min(s + step, h)
-            lo, hi = _lift(self.data[s:e], self.D), _lift(self.data[h + s:h + e], self.D)
-            L = max((int(np.abs(x).view(np.uint16).sum(axis=1, dtype=acc).max())
-                     for x in (lo, hi) if x.size), default=0)
-            if L * half >= 2**(_PAIR_SHIFT - 1):
-                return self._keep("_pairs", None)
-            _pack(P[s:e], lo, hi)
+        for b in _blocks(h, self.cols):
+            _pack(P[b], _lift(lo[b], self.D), _lift(hi[b], self.D))
         return self._keep("_pairs", P)
 
     def _chunk(self) -> int:
         """Longest chunk of inner rows whose paired product is exact, or 0
-        (module docstring): all of them while L * q/2 < 2**26."""
-        return self.cols if self._row_pairs() is not None else 0
+        (module docstring): all of them while the largest row l1 norm L has
+        L * q/2 < 2**26.  Kept once measured; ord_bits records its own."""
+        if hasattr(self, "_k"):
+            return self._k
+        half = self.q // 2
+        # row l1 norms: |x| <= q/2 fits uint16, each row sum fits `acc`
+        acc = np.uint32 if self.cols * half < 2**32 else np.int64
+        fits = all(int(np.abs(_lift(self.data[b], self.D)).view(np.uint16)
+                       .sum(axis=1, dtype=acc).max()) * half < 2**(_PAIR_SHIFT - 1)
+                   for b in _blocks(self.rows, self.cols))
+        return self._keep("_k", self.cols if fits else 0)
 
     # -- norms ----------------------------------------------------------
 
@@ -276,17 +275,11 @@ class MatrixZq:
         return cls(data.reshape(rows, cols), D), body
 
 
-class BitPlanes(MatrixZq):
-    """A MatrixZq whose entries are all 0 or 1; only ord_bits builds one.
-
-    Adds no state: the type alone bounds the l1 norm of a row over c inner
-    rows by c, so products with it need not measure it (module docstring).
-    """
-
-    __slots__ = ()
-
-    def _chunk(self) -> int:
-        return (2**(_PAIR_SHIFT - 1) - 1) // (self.q // 2)
+def _blocks(rows: int, cols: int):
+    """Slices of `rows` rows, _CHI_BLOCK words (at least one row) each, so
+    that a block's lift or int64 copy stays in L2."""
+    step = max(1, _CHI_BLOCK // max(1, cols))
+    return (slice(s, s + step) for s in range(0, rows, step))
 
 
 def _pack(out: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -298,10 +291,9 @@ def _pack(out: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
 
 def _unpair(Z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
     """Write paired product Z's halves (module docstring) as words: low to lo, high to hi."""
-    step = max(1, _CHI_BLOCK // max(1, Z.shape[1]))     # int64 blocks that stay in L2
-    for s in range(0, len(Z), step):
-        z, high = Z[s:s + step].astype(np.int64), hi[s:s + step]
-        lo[s:s + step] = z
+    for b in _blocks(len(Z), Z.shape[1]):
+        z, high = Z[b].astype(np.int64), hi[b]
+        lo[b] = z
         z += 1 << (_PAIR_SHIFT - 1)
         z >>= _PAIR_SHIFT
         high[...] = z[:len(high), :high.shape[1]]
@@ -314,16 +306,18 @@ def _lift(data: np.ndarray, D: int) -> np.ndarray:
     return (data << np.uint16(MAX_D - D)).view(np.int16) >> (MAX_D - D)
 
 
-def ord_bits(M: MatrixZq) -> BitPlanes:
+def ord_bits(M: MatrixZq) -> MatrixZq:
     """Bit-plane decomposition, least significant plane first.
 
     Defined for any width: entry (i, j) satisfies
-    M[i, j] = sum_k 2**(k-1) * out[i, (k-1)*cols + j].  The result is marked
-    as 0/1 (BitPlanes), so products with it need not measure its row norms.
+    M[i, j] = sum_k 2**(k-1) * out[i, (k-1)*cols + j].  Its entries are 0/1,
+    so the result records its chunk (module docstring) and is never measured.
     """
     planes = M.data[:, None, :] >> _PLANES[M.D]
     planes &= np.uint16(1)
-    return BitPlanes._new(planes.reshape(M.rows, -1), M.D)
+    out = MatrixZq._new(planes.reshape(M.rows, -1), M.D)
+    out._keep("_k", (2**(_PAIR_SHIFT - 1) - 1) // (M.q // 2))
+    return out
 
 
 def tensor_d(M: MatrixZq) -> MatrixZq:
@@ -380,9 +374,9 @@ def _lincomb(*terms) -> MatrixZq:
 
 def _paired(X: MatrixZq, Y: MatrixZq, k: int):
     """X @ Y mod 2**16 as uint16 words, one fresh array per chunk of k inner
-    rows: on X's packed rows when X has more rows than Y has columns and
-    they are packed, else on Y's packed columns (module docstring)."""
-    rows = X.rows > Y.cols and X._row_pairs() is not None
+    rows: on X's packed rows when X has more rows than Y has columns, else
+    on Y's packed columns (module docstring)."""
+    rows = X.rows > Y.cols
     left, right = (X._row_pairs(), Y._float64()) if rows else (X._float64(), Y._column_pairs())
     for s in range(0, X.cols, k):
         Z = left[:, s:s + k] @ right[s:s + k]

@@ -206,7 +206,7 @@ def test_keygen_epoch_out_of_range_is_usage_error(runner, tmp_path):
     assert res.exit_code == 0, res.output
 
 
-@pytest.mark.parametrize("seed", ["zz", "abc"])            # not hex; odd length
+@pytest.mark.parametrize("seed", ["zz", "abc", "", " "])  # not hex; odd length; no bytes
 @pytest.mark.parametrize("args", [
     ["keygen", "--params", "toy-16", "--epoch", "0", "--out-key", "{d}/k", "--out-pub", "{d}/p"],
     ["encrypt", "--key", "{d}/f", "--message-file", "{d}/f", "--out", "{d}/o"],

@@ -119,11 +119,19 @@ def test_matmul_float_path_agrees_with_plain_integers():
     for x, y in bit_pairs:
         want = (x.data.astype(np.int64) @ y.data.astype(np.int64)) & (x.q - 1)
         expected.append((x, y, want.tolist()))
-    # a tall bit-plane left side whose rows pack (L * q/2 < 2**26) runs on its
-    # packed rows instead: at D = 16, rows of 127 words 2**16 - 1 and one
-    # 2**15 - 1 hold L = 2047 ones, and against words q/2 both halves of every
-    # row reach 2047 * q/2 = 2**26 - q/2.  One more one in each row (L = 2048)
-    # is past the limit, and the product packs the right side's columns
+    # the 0/1 words of frodo-640's ord_bits(C1) (8 x 9600 at D = 15) in a
+    # plain MatrixZq, which records no chunk: its measured L, about 4860, is
+    # past the limit 2**26 / (q/2) = 4096, so it runs in float64 and must
+    # agree with the bit planes' product on column pairs
+    O, Y = bit_pairs[-1]
+    plain, Y2 = MatrixZq(O.data, 15), MatrixZq(Y.data, 15)
+    assert int(O.data.sum(axis=1).max()) * 2**14 >= 2**26
+    expected.append((plain, Y2, expected[-1][2]))
+    # a tall bit-plane left side runs on its packed rows, in chunks of 2047
+    # inner rows at D = 16: rows of 127 words 2**16 - 1 and one 2**15 - 1
+    # hold L = 2047 ones, and against words q/2 both halves of every row
+    # reach 2047 * q/2 = 2**26 - q/2.  One more one in each row (L = 2048)
+    # still packs rows, since no chunk holds more than 2047 ones of a row
     tall = []
     for top in (2**15 - 1, 2**16 - 1):
         m = np.zeros((9, 1344), dtype=np.uint16)
@@ -136,10 +144,12 @@ def test_matmul_float_path_agrees_with_plain_integers():
     for _ in range(2):
         for x, y, want in expected:
             assert (x @ y).data.tolist() == want
-    (x, y), (x2, y2) = tall
-    assert x._pairs.shape == (5, 21504) and not hasattr(x, "_f64")
-    assert hasattr(y, "_f64") and not hasattr(y, "_colpairs")
-    assert x2._pairs is None and hasattr(y2, "_colpairs") and not hasattr(y2, "_f64")
+    for x, y in tall:
+        assert x._pairs.shape == (5, 21504) and not hasattr(x, "_f64")
+        assert hasattr(y, "_f64") and not hasattr(y, "_colpairs")
+    assert plain._k == 0 and hasattr(plain, "_f64") and not hasattr(plain, "_pairs")
+    assert hasattr(Y2, "_f64") and not hasattr(Y2, "_colpairs")
+    assert plain @ Y2 == O @ Y
     # each keeps its planes' float64 copy and, on the right, the packed lift
     # y[:, j] + 2**27 * y[:, j + h], zero where an odd width pads the pair
     for x, y in bit_pairs:
@@ -188,9 +198,8 @@ def test_lincomb_matches_int64(D, data):
     # terms have at least _PAIR_ROWS inner rows, so they are paired: a bit-plane
     # term, which at D = 15 and 16 spans more than two chunks of
     # k = (2**26 - 1) // (q/2) inner rows, and a term with small entries
-    # (|x| <= s = 1).  The sum is tall (more rows than columns: X's rows pack)
-    # or wide (Y's columns pack); a tall bit-plane term whose row norms pass
-    # the limit packs Y's columns instead, so one sum may take both
+    # (|x| <= s = 1).  The sum is tall (more rows than columns: X's rows pack
+    # for every paired term) or wide (Y's columns pack)
     p = adhoc_paramset(D=D)
     rng = RngHandle(data.draw(st.binary(max_size=8)))
     tall = data.draw(st.booleans())
@@ -218,13 +227,12 @@ def test_lincomb_matches_int64(D, data):
     got = _lincomb(*terms)
     assert type(got) is MatrixZq and got.D == D
     assert got.data.tolist() == (want & (2**D - 1)).tolist()
-    # the small term packs by shape (its L <= 1024 is below every limit);
-    # bit planes are measured only when tall
-    assert isinstance(S._pairs, np.ndarray)
-    assert hasattr(W, "_f64") == tall and hasattr(W, "_colpairs") == (not tall)
-    packed = tall and O._pairs is not None
-    assert hasattr(O, "_pairs") == tall and hasattr(O, "_f64") == (not packed)
-    assert hasattr(Y, "_f64") == packed and hasattr(Y, "_colpairs") == (not packed)
+    # both paired terms pack by shape alone: the bit planes keep the chunk
+    # ord_bits recorded, and the small term's L <= 1024 is below every limit
+    assert O._k == chunk and S._k == S.cols
+    for x, y in ((O, Y), (S, W)):
+        assert hasattr(x, "_pairs") == tall and hasattr(x, "_f64") == (not tall)
+        assert hasattr(y, "_f64") == tall and hasattr(y, "_colpairs") == (not tall)
 
 
 def test_lincomb_guard_covers_the_whole_sum():
@@ -293,13 +301,14 @@ def test_paired_guard_edge_is_exact(D):
         right = MatrixZq(np.full((L, 3), q // 2, dtype=np.uint16), D)
         want = (left.astype(np.int64) @ right.data.astype(np.int64)) & (q - 1)
         assert (S @ right).data.tolist() == want.tolist()
-        assert (S._pairs is not None) == packs and hasattr(S, "_f64") == (not packs)
+        assert S._k == (L if packs else 0)
+        assert hasattr(S, "_pairs") == packs and hasattr(S, "_f64") == (not packs)
 
 
 def test_left_side_past_the_limit_runs_in_float64(monkeypatch):
     # a uniform left side (KeyGen's A @ S at frodo-640, D = 15) is past the
-    # limit in its first block of rows: measuring it lifts one block, keeps
-    # no packed rows, and the product runs in float64
+    # limit in its first block of rows: measuring it lifts one block, packs
+    # no rows, and the product runs in float64
     p = load_paramset("frodo-640-shake")
     rng = RngHandle(b"early-stop")
     A, S = sample_uniform(rng, 640, 640, p), sample_chi(rng, 640, 8, p)
@@ -308,10 +317,11 @@ def test_left_side_past_the_limit_runs_in_float64(monkeypatch):
                         lambda data, D: lifted.append(len(data)) or lift(data, D))
     want = (A.data.astype(np.int64) @ S.data.astype(np.int64)) & (p.q - 1)
     assert (A @ S).data.tolist() == want.tolist()
-    assert A._pairs is None and hasattr(A, "_f64") and hasattr(S, "_f64")
-    # the measurement's lifts (rows i and i + 320 of one block), then the
-    # float64 copies' one lift each of all 640 rows
-    assert lifted[-2:] == [640, 640] and sum(lifted[:-2]) <= 2 * (_CHI_BLOCK // 640)
+    assert A._k == 0 and not hasattr(A, "_pairs")
+    assert hasattr(A, "_f64") and hasattr(S, "_f64")
+    # the measurement's lift of one block of rows, then the float64 copies'
+    # one lift each of all 640 rows
+    assert lifted[-2:] == [640, 640] and sum(lifted[:-2]) <= _CHI_BLOCK // 640
     monkeypatch.undo()
     # a chi draw at frodo-1344's S'_(2) shape (n x n, D = 16) whose last row
     # reaches L = 2**26 / (q/2) = 2048, the limit, falls back for that draw
@@ -321,7 +331,8 @@ def test_left_side_past_the_limit_runs_in_float64(monkeypatch):
     X, Y = MatrixZq(chi, p.D), sample_uniform(rng, 1344, 8, p)
     want = (X.data.astype(np.int64) @ Y.data.astype(np.int64)) & (p.q - 1)
     assert (X @ Y).data.tolist() == want.tolist()
-    assert X._pairs is None and hasattr(X, "_f64") and hasattr(Y, "_f64")
+    assert X._k == 0 and not hasattr(X, "_pairs")
+    assert hasattr(X, "_f64") and hasattr(Y, "_f64")
 
 
 def test_entries_validated_on_construction():
@@ -422,8 +433,10 @@ def _nodes_outside_matrix():
 
 def test_word_format_has_one_owner():
     # frue.matrix alone knows the word dtype, writes MatrixZq's slots and names
-    # the planner's types and copies, so widening the words (or changing the
-    # gadget or a product route) touches that one module
+    # the slots it keeps, so widening the words (or changing the gadget or a
+    # product route) touches that one module
+    kept = set(MatrixZq.__slots__) - {"data", "D"}
+    assert {"_f64", "_colpairs", "_pairs", "_tensor_d"} <= kept
     found = []
     for name, node in _nodes_outside_matrix():
         named = ((isinstance(node, ast.Name) and node.id == "uint16")
@@ -433,13 +446,13 @@ def test_word_format_has_one_owner():
                         and node.func.attr == "__setattr__"
                         and isinstance(node.func.value, ast.Name)
                         and node.func.value.id == "object")
-        # the product planner's types and copy slots: the routing decision
-        # is made in frue.matrix alone
+        # the slots the product planner and tensor_d keep: the routing
+        # decision is made in frue.matrix alone
         ident = (node.id if isinstance(node, ast.Name) else
                  node.attr if isinstance(node, ast.Attribute) else
                  node.name if isinstance(node, ast.alias) else
                  node.value if isinstance(node, ast.Constant) else None)
-        planner = ident in ("ChiMatrix", "BitPlanes", "_f64", "_colpairs", "_pairs")
+        planner = ident in kept
         if named or setattr_call or planner:
             found.append(f"{name}:{getattr(node, 'lineno', '?')}: {ast.unparse(node)}")
     assert found == []

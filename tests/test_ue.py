@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frue.pke
 import frue.ue
 from frue import envelope as env
 from frue.hybrids import hyb_ue_upd
@@ -292,10 +293,11 @@ def test_product_routes_keep_their_copies(toy16, monkeypatch):
     # at frodo-640 every product has at least 512 inner rows and pairs its
     # larger operand.  S'_(1) (nD rows) packs its rows against A and B and
     # keeps no float64 copy; S'_(2) (n rows) packs its rows against B and
-    # pairs A's columns, as Enc's S_1 and Upd's R (m_bar rows) do.  Every
-    # float copy holds the signed lift, in [-q/2, q/2).  KeyGen's uniform A
-    # on the left measures past the limit and keeps None for its rows.
-    # toy-16's products are below the floor and keep float64 copies
+    # pairs A's columns, as Enc's S_1 and Upd's R (m_bar rows) do, which
+    # keep only their float64 copies.  Every float copy holds the signed
+    # lift, in [-q/2, q/2).  KeyGen's uniform A on the left measures past the
+    # limit (_k = 0) and packs no rows.  toy-16's products are below the
+    # floor and keep float64 copies
     p = load_paramset("frodo-640-shake")
 
     def lift(m):
@@ -307,15 +309,21 @@ def test_product_routes_keep_their_copies(toy16, monkeypatch):
     rng = RngHandle(b"slots640")
     _, A = pke_setup(rng, p)
     k0, k1 = ue_kg(rng, p, A, 0), ue_kg(rng, p, A, 1)
+    drawn = []
+    monkeypatch.setattr(frue.pke, "sample_chi",
+                        lambda *args: drawn.append(sample_chi(*args)) or drawn[-1])
     ct = ue_enc(rng, p, A, k0, random_message_bits(rng, p))
+    monkeypatch.undo()
+    S1 = drawn[0]
+    assert slots(S1) == ["data", "D", "_f64", "_k"] and S1._f64.nbytes == 40_960
     tr = sample_token_randomness(rng, p)
     tok = token_from_randomness(p, A, k0.sk_S, k1.pk_B, 1, tr)
     assert all(type(getattr(tr, f.name)) is MatrixZq for f in fields(tr))
-    assert slots(tr.S1p) == ["data", "D", "_pairs"]
+    assert slots(tr.S1p) == ["data", "D", "_pairs", "_k"] and tr.S1p._k == p.n
     assert tr.S1p._pairs.nbytes == 24_576_000           # 4800 x 640 float64
-    assert slots(tr.S2p) == ["data", "D", "_f64", "_pairs"]
+    assert slots(tr.S2p) == ["data", "D", "_f64", "_pairs", "_k"]
     assert tr.S2p._pairs.nbytes == 1_638_400 and tr.S2p._f64.nbytes == 3_276_800
-    assert slots(A) == ["data", "D", "_f64", "_colpairs", "_pairs"] and A._pairs is None
+    assert slots(A) == ["data", "D", "_f64", "_colpairs", "_k"] and A._k == 0
     assert A._f64.nbytes == 8 * p.n**2 and np.array_equal(A._f64, lift(A))
     y = lift(A)
     assert np.array_equal(A._colpairs, y[:, :320] + 2**27 * y[:, 320:])
@@ -327,13 +335,12 @@ def test_product_routes_keep_their_copies(toy16, monkeypatch):
     ue_upd(rng, p, tok, ct)
     monkeypatch.undo()
     (R,) = drawn
-    assert slots(R) == ["data", "D", "_f64", "_pairs"]
-    assert R._f64.nbytes == 40_960 and R._pairs.nbytes == 20_480
+    assert slots(R) == ["data", "D", "_f64", "_k"] and R._f64.nbytes == 40_960
     # d1_a and d2_a, on the right of Upd's products, keep their column pairs
     # (9600 x 320 and 640 x 320 float64); C1's bit planes, fresh per update,
-    # keep a float64 copy, 8 x 9600, and are never measured
+    # keep a float64 copy, 8 x 9600, and the chunk ord_bits recorded
     (O,) = planes
-    assert slots(O) == ["data", "D", "_f64"]
+    assert slots(O) == ["data", "D", "_f64", "_k"] and O._k == (2**26 - 1) // (p.q // 2)
     assert O._f64.nbytes == 614_400 and np.array_equal(O._f64, O.data)
     y = lift(tok.d1_a)
     assert slots(tok.d1_a) == ["data", "D", "_colpairs"]
