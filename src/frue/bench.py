@@ -110,10 +110,7 @@ def _time_op(fn, runs: int) -> tuple[float, float]:
 
 
 @_single_blas_thread()
-def bench_level(level: str, mode: str, runs: int) -> list[BenchResult]:
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    p = paramset_for(level, mode)
+def bench_level(level: str, mode: str, p: ParamSet, runs: int) -> list[BenchResult]:
     rng = RngHandle(b"frue-bench")
     _, A = pke_setup(rng, p)
     k0 = ue_kg(rng, p, A, 0)
@@ -132,16 +129,18 @@ def bench_level(level: str, mode: str, runs: int) -> list[BenchResult]:
     out = []
     for op in BENCH_OPS:
         mean, std = _time_op(ops[op], runs)
-        out.append(BenchResult(str(level), mode, op, runs, mean, std))
+        out.append(BenchResult(level, mode, op, runs, mean, std))
     return out
 
 
 def run_benchmarks(levels, modes, runs: int) -> list[BenchResult]:
-    results = []
-    for level in levels:
-        for mode in modes:
-            results.extend(bench_level(str(level), mode, runs))
-    return results
+    """Time each distinct (level, mode) once, in first-seen order.  Every
+    target is resolved before the first is timed, so a bad one fails fast."""
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    targets = dict.fromkeys((str(level), mode) for level in levels for mode in modes)
+    resolved = [(level, mode, paramset_for(level, mode)) for level, mode in targets]
+    return [r for target in resolved for r in bench_level(*target, runs)]
 
 
 def to_csv(results: list[BenchResult]) -> str:

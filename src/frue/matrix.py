@@ -28,28 +28,30 @@ raised before any copy is built.
 A product X @ Y with at least _PAIR_ROWS inner rows is paired: two entries
 of one operand share a float64 word, x + 2**27 * x', so one product Z of
 half the size yields two.  Three independent decisions set its route.
-(1) Orientation, by shape alone: when X has more rows than Y has columns,
-X's rows i and i + ceil(rows / 2) are packed and Z runs on Y's float64
-copy; otherwise Y's columns j and j + ceil(cols / 2) are packed and Z runs
-on X's.  (2) Chunk: Z is taken in chunks c of inner rows whose words are
-summed.  Each half of Z is at most rho(c) * q/2, where rho(c) bounds the l1
-norm of a row of X over c inner rows, and c is the longest chunk with
-rho(c) * q/2 < 2**26.  _chunk measures X's largest row l1 norm L once and
-keeps c: all inner rows while L * q/2 < 2**26, else none qualifies and the
-product runs as one float64 BLAS product.  It measures block by block and
-stops at the first block past the limit, so a uniform X (KeyGen's A) pays
-one block.  Ten draws of S'_(1) per frodo level measured L from 1578 to
-1984; L may reach 2047 at D = 16 and 4095 at D = 15.  (3) The 0/1 bound:
-ord_bits output has entries 0 and 1, so rho(c) = c, and ord_bits records
+(1) Orientation, by shape alone: axis 0 when X has more rows than Y has
+columns, else axis 1.  One packer, _pairs_along(axis), packs X's rows
+(axis 0) or Y's columns (axis 1) i and i + ceil(n / 2), and Z runs on the
+other operand's float64 copy.  (2) Chunk: Z is taken in chunks c of inner
+rows whose words are summed.  Each half of Z is at most rho(c) * q/2, where
+rho(c) bounds the l1 norm of a row of X over c inner rows, and c is the
+longest chunk with rho(c) * q/2 below _PAIR_LIMIT = 2**26, the one limit on
+a half.  _chunk measures X's largest row l1 norm L once and keeps c: all
+inner rows while L * q/2 < 2**26, else none qualifies and the product runs
+as one float64 BLAS product.  It measures block by block and stops at the
+first block past the limit, so a uniform X (KeyGen's A) pays one block.
+Ten draws of S'_(1) per frodo level measured L from 1578 to 1984; L may
+reach 2047 at D = 16 and 4095 at D = 15.  (3) The 0/1 bound: ord_bits
+output has entries 0 and 1, so rho(c) = c, and ord_bits records
 c = (2**26 - 1) // (q/2) on its output (4095 rows at D = 15, 2047 at
 D = 16), which is never measured.
 
 Every partial sum BLAS forms, in any order and with or without FMA, is then
-an integer below (2**26 - 1) * (2**27 + 1) < 2**53: exact.  _unpair reads Z
-as int64 and writes, as words, its low half Z mod 2**27 (so mod q) and its
-high half (Z + 2**26) >> 27.  Products below the floor, where packing costs
-more than it saves, run in float64 too; every toy-16 product has an inner
-dimension of at most 128.
+an integer below (2**26 - 1) * (2**27 + 1) < 2**53: exact.  One read-back,
+along the packer's axis, takes each chunk's Z as int64 and writes, as
+words, its low half Z mod 2**27 (so mod q) to entries i < ceil(n / 2) and
+its high half (Z + 2**26) >> 27 to entries i + ceil(n / 2).  Products below
+the floor, where packing costs more than it saves, run in float64 too;
+every toy-16 product has an inner dimension of at most 128.
 
 Each copy of an operand (float64 of the lift, packed rows, packed columns),
 like a matrix's tensor_d stack, is built on first use and kept, read-only,
@@ -83,7 +85,7 @@ MAX_D = 16                                      # largest D a 16-bit word holds
 _MASK16 = [np.uint16((1 << D) - 1) for D in range(MAX_D + 1)]  # q - 1 per D, built once
 _PLANES = [np.arange(D, dtype=np.uint16)[:, None] for D in range(MAX_D + 1)]  # shifts per D
 _PAIR_ROWS = 512        # fewest inner rows of a paired product (module docstring)
-_PAIR_SHIFT = 27        # the high entry of a pair is scaled by 2**_PAIR_SHIFT
+_PAIR_LIMIT = 2**26     # each half of a paired word is below it; x' is scaled by twice it
 
 
 class MatrixZq:
@@ -201,27 +203,22 @@ class MatrixZq:
             return self._f64
         return self._keep("_f64", _lift(self.data, self.D).astype(np.float64))
 
-    def _column_pairs(self) -> np.ndarray:
-        """Columns j and j + ceil(cols / 2) of the lift, packed by _pack; kept once built."""
-        if hasattr(self, "_colpairs"):
-            return self._colpairs
-        h = -(-self.cols // 2)
-        Yp = np.empty((self.rows, h))
-        for b in _blocks(self.rows, self.cols):
-            y = _lift(self.data[b], self.D)
-            _pack(Yp[b], y[:, :h], y[:, h:])
-        return self._keep("_colpairs", Yp)
-
-    def _row_pairs(self) -> np.ndarray:
-        """Rows i and i + ceil(rows / 2) of the lift, packed by _pack; kept once built."""
-        if hasattr(self, "_pairs"):
-            return self._pairs
-        h = -(-self.rows // 2)
-        lo, hi = self.data[:h], self.data[h:]
-        P = np.empty((h, self.cols))
-        for b in _blocks(h, self.cols):
-            _pack(P[b], _lift(lo[b], self.D), _lift(hi[b], self.D))
-        return self._keep("_pairs", P)
+    def _pairs_along(self, axis: int) -> np.ndarray:
+        """Rows (axis 0, slot _pairs) or columns (axis 1, slot _colpairs) i and
+        i + ceil(n / 2) of the lift in one word, x + 2 * _PAIR_LIMIT * x', zero
+        where an odd n leaves x' short; kept once built."""
+        slot = ("_pairs", "_colpairs")[axis]
+        if hasattr(self, slot):
+            return getattr(self, slot)
+        h, cut = -(-self.shape[axis] // 2), (slice(None),) * axis
+        lo, hi = self.data[cut + (slice(h),)], self.data[cut + (slice(h, None),)]
+        P = np.empty(lo.shape)
+        for b in _blocks(len(P), self.cols):
+            out, x = P[b], _lift(hi[b], self.D)
+            np.multiply(x, 2.0 * _PAIR_LIMIT, out=out[:len(x), :x.shape[1]])
+            out[len(x):], out[:, x.shape[1]:] = 0, 0
+            out += _lift(lo[b], self.D)
+        return self._keep(slot, P)
 
     def _chunk(self) -> int:
         """Longest chunk of inner rows whose paired product is exact, or 0
@@ -233,7 +230,7 @@ class MatrixZq:
         # row l1 norms: |x| <= q/2 fits uint16, each row sum fits `acc`
         acc = np.uint32 if self.cols * half < 2**32 else np.int64
         fits = all(int(np.abs(_lift(self.data[b], self.D)).view(np.uint16)
-                       .sum(axis=1, dtype=acc).max()) * half < 2**(_PAIR_SHIFT - 1)
+                       .sum(axis=1, dtype=acc).max()) * half < _PAIR_LIMIT
                    for b in _blocks(self.rows, self.cols))
         return self._keep("_k", self.cols if fits else 0)
 
@@ -282,23 +279,6 @@ def _blocks(rows: int, cols: int):
     return (slice(s, s + step) for s in range(0, rows, step))
 
 
-def _pack(out: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-    """out = lo + 2**27 * hi, zero where hi is a row or column short of lo."""
-    np.multiply(hi, float(2**_PAIR_SHIFT), out=out[:len(hi), :hi.shape[1]])
-    out[len(hi):], out[:, hi.shape[1]:] = 0, 0
-    out += lo
-
-
-def _unpair(Z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-    """Write paired product Z's halves (module docstring) as words: low to lo, high to hi."""
-    for b in _blocks(len(Z), Z.shape[1]):
-        z, high = Z[b].astype(np.int64), hi[b]
-        lo[b] = z
-        z += 1 << (_PAIR_SHIFT - 1)
-        z >>= _PAIR_SHIFT
-        high[...] = z[:len(high), :high.shape[1]]
-
-
 def _lift(data: np.ndarray, D: int) -> np.ndarray:
     """Words < 2**D lifted to their representatives in [-q/2, q/2), as int16."""
     if D == MAX_D:
@@ -316,7 +296,7 @@ def ord_bits(M: MatrixZq) -> MatrixZq:
     planes = M.data[:, None, :] >> _PLANES[M.D]
     planes &= np.uint16(1)
     out = MatrixZq._new(planes.reshape(M.rows, -1), M.D)
-    out._keep("_k", (2**(_PAIR_SHIFT - 1) - 1) // (M.q // 2))
+    out._keep("_k", (_PAIR_LIMIT - 1) // (M.q // 2))
     return out
 
 
@@ -376,15 +356,20 @@ def _paired(X: MatrixZq, Y: MatrixZq, k: int):
     """X @ Y mod 2**16 as uint16 words, one fresh array per chunk of k inner
     rows: on X's packed rows when X has more rows than Y has columns, else
     on Y's packed columns (module docstring)."""
-    rows = X.rows > Y.cols
-    left, right = (X._row_pairs(), Y._float64()) if rows else (X._float64(), Y._column_pairs())
+    axis = 0 if X.rows > Y.cols else 1
+    left, right = ((X._pairs_along(0), Y._float64()) if axis == 0
+                   else (X._float64(), Y._pairs_along(1)))
     for s in range(0, X.cols, k):
         Z = left[:, s:s + k] @ right[s:s + k]
         words = np.empty((X.rows, Y.cols), dtype=np.uint16)
-        if rows:
-            _unpair(Z, words[:len(Z)], words[len(Z):])
-        else:
-            _unpair(Z, words[:, :Z.shape[1]], words[:, Z.shape[1]:])
+        h, cut = Z.shape[axis], (slice(None),) * axis
+        lo, hi = words[cut + (slice(h),)], words[cut + (slice(h, None),)]
+        for b in _blocks(len(Z), Z.shape[1]):
+            z, high = Z[b].astype(np.int64), hi[b]
+            lo[b] = z                           # Z mod 2**16
+            z += _PAIR_LIMIT
+            z >>= _PAIR_LIMIT.bit_length()      # (Z + 2**26) >> 27
+            high[...] = z[:len(high), :high.shape[1]]
         yield words
 
 

@@ -521,9 +521,11 @@ def test_hybrids_test_command(runner):
 
 def test_bench_single_run_reports_zero_std(runner, tmp_path):
     out = tmp_path / "bench.csv"
+    # a repeated level is timed once
     res = invoke(runner, "bench", "--level", "640", "--mode", "shake-like",
-                 "--runs", "1", "--out", str(out))
+                 "--level", "640", "--runs", "1", "--out", str(out))
     assert res.exit_code == 0
+    assert res.output.count("frodo-640 (shake-like)") == 1
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "level,mode,op,runs,mean_s,std_s"
     rows = [line.split(",") for line in lines[1:]]
@@ -537,3 +539,7 @@ def test_bench_single_run_reports_zero_std(runner, tmp_path):
 def test_bench_unknown_level(runner):
     res = runner.invoke(main, ["bench", "--level", "123", "--runs", "1"])
     assert res.exit_code == EXIT_UNKNOWN_NAME
+    # every target is resolved before any is timed
+    res = runner.invoke(main, ["bench", "--level", "640", "--level", "123", "--runs", "1"])
+    assert res.exit_code == EXIT_UNKNOWN_NAME
+    assert "frodo-640" not in res.output and "UE." not in res.output

@@ -138,7 +138,12 @@ def test_matmul_float_path_agrees_with_plain_integers():
         m[:, :127], m[:, 127] = 2**16 - 1, top
         tall.append((ord_bits(MatrixZq(m, 16)),
                      MatrixZq(np.full((21504, 4), 2**15, dtype=np.uint16), 16)))
-    for x, y in tall:
+    # degenerate pairs: a one-column right side packs its columns with an
+    # empty high half (1 x 640 @ 640 x 1), and a three-row left side packs
+    # its rows with a zero high half in its second pair (3 x 640 @ 640 x 1)
+    thin = [(ord_bits(sample_uniform(rng, r, 40, p16)), sample_uniform(rng, 640, 1, p16))
+            for r in (1, 3)]
+    for x, y in tall + thin:
         want = (x.data.astype(np.int64) @ y.data.astype(np.int64)) & (x.q - 1)
         expected.append((x, y, want.tolist()))
     for _ in range(2):
@@ -147,6 +152,11 @@ def test_matmul_float_path_agrees_with_plain_integers():
     for x, y in tall:
         assert x._pairs.shape == (5, 21504) and not hasattr(x, "_f64")
         assert hasattr(y, "_f64") and not hasattr(y, "_colpairs")
+    (one, col), (three, thin_y) = thin
+    assert col._colpairs.shape == (640, 1) and not hasattr(col, "_f64")
+    assert hasattr(one, "_f64") and not hasattr(one, "_pairs")
+    assert three._pairs.shape == (2, 640) and not hasattr(three, "_f64")
+    assert hasattr(thin_y, "_f64") and not hasattr(thin_y, "_colpairs")
     assert plain._k == 0 and hasattr(plain, "_f64") and not hasattr(plain, "_pairs")
     assert hasattr(Y2, "_f64") and not hasattr(Y2, "_colpairs")
     assert plain @ Y2 == O @ Y
@@ -276,6 +286,15 @@ def test_paired_route_matches_int64(D):
         for order in (terms, terms[::-1]):
             assert _lincomb(*order).data.tolist() == (want & (2**D - 1)).tolist()
         assert S1._pairs.shape == (-(-rows // 2), S1.cols)
+        # rows i and i + h of the lift share a word, lift[i] + 2**27 * lift[i + h];
+        # an odd row count leaves the last word's high half zero
+        lift = ((S1.data.astype(np.int64) + 2**(D - 1)) & (2**D - 1)) - 2**(D - 1)
+        h = -(-rows // 2)
+        high = np.zeros((h, S1.cols), dtype=np.int64)
+        high[:rows - h] = lift[h:]
+        assert np.array_equal(S1._pairs, lift[:h] + 2**27 * high)
+        if rows % 2:
+            assert np.array_equal(S1._pairs[-1], lift[h - 1])
         assert not hasattr(S1, "_f64")
         assert hasattr(S2, "_f64") and not hasattr(S2, "_pairs")
     # so does an inner dimension of 8, below the floor
@@ -437,6 +456,11 @@ def test_word_format_has_one_owner():
     # product route) touches that one module
     kept = set(MatrixZq.__slots__) - {"data", "D"}
     assert {"_f64", "_colpairs", "_pairs", "_tensor_d"} <= kept
+    # nor its copy accessors: every private attribute of the class but _new and
+    # _record, which ue.py and envelope.py build and serialize matrices with
+    kept |= {name for name in dir(MatrixZq) if name.startswith("_")
+             and not (name.startswith("__") and name.endswith("__"))} - {"_new", "_record"}
+    assert {"_float64", "_pairs_along", "_chunk", "_keep"} <= kept
     found = []
     for name, node in _nodes_outside_matrix():
         named = ((isinstance(node, ast.Name) and node.id == "uint16")
