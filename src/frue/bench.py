@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import itertools
 import statistics
 import time
 from dataclasses import dataclass
@@ -26,12 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import RngHandle
-from .params import ParamSet, UnknownParamSetError, load_paramset
+from .params import ParamSet, load_paramset
 from .pke import pke_setup, random_message_bits
 from .ue import ue_dec, ue_enc, ue_kg, ue_tg, ue_upd
 
 BENCH_OPS = ("UE.KG", "UE.Enc", "UE.Dec", "UE.TG", "UE.Upd")
 BENCH_LEVELS = ("640", "976", "1344")
+BENCH_MODES = ("aes-like", "shake-like")
 CSV_COLUMNS = ("level", "mode", "op", "runs", "mean_s", "std_s")
 
 
@@ -50,13 +52,9 @@ class BenchResult:
 
 
 def paramset_for(level: str, mode: str) -> ParamSet:
-    suffix = {"aes-like": "aes", "shake-like": "shake"}.get(mode)
-    if suffix is None or str(level) not in BENCH_LEVELS:
+    if str(level) not in BENCH_LEVELS or mode not in BENCH_MODES:
         raise UnknownBenchTargetError(f"no benchmark target for level={level} mode={mode}")
-    try:
-        return load_paramset(f"frodo-{level}-{suffix}")
-    except UnknownParamSetError as exc:
-        raise UnknownBenchTargetError(str(exc)) from None
+    return load_paramset(f"frodo-{level}-{mode.removesuffix('-like')}")
 
 
 # OpenBLAS thread-control entry points, by build: numpy >= 2 wheels,
@@ -151,13 +149,10 @@ def to_csv(results: list[BenchResult]) -> str:
 
 
 def format_table(results: list[BenchResult]) -> str:
+    """One block per run of same-(level, mode) results, as run_benchmarks groups them."""
     blocks = []
-    seen = []
-    for r in results:
-        if (r.level, r.mode) not in seen:
-            seen.append((r.level, r.mode))
-    for level, mode in seen:
-        rows = [r for r in results if (r.level, r.mode) == (level, mode)]
+    for (level, mode), group in itertools.groupby(results, lambda r: (r.level, r.mode)):
+        rows = list(group)
         blocks.append(f"frodo-{level} ({mode}), {rows[0].runs} runs")
         blocks.append(f"  {'operation':<8} {'mean [s]':>12} {'std [s]':>12}")
         for r in rows:

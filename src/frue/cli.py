@@ -192,19 +192,6 @@ def keygen(params_name, epoch, seed, out_key, out_pub):
     click.echo(f"wrote {out_key} and {out_pub} ({p.name}, epoch {epoch})")
 
 
-def _load_key_material(path):
-    """Accept an epoch-key or public-key file; return (p, epoch, pk_B, a_seed)."""
-    e = env.read_envelope_file(path)
-    if e.kind == env.KIND_EPOCH_KEY:
-        key, a_seed = e.payload
-        return e.p, e.epoch, key.pk_B, a_seed
-    if e.kind == env.KIND_PUBLIC_KEY:
-        pk_B, a_seed = e.payload
-        return e.p, e.epoch, pk_B, a_seed
-    raise env.MalformedEnvelopeError(
-        f"expected a key file, got {env.KIND_NAMES[e.kind]}")
-
-
 def _read_pair(path_a, kind_a: int, path_b, kind_b: int):
     """Read two envelope files of the given kinds; they must share a parameter set."""
     a = env.read_envelope_file(path_a, expect_kind=kind_a)
@@ -224,15 +211,17 @@ def _read_pair(path_a, kind_a: int, path_b, kind_b: int):
 def encrypt(key_path, message_file, seed, out):
     """Encrypt a file under an epoch key (public-key file suffices)."""
     _no_clash(("--out", out), ("--key", key_path))
-    p, epoch, pk_B, a_seed = _load_key_material(key_path)
+    e = env.read_envelope_file(key_path, (env.KIND_EPOCH_KEY, env.KIND_PUBLIC_KEY))
+    key, a_seed = e.payload                     # an EpochKey, or a public key's pk_B
+    pk_B = key.pk_B if e.kind == env.KIND_EPOCH_KEY else key
     with open(message_file, "rb") as fh:
         data = fh.read()
-    bits = pack_message(data, p)
-    A = gen_public_matrix(a_seed, p)
-    ct = pke_enc(_rng_from(seed, "encrypt"), p, A, pk_B, bits)
+    bits = pack_message(data, e.p)
+    A = gen_public_matrix(a_seed, e.p)
+    ct = pke_enc(_rng_from(seed, "encrypt"), e.p, A, pk_B, bits)
     with open(out, "wb") as fh:
-        fh.write(env.pack_ciphertext(p, replace(ct, epoch=epoch)))
-    click.echo(f"wrote {out} (epoch {epoch})")
+        fh.write(env.pack_ciphertext(e.p, replace(ct, epoch=e.epoch)))
+    click.echo(f"wrote {out} (epoch {e.epoch})")
 
 
 @main.command()
@@ -325,9 +314,10 @@ def verify_bound(params_name, T):
 
 
 @main.command("bench")
-@click.option("--level", "levels", multiple=True, default=("640", "976", "1344"),
-              help="Repeatable; one of 640 / 976 / 1344.")
-@click.option("--mode", "modes", multiple=True, default=("aes-like", "shake-like"))
+@click.option("--level", "levels", multiple=True, default=bench_mod.BENCH_LEVELS,
+              help=f"Repeatable; one of {' / '.join(bench_mod.BENCH_LEVELS)}.")
+@click.option("--mode", "modes", multiple=True, default=bench_mod.BENCH_MODES,
+              help=f"Repeatable; one of {' / '.join(bench_mod.BENCH_MODES)}.")
 @click.option("--runs", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--out", "out_csv", type=_OUT_FILE, default=None,
               help="Also write machine-readable CSV here.")
@@ -358,13 +348,15 @@ def _message_bits(i: int, hexmsg: str, p) -> np.ndarray:
 def _run_game_script(script, p, rng: RngHandle, b: int) -> None:
     """Replay the JSON-lines script as the adversary of one run_experiment
     game, checking each record as it is read and echoing its oracle result;
-    then echo the leakage sets, their closures and the verdict."""
+    then echo the leakage sets, their closures and the verdict.  A qid is its
+    last version in the game's log L, or None: the oracles judge it alone."""
     game, guess = None, 0
 
     def adversary(g) -> int:
         nonlocal game, guess
-        game, by_qid = g, {}
+        game = g
         said = lambda out: "ok" if out is not None else "reject"
+        latest = lambda qid: next((c for c, r in reversed(g.L.items()) if r[0] == qid), None)
         for i, line in enumerate(ln for ln in script if ln.strip()):
             try:
                 rec = json.loads(line)
@@ -374,27 +366,22 @@ def _run_game_script(script, p, rng: RngHandle, b: int) -> None:
                 case dict() if any(type(rec.get(f)) is bool for f in ("qid", "epoch", "bit")):
                     raise ScriptRecordError(f"script record {i}: a boolean is not an integer")
                 case {"op": "enc", "message": str(hexmsg)}:
-                    ct = g.o_enc(_message_bits(i, hexmsg, p))
-                    by_qid[g.qid] = ct
+                    g.o_enc(_message_bits(i, hexmsg, p))
                     click.echo(f"[{i}] enc -> qid {g.qid} at epoch {g.e}")
                 case {"op": "next"}:
                     g.o_next()
                     click.echo(f"[{i}] next -> epoch {g.e}")
                 case {"op": "upd", "qid": int(qid)}:
-                    out = g.o_upd(by_qid[qid]) if qid in by_qid else None
-                    if out is not None:
-                        by_qid[qid] = out
-                    click.echo(f"[{i}] upd qid {qid} -> {said(out)}")
+                    click.echo(f"[{i}] upd qid {qid} -> {said(g.o_upd(latest(qid)))}")
                 case {"op": "corr", "inp": "key" | "token" as inp, "epoch": int(e_hat)}:
                     click.echo(f"[{i}] corr {inp} @ {e_hat} -> {said(g.o_corr(inp, e_hat))}")
                 case {"op": "chall", "message": str(hexmsg), "qid": int(qid)}:
                     m_bar = _message_bits(i, hexmsg, p)
-                    out = g.o_chall(m_bar, by_qid[qid]) if qid in by_qid else None
-                    click.echo(f"[{i}] chall -> {said(out)}")
+                    click.echo(f"[{i}] chall -> {said(g.o_chall(m_bar, latest(qid)))}")
                 case {"op": "upd-ct"}:
                     click.echo(f"[{i}] upd-ct -> {said(g.o_upd_ct())}")
                 case {"op": "dec"} if type(rec.get("qid", 0)) is int:
-                    target = by_qid.get(rec["qid"]) if "qid" in rec else g.chall_ct
+                    target = latest(rec["qid"]) if "qid" in rec else g.chall_ct
                     out = g.o_dec(target) if target is not None else None
                     click.echo(f"[{i}] dec -> " + ("reject" if out is None
                                                    else bytes_from_bits(out).hex()))
@@ -457,9 +444,10 @@ def hybrids_test(params_name, samples, seed):
         real_update_sampler(inst, rng.derive("b-real-2")), samples, proj)
     click.echo(f"real-vs-hybrid distance: {d_rh:.5f} (baseline {d_rr:.5f})")
 
-    sm, sm_base = smudging_estimate(1, 1024, max(samples, 1_000_000), rng.derive("smudge"))
+    b1, b2 = 1, 1024
+    sm, sm_base = smudging_estimate(b1, b2, max(samples, 1_000_000), rng.derive("smudge"))
     click.echo(f"smudging distance      : {sm:.5f} (baseline {sm_base:.5f}, "
-               f"analytic {1 / 2049:.5f})")
+               f"analytic {b1 / (2 * b2 + 1):.5f})")
 
     draws = max(2, samples // (p.m_bar * p.n))
     flat = np.concatenate([

@@ -158,10 +158,13 @@ def read_envelope(data: bytes) -> Envelope:
     return Envelope(kind, p, epoch, payload)
 
 
-def read_envelope_file(path, expect_kind: int | None = None) -> Envelope:
+def read_envelope_file(path, expect_kind: int | tuple[int, ...] | None = None) -> Envelope:
+    """Read an envelope file; a kind not in expect_kind (a kind or a tuple) is malformed."""
     with open(path, "rb") as fh:
         env = read_envelope(fh.read())
-    if expect_kind is not None and env.kind != expect_kind:
-        raise MalformedEnvelopeError(
-            f"expected a {KIND_NAMES[expect_kind]} file, got {KIND_NAMES[env.kind]}")
+    kinds = (expect_kind,) if isinstance(expect_kind, int) else expect_kind
+    if kinds is not None and env.kind not in kinds:
+        names = " or ".join(KIND_NAMES[k] for k in kinds)
+        raise MalformedEnvelopeError(f"expected {'an' if names[0] in 'aeiou' else 'a'} "
+                                     f"{names} file, got {KIND_NAMES[env.kind]}")
     return env

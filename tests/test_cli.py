@@ -5,11 +5,13 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from frue import bench as bench_mod
 from frue import envelope as env
 from frue.cli import (EXIT_EPOCH, EXIT_MALFORMED, EXIT_MSGLEN,
                       EXIT_UNKNOWN_NAME, main, message_capacity, pack_message,
                       unpack_message)
 from frue.matrix import RngHandle, sample_uniform
+from frue.params import registered_names
 from frue.pke import MessageLengthError
 from frue.ue import UeCiphertext
 
@@ -190,6 +192,33 @@ def test_mismatched_parameter_sets_rejected(runner, tmp_path, toy8, cmd):
     res = runner.invoke(main, [cmd, *map(str, args), "--out", str(out)])
     assert res.exit_code == EXIT_MALFORMED, res.output
     assert "different parameter sets" in res.stderr
+    assert not out.exists()
+
+
+def test_decrypt_with_public_key_file_names_the_kind(runner, tmp_path):
+    keys = make_keys(runner, tmp_path, (0,))
+    (tmp_path / "m").write_bytes(b"z")
+    ct = tmp_path / "ct.frue"
+    invoke(runner, "encrypt", "--key", str(keys[0][1]), "--message-file",
+           str(tmp_path / "m"), "--out", str(ct))
+    res = runner.invoke(main, ["decrypt", "--key", str(keys[0][1]), "--ct", str(ct),
+                               "--out", str(tmp_path / "o.bin")])
+    assert res.exit_code == EXIT_MALFORMED
+    assert res.stderr == "error: expected an epoch-key file, got public-key\n"
+
+
+def test_encrypt_with_non_key_file_names_both_kinds(runner, tmp_path):
+    keys = make_keys(runner, tmp_path, (0,))
+    (tmp_path / "m").write_bytes(b"z")
+    ct = tmp_path / "ct.frue"
+    invoke(runner, "encrypt", "--key", str(keys[0][0]), "--message-file",
+           str(tmp_path / "m"), "--out", str(ct))
+    out = tmp_path / "ct2.frue"
+    res = runner.invoke(main, ["encrypt", "--key", str(ct), "--message-file",
+                               str(tmp_path / "m"), "--out", str(out)])
+    assert res.exit_code == EXIT_MALFORMED
+    assert res.stderr == ("error: expected an epoch-key or public-key file, "
+                          "got ciphertext\n")
     assert not out.exists()
 
 
@@ -437,6 +466,42 @@ def test_game_run_clean_and_trivial(runner, tmp_path, toy16):
 
 HEX16 = "00" * 16                  # one toy-16 message: ell = 128 bits
 
+TWO_HOP = [
+    ({"op": "enc", "message": "00112233445566778899aabbccddeeff"},
+     "enc -> qid 1 at epoch 0"),
+    ({"op": "upd", "qid": 9}, "upd qid 9 -> reject"),           # no such qid
+    ({"op": "chall", "message": HEX16, "qid": 9}, "chall -> reject"),
+    ({"op": "next"}, "next -> epoch 1"),
+    ({"op": "upd", "qid": 1}, "upd qid 1 -> ok"),
+    ({"op": "next"}, "next -> epoch 2"),
+    ({"op": "upd", "qid": 1}, "upd qid 1 -> ok"),               # the version upd made
+    ({"op": "dec", "qid": 1}, "dec -> 00112233445566778899aabbccddeeff"),
+    ({"op": "dec", "qid": 7}, "dec -> reject"),
+    ({"op": "upd", "qid": 1}, "upd qid 1 -> reject"),           # already at epoch 2
+    ({"op": "chall", "message": "ff" * 16, "qid": 1}, "chall -> reject"),
+    ({"op": "next"}, "next -> epoch 3"),
+    ({"op": "upd-ct"}, "upd-ct -> reject"),                     # no challenge issued
+    ({"op": "dec"}, "dec -> reject"),
+    ({"op": "corr", "inp": "token", "epoch": 3}, "corr token @ 3 -> ok"),
+    ({"op": "guess", "bit": 1}, "guess 1"),
+]
+
+
+@pytest.mark.parametrize("bit", ["0", "1"])
+def test_game_run_two_hop_transcript(runner, tmp_path, bit):
+    # a qid's ciphertext is its latest version in the game's log: updated
+    # twice, it decrypts; unknown, stale or late, the game's oracles refuse it
+    script = tmp_path / "two_hop.jsonl"
+    script.write_text("\n".join(json.dumps(rec) for rec, _ in TWO_HOP))
+    res = invoke(runner, "game-run", "--script", str(script), "--seed", "0abc",
+                 "--bit", bit)
+    assert res.exit_code == 0
+    lines = res.stdout.splitlines()
+    assert lines[:len(TWO_HOP)] == [f"[{i}] {want}" for i, (_, want) in enumerate(TWO_HOP)]
+    assert lines[len(TWO_HOP):] == [
+        "K  = []", "T  = [3]", "C  = []", "K* = []", "T* = [3]", "C* = []",
+        "twf=0 verdict=clean guess=1 returned=1"]
+
 
 @pytest.mark.parametrize("bad, code", [
     ("not json", EXIT_MALFORMED),
@@ -543,3 +608,18 @@ def test_bench_unknown_level(runner):
     res = runner.invoke(main, ["bench", "--level", "640", "--level", "123", "--runs", "1"])
     assert res.exit_code == EXIT_UNKNOWN_NAME
     assert "frodo-640" not in res.output and "UE." not in res.output
+
+
+def test_bench_targets_are_the_registered_frodo_sets():
+    for level in bench_mod.BENCH_LEVELS:
+        for mode in bench_mod.BENCH_MODES:
+            p = bench_mod.paramset_for(level, mode)
+            assert p.name in registered_names() and p.name.startswith("frodo-")
+            assert (str(p.n), p.gen_mode) == (level, mode)
+
+
+@pytest.mark.parametrize("args", [("--mode", "aes"), ("--level", "0640")])
+def test_bench_unknown_target(runner, args):
+    res = runner.invoke(main, ["bench", *args, "--runs", "1"])
+    assert res.exit_code == EXIT_UNKNOWN_NAME
+    assert res.stdout == "" and "no benchmark target" in res.stderr

@@ -2,7 +2,9 @@
 below must stay importable from `frue`, and no key or ciphertext type may
 exist twice."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import frue
 from frue import cli, envelope, game, hybrids, matrix, pke, ue
@@ -46,3 +48,31 @@ def test_gadget_is_one_function_object_under_every_name():
     # to it, so frue.ue's names must be frue.matrix's functions themselves
     assert ue.ord_bits is matrix.ord_bits and frue.ord_bits is matrix.ord_bits
     assert ue.tensor_d is matrix.tensor_d and frue.tensor_d is matrix.tensor_d
+
+
+def test_no_dead_private_helpers():
+    # every module-level _-prefixed function, class or assigned name in
+    # src/frue is referenced somewhere in src/frue besides its own definition
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in
+             sorted((Path(__file__).resolve().parent.parent / "src" / "frue").glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, (ast.Attribute, ast.alias)):
+                used.add(node.attr if isinstance(node, ast.Attribute) else node.name)
+    dead = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [f"{module}:{stmt.lineno}: {name}" for name in names
+                     if name.startswith("_") and not name.endswith("__")
+                     and name not in used]
+    assert dead == []
