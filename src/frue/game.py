@@ -3,7 +3,7 @@
 A SecurityGame holds the full oracle state for one experiment run: epoch
 keys and tokens, the query log L, the challenge ciphertext, the challenge
 plaintexts used for trivial-win detection on decryption, and the leakage
-sets K / T / C.  Oracles return None where the pseudocode returns bottom.
+sets K / T / C.
 
 The starred closures model what an adversary can infer beyond what it
 corrupted directly, in the backward-leak setting: a future key plus the
@@ -40,6 +40,9 @@ class SecurityGame:
     has been issued iff `chall_ct` is set, and from then on the current
     epoch is in `leakage.C`.  Its Q~* is `_chall_msgs` at every epoch of
     `leakage.C`, so a decryption is checked against `_chall_msgs` alone.
+    An oracle answers None where the paper answers bottom, and a refused
+    call changes nothing; the game keeps no log beside `L`, `chall_ct` and
+    `leakage`.
     """
 
     def __init__(self, rng: RngHandle, p: ParamSet, A: MatrixZq, b: int):
@@ -58,7 +61,6 @@ class SecurityGame:
         self._chall_msgs: tuple[bytes, ...] = ()
         self.L: dict[UeCiphertext, tuple[int, bytes]] = {}
         self.leakage = LeakageSets()
-        self.trace: list[tuple] = []
 
     # -- oracles ---------------------------------------------------------
 
@@ -66,7 +68,6 @@ class SecurityGame:
         ct = ue_enc(self.rng, self.p, self.A, self.keys[self.e], m)
         self.qid += 1
         self.L[ct] = (self.qid, bytes_from_bits(m))
-        self.trace.append(("enc", self.qid, self.e))
         return ct
 
     def o_dec(self, ct: UeCiphertext):
@@ -75,11 +76,9 @@ class SecurityGame:
         try:
             m = ue_dec(self.p, self.keys[self.e], ct)
         except (EpochMismatchError, DimensionMismatchError):
-            self.trace.append(("dec", "reject"))
             return None
         if bytes_from_bits(m) in self._chall_msgs:
             self.twf = 1
-        self.trace.append(("dec", self.e))
         return m
 
     def o_next(self) -> None:
@@ -92,25 +91,20 @@ class SecurityGame:
         if self.chall_ct is not None:
             self.chall_ct = ue_upd(self.rng, self.p, self.tokens[self.e], self.chall_ct)
             self.leakage.C.add(self.e)
-        self.trace.append(("next", self.e))
 
     def o_upd(self, ct_prev: UeCiphertext):
         rec = self.L.get(ct_prev)
         if rec is None or ct_prev.epoch != self.e - 1:
-            self.trace.append(("upd", "reject"))
             return None
         ct = ue_upd(self.rng, self.p, self.tokens[self.e], ct_prev)
         self.L[ct] = rec
-        self.trace.append(("upd", rec[0], self.e))
         return ct
 
     def o_corr(self, inp: str, e_hat: int):
         if inp not in ("key", "token"):
             raise ValueError("inp must be 'key' or 'token'")
         if not 0 <= e_hat <= self.e:
-            self.trace.append(("corr", "reject"))
             return None
-        self.trace.append(("corr", inp, e_hat))
         if inp == "key":
             self.leakage.K.add(e_hat)
             return self.keys[e_hat]
@@ -123,7 +117,6 @@ class SecurityGame:
         raises MessageLengthError at either b and changes nothing."""
         rec = self.L.get(ct_bar)
         if self.chall_ct is not None or rec is None or ct_bar.epoch != self.e - 1:
-            self.trace.append(("chall", "reject"))
             return None
         m_bar = as_bits(m_bar, self.p.ell)
         if self.b == 0:
@@ -132,14 +125,9 @@ class SecurityGame:
             self.chall_ct = ue_upd(self.rng, self.p, self.tokens[self.e], ct_bar)
         self._chall_msgs = (bytes_from_bits(m_bar), rec[1])
         self.leakage.C.add(self.e)
-        self.trace.append(("chall", self.e))
         return self.chall_ct
 
     def o_upd_ct(self):
-        if self.chall_ct is None:
-            self.trace.append(("upd-ct", "reject"))
-            return None
-        self.trace.append(("upd-ct", self.e))
         return self.chall_ct
 
 

@@ -523,6 +523,10 @@ def _expand_toy(seed: bytes, p: ParamSet) -> np.ndarray:
     return rows
 
 
+_EXPANDERS = {"aes-like": _expand_aes, "shake-like": _expand_shake, "toy": _expand_toy}
+GEN_MODES = tuple(_EXPANDERS)
+
+
 def gen_public_matrix(seed: bytes, p: ParamSet) -> MatrixZq:
     """Deterministic n x n public matrix expanded from a seed.
 
@@ -531,10 +535,4 @@ def gen_public_matrix(seed: bytes, p: ParamSet) -> MatrixZq:
     shake-like modes use AES-128-ECB counter blocks and SHAKE128
     respectively; toy mode reuses the seeded uniform sampler.
     """
-    if p.gen_mode == "shake-like":
-        raw = _expand_shake(seed, p)
-    elif p.gen_mode == "aes-like":
-        raw = _expand_aes(seed, p)
-    else:
-        raw = _expand_toy(seed, p)
-    return MatrixZq._new(raw & _MASK16[p.D], p.D)
+    return MatrixZq._new(_EXPANDERS[p.gen_mode](seed, p) & _MASK16[p.D], p.D)

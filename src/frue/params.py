@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import MAX_D
+from .matrix import GEN_MODES, MAX_D
 
 
 class UnknownParamSetError(KeyError):
@@ -24,9 +24,6 @@ class UnknownParamSetError(KeyError):
 
     # KeyError's str() is the repr of its argument; report the message
     __str__ = Exception.__str__
-
-
-GEN_MODES = ("aes-like", "shake-like", "toy")
 
 
 @dataclass(frozen=True)

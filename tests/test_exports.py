@@ -52,7 +52,8 @@ def test_gadget_is_one_function_object_under_every_name():
 
 def test_no_dead_private_helpers():
     # every module-level _-prefixed function, class or assigned name in
-    # src/frue is referenced somewhere in src/frue besides its own definition
+    # src/frue, and every _-prefixed method of a class defined there, is
+    # referenced somewhere in src/frue besides its own definition
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in
              sorted((Path(__file__).resolve().parent.parent / "src" / "frue").glob("*.py"))}
     used = set()
@@ -62,10 +63,15 @@ def test_no_dead_private_helpers():
                 used.add(node.id)
             elif isinstance(node, (ast.Attribute, ast.alias)):
                 used.add(node.attr if isinstance(node, ast.Attribute) else node.name)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     dead = []
     for module, tree in trees.items():
         for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(stmt, ast.ClassDef):
+                dead += [f"{module}:{f.lineno}: {stmt.name}.{f.name}" for f in stmt.body
+                         if isinstance(f, functions) and f.name.startswith("_")
+                         and not f.name.endswith("__") and f.name not in used]
+            if isinstance(stmt, (*functions, ast.ClassDef)):
                 names = [stmt.name]
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]

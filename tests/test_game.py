@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frue.game import (LeakageSets, cstar, gs_setup, kstar_op_uni,
                        run_experiment, starred_sets, tstar_op_uni)
@@ -87,6 +87,14 @@ def test_backward_leak_shape():
 
 # -- oracle state machine ------------------------------------------------------
 
+def state(g):
+    """Everything an oracle call can change, the RNG position included."""
+    ls = g.leakage
+    return (g.e, g.qid, g.twf, g.chall_ct, g._chall_msgs,
+            dict(g.L), dict(g.keys), dict(g.tokens), set(ls.K), set(ls.T), set(ls.C), ls.l,
+            str(g.rng._gen.bit_generator.state))
+
+
 @pytest.fixture()
 def game(deployment16):
     d = deployment16
@@ -126,10 +134,11 @@ def test_dec_rejects_only_what_ue_dec_raises(game, monkeypatch):
     p = d["p"]
     ct = g.o_enc(random_message_bits(g.rng, p))
     g.o_next()
+    before = state(g)
     assert g.o_dec(ct) is None                       # epoch 0 under the epoch-1 key
     short = UeCiphertext(g.e, MatrixZq.zeros(1, p.n, p.D), MatrixZq.zeros(1, p.n_bar, p.D))
     assert g.o_dec(short) is None                    # not m_bar rows
-    assert g.trace[-2:] == [("dec", "reject")] * 2
+    assert state(g) == before
 
     def broken(*args):
         raise RuntimeError("not a decryption failure")
@@ -151,11 +160,12 @@ def test_upd_rejects_unrecorded_ciphertext(game):
 
 def test_corr_guards_and_recording(game):
     g, _ = game
+    before = state(g)
     assert g.o_corr("key", 1) is None          # future epoch
     assert g.o_corr("key", -1) is None         # negative epoch
     assert g.o_corr("token", -1) is None
     assert g.leakage.K == set() and g.leakage.T == set()
-    assert g.trace[-3:] == [("corr", "reject")] * 3
+    assert state(g) == before
     g.o_next()
     key = g.o_corr("key", 1)
     assert key is not None and g.leakage.K == {1}
@@ -163,12 +173,12 @@ def test_corr_guards_and_recording(game):
     assert tok is not None and g.leakage.T == {1}
     assert g.o_corr("token", 0) is None        # no token enters epoch 0
     assert 0 in g.leakage.T
-    logged = len(g.trace)
+    before = state(g)
     with pytest.raises(ValueError):
         g.o_corr("bananas", 0)
     with pytest.raises(ValueError):            # inp is checked before the epoch
         g.o_corr("bananas", 3)
-    assert len(g.trace) == logged
+    assert state(g) == before
 
 
 def test_chall_guards(game):
@@ -230,10 +240,10 @@ def test_bad_challenge_message_changes_nothing(deployment16, b):
     g = gs_setup(RngHandle(b"bad-msg"), d["p"], d["A"], b=b)
     ct = g.o_enc(random_message_bits(g.rng, d["p"]))
     g.o_next()
-    trace = list(g.trace)
+    before = state(g)
     with pytest.raises(MessageLengthError):       # at either b: no hint of b
         g.o_chall(np.zeros(5, np.uint8), ct)
-    assert g.trace == trace and g.leakage.C == set() and g.chall_ct is None
+    assert state(g) == before and g.leakage.C == set() and g.chall_ct is None
     assert g.o_chall(random_message_bits(g.rng, d["p"]), ct) is not None
     g.o_next()
     assert g.leakage.C == {1, 2} and g.chall_ct.epoch == 2
@@ -250,6 +260,7 @@ _ORACLE_CALLS = st.lists(st.tuples(
 
 @settings(max_examples=80, deadline=None)
 @given(_ORACLE_CALLS, st.sampled_from((0, 1)))
+@example(calls=[("enc", 0), ("next", 0), ("bad-chall", 0)], b=1)   # refused at b = 1
 def test_game_state_stays_consistent(deployment16, calls, b):
     p = deployment16["p"]
     g = gs_setup(RngHandle(b"consistent"), p, deployment16["A"], b=b)
@@ -257,34 +268,44 @@ def test_game_state_stays_consistent(deployment16, calls, b):
     cts, encs = [], 0
     for op, i in calls:
         pick = cts[i % len(cts)] if cts else None
+        before, refused = state(g), False        # refused: the call changes nothing
         if op == "enc":
             cts.append(g.o_enc(random_message_bits(g.rng, p)))
             encs += 1
         elif op == "bad-enc":
             with pytest.raises(MessageLengthError):
                 g.o_enc(bad)
+            refused = True
         elif op == "next":
             g.o_next()
         elif op == "corr":
-            g.o_corr(("key", "token")[i % 2], i % (g.e + 2))
+            e_hat = i % (g.e + 2)
+            g.o_corr(("key", "token")[i % 2], e_hat)
+            refused = e_hat > g.e
         elif op == "upd-ct":
             g.o_upd_ct()
+            refused = True
         elif pick is None:
             continue
         elif op == "upd":
             ct = g.o_upd(pick)
             if ct is not None:
                 cts.append(ct)
+            refused = ct is None
         elif op == "chall":
-            g.o_chall(random_message_bits(g.rng, p), pick)
+            m = random_message_bits(g.rng, p)
+            before = state(g)
+            refused = g.o_chall(m, pick) is None
         elif op == "bad-chall":
-            logged = len(g.trace)
             try:
                 assert g.o_chall(bad, pick) is None     # rejected, or ...
-            except MessageLengthError:                   # ... refused unlogged
-                assert len(g.trace) == logged
+            except MessageLengthError:                   # ... refused
+                pass
+            refused = True
         else:
-            g.o_dec(g.chall_ct if i % 2 and g.chall_ct is not None else pick)
+            refused = g.o_dec(g.chall_ct if i % 2 and g.chall_ct is not None else pick) is None
+        if refused:
+            assert state(g) == before
         C = g.leakage.C
         assert (g.chall_ct is None) == (not C)
         if g.chall_ct is not None:

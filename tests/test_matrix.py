@@ -640,6 +640,19 @@ def test_gen_public_modes_disagree():
     assert (shake.data != aes.data).mean() >= 0.99
 
 
+GOLDEN_SHA256_EXPANSION = {
+    "frodo-640-aes": "a15cb9936c0b9a6ced87ddc4bef3d4ab71ac841dc0a187d7b90eafd6c203e870",
+    "frodo-640-shake": "52befce89938db8ce9eaeaacce3a09c307c251098471fb60234a20d592acccad",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256_EXPANSION))
+def test_gen_public_production_expansion_golden(name):
+    # pins every byte of both production expanders, not only that they differ
+    m = gen_public_matrix(b"golden", load_paramset(name))
+    assert hashlib.sha256(m.to_bytes()).hexdigest() == GOLDEN_SHA256_EXPANSION[name]
+
+
 def test_gen_public_respects_modulus():
     for name in ("frodo-640-shake", "frodo-640-aes"):
         p = load_paramset(name)
