@@ -27,18 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import RngHandle
-from .params import ParamSet, load_paramset
+# The targets live in frue.params, so the CLI reads them without loading this
+# module; they stay importable from here too.
+from .params import (BENCH_LEVELS, BENCH_MODES, ParamSet, UnknownBenchTargetError,
+                     paramset_for)
 from .pke import pke_setup, random_message_bits
 from .ue import ue_dec, ue_enc, ue_kg, ue_tg, ue_upd
 
 BENCH_OPS = ("UE.KG", "UE.Enc", "UE.Dec", "UE.TG", "UE.Upd")
-BENCH_LEVELS = ("640", "976", "1344")
-BENCH_MODES = ("aes-like", "shake-like")
 CSV_COLUMNS = ("level", "mode", "op", "runs", "mean_s", "std_s")
-
-
-class UnknownBenchTargetError(ValueError):
-    """Level / gen-mode combination is not benchable."""
 
 
 @dataclass(frozen=True)
@@ -49,12 +46,6 @@ class BenchResult:
     runs: int
     mean_s: float
     std_s: float
-
-
-def paramset_for(level: str, mode: str) -> ParamSet:
-    if str(level) not in BENCH_LEVELS or mode not in BENCH_MODES:
-        raise UnknownBenchTargetError(f"no benchmark target for level={level} mode={mode}")
-    return load_paramset(f"frodo-{level}-{mode.removesuffix('-like')}")
 
 
 # OpenBLAS thread-control entry points, by build: numpy >= 2 wheels,

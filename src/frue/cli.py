@@ -18,9 +18,7 @@ cannot hold the frame and are rejected for file encryption.
 
 from __future__ import annotations
 
-import json
 import os
-import secrets
 import struct
 import sys
 from dataclasses import replace
@@ -28,14 +26,14 @@ from dataclasses import replace
 import click
 import numpy as np
 
-from . import bench as bench_mod
 from . import envelope as env
 from .game import run_experiment, starred_sets
 from .hybrids import (high_bits_projection, hyb_update_sampler,
                       make_update_instance, real_update_sampler, sim_ue_enc,
                       smudging_estimate, statistical_distance_estimate)
 from .matrix import DimensionMismatchError, RngHandle, gen_public_matrix
-from .params import (UnknownParamSetError, bound_sides, empirical_chain_epochs,
+from .params import (BENCH_LEVELS, BENCH_MODES, UnknownBenchTargetError,
+                     UnknownParamSetError, bound_sides, empirical_chain_epochs,
                      load_paramset, max_certified_epochs, params_dump,
                      registered_names, validate_correctness_bound)
 from .pke import (MessageLengthError, bits_from_bytes, bytes_from_bits, pke_enc,
@@ -62,7 +60,7 @@ _ERROR_CODES = {
     EpochMismatchError: EXIT_EPOCH,
     MessageLengthError: EXIT_MSGLEN,
     UnknownParamSetError: EXIT_UNKNOWN_NAME,
-    bench_mod.UnknownBenchTargetError: EXIT_UNKNOWN_NAME,
+    UnknownBenchTargetError: EXIT_UNKNOWN_NAME,
 }
 
 
@@ -96,8 +94,17 @@ def _hex_seed(ctx, param, value: str | None) -> bytes | None:
     return seed
 
 
+def _seed_or_fresh(seed: bytes | None) -> bytes:
+    """The --seed bytes, or 32 fresh random bytes when none was given."""
+    if seed:
+        return seed
+    import secrets      # only an unseeded run needs it
+
+    return secrets.token_bytes(32)
+
+
 def _rng_from(seed: bytes | None, label: str) -> RngHandle:
-    return RngHandle(seed or secrets.token_bytes(32)).derive(label)
+    return RngHandle(_seed_or_fresh(seed)).derive(label)
 
 
 def _no_clash(out: tuple[str, str], *keys: tuple[str, str]) -> None:
@@ -182,7 +189,7 @@ def keygen(params_name, epoch, seed, out_key, out_pub):
     """Generate an epoch key; writes the secret key file and the public-key file."""
     _no_clash(("--out-pub", out_pub), ("--out-key", out_key))
     p = load_paramset(params_name)
-    master = seed or secrets.token_bytes(32)
+    master = _seed_or_fresh(seed)
     a_seed, A = pke_setup(_rng_from(master, "a-seed"), p)
     key = ue_kg(_rng_from(master, f"epoch:{epoch}"), p, A, epoch)
     with open(out_pub, "wb") as fh:    # no secret key is left without its public key
@@ -314,15 +321,17 @@ def verify_bound(params_name, T):
 
 
 @main.command("bench")
-@click.option("--level", "levels", multiple=True, default=bench_mod.BENCH_LEVELS,
-              help=f"Repeatable; one of {' / '.join(bench_mod.BENCH_LEVELS)}.")
-@click.option("--mode", "modes", multiple=True, default=bench_mod.BENCH_MODES,
-              help=f"Repeatable; one of {' / '.join(bench_mod.BENCH_MODES)}.")
+@click.option("--level", "levels", multiple=True, default=BENCH_LEVELS,
+              help=f"Repeatable; one of {' / '.join(BENCH_LEVELS)}.")
+@click.option("--mode", "modes", multiple=True, default=BENCH_MODES,
+              help=f"Repeatable; one of {' / '.join(BENCH_MODES)}.")
 @click.option("--runs", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--out", "out_csv", type=_OUT_FILE, default=None,
               help="Also write machine-readable CSV here.")
 def bench(levels, modes, runs, out_csv):
     """Time UE.KG / UE.Enc / UE.Dec / UE.TG / UE.Upd per level and mode."""
+    from . import bench as bench_mod    # the timing harness loads only here
+
     results = bench_mod.run_benchmarks(levels, modes, runs)
     click.echo(bench_mod.format_table(results), nl=False)
     if out_csv:
@@ -350,6 +359,8 @@ def _run_game_script(script, p, rng: RngHandle, b: int) -> None:
     game, checking each record as it is read and echoing its oracle result;
     then echo the leakage sets, their closures and the verdict.  A qid is its
     last version in the game's log L, or None: the oracles judge it alone."""
+    import json
+
     game, guess = None, 0
 
     def adversary(g) -> int:

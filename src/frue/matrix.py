@@ -478,7 +478,8 @@ def sample_chi(rng: RngHandle, rows: int, cols: int, p: ParamSet) -> MatrixZq:
     w, bits = rows * cols, p.chi_sample_bits
     raw = rng._gen.bit_generator.random_raw(-(-w // 4))
     words = raw.astype("<u8", copy=False).view("<u2")[:w]
-    words &= _MASK16[bits + 1]
+    if bits + 1 < MAX_D:        # a 16-bit mask keeps every word as it is
+        words &= _MASK16[bits + 1]
     lut = _chi_lut(p.chi_cdf, bits, p.D)
     # Each block's residues overwrite its words: take reads a block only
     # through its own intp copy of it.  take(out=) buffers its output in the

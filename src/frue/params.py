@@ -1,4 +1,5 @@
-"""Parameter sets: registry, validation, and the epoch-correctness bound.
+"""Parameter sets: registry, validation, the epoch-correctness bound, and the
+levels and generation modes `frue bench` can time.
 
 Every scheme constant lives in a ParamSet: the modulus exponent D (q = 2**D),
 the message width B, the LWE dimension n, the ciphertext block shape
@@ -14,9 +15,12 @@ are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .matrix import GEN_MODES, MAX_D
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class UnknownParamSetError(KeyError):
@@ -86,6 +90,8 @@ class ParamSet:
 
     def chi_pmf(self) -> dict[int, Fraction]:
         """Exact probability mass of chi on {-s, ..., s}, derived from chi_cdf."""
+        from fractions import Fraction
+
         denom = 1 << self.chi_sample_bits
         counts = [self.chi_cdf[0] + 1]
         counts += [self.chi_cdf[k] - self.chi_cdf[k - 1] for k in range(1, self.s + 1)]
@@ -97,17 +103,23 @@ class ParamSet:
         return pmf
 
 
+def _noise_bound(p: ParamSet) -> int:
+    """Worst-case infinity norm of the noise one update adds:
+    2*(n**2*D*s**3 + n**2*s**3) + n*D*s + n*s**2."""
+    n, D, s = p.n, p.D, p.s
+    return 2 * (n * n * D * s**3 + n * n * s**3) + n * D * s + n * s * s
+
+
 def bound_sides(p: ParamSet, T: int) -> tuple[int, Fraction]:
     """Both sides of the epoch-correctness inequality, exactly.
 
-    Left side is the worst-case infinity norm of the noise one update adds:
-    2*(n**2*D*s**3 + n**2*s**3) + n*D*s + n*s**2.  Right side is the per-update
-    budget q / (T * 2**(B+1)) that keeps T chained updates decodable.
+    Left side is the noise bound of one update (_noise_bound).  Right side is
+    the per-update budget q / (T * 2**(B+1)) that keeps T chained updates
+    decodable.
     """
-    n, D, s = p.n, p.D, p.s
-    lhs = 2 * (n * n * D * s**3 + n * n * s**3) + n * D * s + n * s * s
-    rhs = Fraction(p.q, T * (1 << (p.B + 1)))
-    return lhs, rhs
+    from fractions import Fraction
+
+    return _noise_bound(p), Fraction(p.q, T * (1 << (p.B + 1)))
 
 
 def validate_correctness_bound(p: ParamSet, T: int) -> bool:
@@ -120,7 +132,7 @@ def validate_correctness_bound(p: ParamSet, T: int) -> bool:
 
 def max_certified_epochs(p: ParamSet) -> int | None:
     """Largest T with the bound satisfied; 0 if none, None if unbounded (s = 0)."""
-    lhs, _ = bound_sides(p, 1)
+    lhs = _noise_bound(p)
     if lhs == 0:
         return None
     # lhs < q / (T * 2**(B+1))  <=>  T < q / (lhs * 2**(B+1))
@@ -198,6 +210,21 @@ def load_paramset(name: str) -> ParamSet:
             f"unknown parameter set {name!r}; registered: "
             f"{', '.join(registered_names())}; aliases: {', '.join(_ALIASES)}"
         ) from None
+
+
+BENCH_LEVELS = ("640", "976", "1344")
+BENCH_MODES = ("aes-like", "shake-like")
+
+
+class UnknownBenchTargetError(ValueError):
+    """Level / gen-mode combination is not benchable."""
+
+
+def paramset_for(level: str, mode: str) -> ParamSet:
+    """The registered set `frue bench` times for one level and mode."""
+    if str(level) not in BENCH_LEVELS or mode not in BENCH_MODES:
+        raise UnknownBenchTargetError(f"no benchmark target for level={level} mode={mode}")
+    return load_paramset(f"frodo-{level}-{mode.removesuffix('-like')}")
 
 
 def load_by_id(paramset_id: int) -> ParamSet:

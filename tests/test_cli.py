@@ -1,4 +1,10 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import click
 import pytest
@@ -105,6 +111,76 @@ def test_token_and_update_warn_without_chain_budget(runner, tmp_path):
             res = invoke(runner, *args, "--out", str(out))
             assert res.exit_code == 0 and out.is_file()
             assert res.stderr.splitlines() == want
+
+
+def test_unseeded_steps_draw_fresh_seeds(runner, tmp_path):
+    # without --seed each step draws its own random seed: the steps succeed,
+    # and two keygens give two different keys
+    for name in ("a", "b"):
+        res = invoke(runner, "keygen", "--params", "toy-16", "--epoch", "0",
+                     "--out-key", str(tmp_path / f"k-{name}"),
+                     "--out-pub", str(tmp_path / f"p-{name}"))
+        assert res.exit_code == 0, res.output
+    assert (tmp_path / "k-a").read_bytes() != (tmp_path / "k-b").read_bytes()
+    # token needs one deployment (public-matrix seed) for both keys
+    keys = make_keys(runner, tmp_path, (0, 1))
+    (tmp_path / "msg").write_bytes(b"fresh")
+    for args in (("encrypt", "--key", str(keys[0][1]), "--message-file",
+                  str(tmp_path / "msg"), "--out", str(tmp_path / "ct0")),
+                 ("token", "--prev-key", str(keys[0][0]), "--next-pub", str(keys[1][1]),
+                  "--out", str(tmp_path / "t1")),
+                 ("update", "--token", str(tmp_path / "t1"), "--ct", str(tmp_path / "ct0"),
+                  "--out", str(tmp_path / "ct1")),
+                 ("decrypt", "--key", str(keys[1][0]), "--ct", str(tmp_path / "ct1"),
+                  "--out", str(tmp_path / "out"))):
+        res = invoke(runner, *args)
+        assert res.exit_code == 0, res.output
+    assert (tmp_path / "out").read_bytes() == b"fresh"
+
+
+# Loaded on demand only: the bench timing harness, game-run's JSON reader, the
+# random source of an unseeded run and the exact bound arithmetic.
+_ON_DEMAND = ("frue.bench", "statistics", "json", "secrets", "fractions", "decimal")
+
+
+def _modules_loaded(cwd, preload, *argvs):
+    """Modules a fresh interpreter loads running each argv through
+    frue.cli.main, beyond those that importing preload has loaded."""
+    script = textwrap.dedent(f"""
+        import sys
+        import {preload}
+        before = set(sys.modules)
+        from frue.cli import main
+        for argv in {[argv.split() for argv in argvs]!r}:
+            main(argv, standalone_mode=False)
+        print(sorted(set(sys.modules) - before))
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_lifecycle_steps_load_only_what_they_run(tmp_path):
+    (tmp_path / "msg").write_bytes(b"budget")
+    # every seeded step that draws loads numpy.random, which imports secrets
+    # for its own entropy source
+    drawing = _modules_loaded(
+        tmp_path, "numpy, numpy.random, click",
+        "keygen --params toy-16 --epoch 0 --seed aa11 --out-key k0 --out-pub p0",
+        "keygen --params toy-16 --epoch 1 --seed aa11 --out-key k1 --out-pub p1",
+        "encrypt --key p0 --message-file msg --seed 01 --out ct0",
+        "token --prev-key k0 --next-pub p1 --seed 02 --out t1",
+        "update --token t1 --ct ct0 --seed 03 --out ct1")
+    reading = _modules_loaded(tmp_path, "numpy, click",
+                              "decrypt --key k1 --ct ct1 --out out", "params show toy-16")
+    assert (tmp_path / "out").read_bytes() == b"budget"
+    for loaded in (drawing, reading):
+        assert "frue.cli" in loaded
+        assert [m for m in _ON_DEMAND if m in loaded] == []
 
 
 def test_update_epoch_mismatch_exit_code(runner, tmp_path):

@@ -5,12 +5,18 @@ noticing; the same holds for every frue name the workloads call."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from frue import hybrids, ue
 from frue.matrix import RngHandle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 def test_every_traced_layer_still_exists(monkeypatch):
@@ -22,6 +28,19 @@ def test_every_traced_layer_still_exists(monkeypatch):
             owner = vars(owner)[cls_name]
         for attr in attrs:
             assert attr in vars(owner), f"{name}: {home} {cls_name or ''} lost {attr}"
+
+
+@pytest.mark.parametrize("workloads", ["lifecycle, oracle, rotate", "lifecycle"])
+def test_traced_pass_installs_in_a_fresh_process(workloads):
+    # the tracer looks up every layer's module in sys.modules; importing the
+    # workloads as run.py does must load each of them, lazy imports or not
+    script = (f"import {workloads}\nimport tracer\n"
+              "with tracer.Tracer().patched():\n    pass\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), str(PERFBENCH), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=PERFBENCH.parent, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_traced_pass_intercepts_token_randomness(monkeypatch, toy16):
