@@ -151,19 +151,12 @@ class MatrixZq:
         return cls(np.zeros((rows, cols), dtype=np.uint16), D)
 
     @classmethod
-    def identity(cls, k: int, D: int) -> "MatrixZq":
-        return cls(np.eye(k, dtype=np.uint16), D)
-
-    @classmethod
     def from_signed(cls, data, D: int) -> "MatrixZq":
         """Build from signed integers, reducing mod 2**D."""
         arr = np.asarray(data)
         if arr.dtype.kind not in "fc":      # a float reaches __init__ uncast: refused
             arr = arr.astype(np.int64) & ((1 << D) - 1)
         return cls(arr, D)
-
-    def transpose(self) -> "MatrixZq":
-        return MatrixZq(self.data.T, self.D)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MatrixZq) and self.D == other.D
@@ -446,14 +439,20 @@ def sample_uniform(rng: RngHandle, rows: int, cols: int, p: ParamSet) -> MatrixZ
     return MatrixZq._new(data, p.D)
 
 
+def _chi_counts(chi_cdf: tuple[int, ...]) -> list[int]:
+    """How many u in [0, chi_cdf[-1]] select each magnitude 0..s (u selects
+    the count of entries below it): chi_cdf[0] + 1, then the differences.
+    The one reading of chi_cdf, for the sampler's table and chi_pmf."""
+    return [b - a for a, b in zip((-1, *chi_cdf), chi_cdf)]
+
+
 @functools.lru_cache(maxsize=64)
-def _chi_lut(chi_cdf: tuple[int, ...], chi_sample_bits: int, D: int) -> np.ndarray:
-    """Residue table indexed by the raw (chi_sample_bits + 1)-bit word."""
+def _chi_lut(chi_cdf: tuple[int, ...], D: int) -> np.ndarray:
+    """Residue table indexed by the raw word: word 2u + b holds (-1)**b * v,
+    v the magnitude u selects (_chi_counts)."""
     q = 1 << D
-    u = np.arange(1 << chi_sample_bits, dtype=np.uint32)
-    table = np.asarray(chi_cdf, dtype=np.uint32)
-    v = np.searchsorted(table, u, side="left").astype(np.int64)
-    lut = np.empty(1 << (chi_sample_bits + 1), dtype=np.uint16)
+    v = np.repeat(np.arange(len(chi_cdf), dtype=np.int64), _chi_counts(chi_cdf))
+    lut = np.empty(2 * len(v), dtype=np.uint16)
     lut[0::2] = v & (q - 1)                  # sign bit 0: +v
     lut[1::2] = (q - v) & (q - 1)            # sign bit 1: -v
     lut.setflags(write=False)
@@ -469,18 +468,17 @@ def sample_chi(rng: RngHandle, rows: int, cols: int, p: ParamSet) -> MatrixZq:
     Entry k (row-major) is the 16-bit word k of the raw Philox stream:
     lane k % 4 of output k // 4, little-endian (RngHandle), so a draw of
     w = rows * cols entries consumes ceil(w / 4) outputs.  The word is
-    masked to chi_sample_bits + 1 <= 16 bits, r; the low bit of r is the
-    sign, and the rest, u, selects the magnitude as the count of table
-    entries strictly below u (FrodoKEM's sampler).  Outputs always lie in
-    [-s, s] (signed).  The (word -> residue) map is precomputed once per
+    masked to the table's chi_sample_bits + 1 <= 16 bits, r; the low bit of
+    r is the sign, and the rest, u, selects the magnitude as the count of
+    table entries strictly below u (FrodoKEM's sampler).  Outputs always lie
+    in [-s, s] (signed).  The (word -> residue) map is precomputed once per
     parameter set and applied in place, in blocks of _CHI_BLOCK words.
     """
-    w, bits = rows * cols, p.chi_sample_bits
+    w, lut = rows * cols, _chi_lut(p.chi_cdf, p.D)
     raw = rng._gen.bit_generator.random_raw(-(-w // 4))
     words = raw.astype("<u8", copy=False).view("<u2")[:w]
-    if bits + 1 < MAX_D:        # a 16-bit mask keeps every word as it is
-        words &= _MASK16[bits + 1]
-    lut = _chi_lut(p.chi_cdf, bits, p.D)
+    if len(lut) < 1 << MAX_D:   # a 16-bit mask keeps every word as it is
+        words &= np.uint16(len(lut) - 1)
     # Each block's residues overwrite its words: take reads a block only
     # through its own intp copy of it.  take(out=) buffers its output in the
     # default mode "raise"; the masked words are all < len(lut), so "clip"

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .matrix import GEN_MODES, MAX_D
+from .matrix import GEN_MODES, MAX_D, _chi_counts
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -34,11 +34,13 @@ class UnknownParamSetError(KeyError):
 class ParamSet:
     """Immutable bundle of scheme constants.
 
-    chi_cdf is the cumulative sampling table: an entry value v is produced
-    with probability (chi_cdf[v] - chi_cdf[v-1]) / 2**chi_sample_bits
-    (v = 0 uses chi_cdf[0] + 1 counts), then a uniform sign is applied.
-    The sampler reads one 16-bit word per entry, the table index plus the
-    sign bit, so chi_sample_bits is at most 15 (every registered set uses 15).
+    chi_cdf, FrodoKEM's cumulative sampling table, is the one statement of
+    chi: it fixes s = len(chi_cdf) - 1, chi_sample_bits (chi_cdf[-1] ==
+    2**chi_sample_bits - 1) and the pmf.  Magnitude v is drawn with probability
+    (chi_cdf[v] - chi_cdf[v-1]) / 2**chi_sample_bits (v = 0 uses
+    chi_cdf[0] + 1 counts), then a uniform sign is applied.  The sampler
+    reads one 16-bit word per entry, the table index plus the sign bit, so
+    chi_sample_bits is at most 15 (every registered set uses 15).
     """
 
     name: str
@@ -47,9 +49,7 @@ class ParamSet:
     n: int                 # LWE dimension
     m_bar: int             # ciphertext rows
     n_bar: int             # ciphertext / key columns
-    s: int                 # support bound of chi: values lie in [-s, s]
     chi_cdf: tuple[int, ...]
-    chi_sample_bits: int
     T_max: int             # operational epoch budget for this set
     gen_mode: str
     paramset_id: int
@@ -61,23 +61,28 @@ class ParamSet:
             raise ValueError(f"n must be a positive multiple of 8, got {self.n}")
         if self.m_bar <= 0 or self.n_bar <= 0:
             raise ValueError("m_bar and n_bar must be positive")
-        if self.s < 0:
-            raise ValueError("s must be non-negative")
         if self.T_max < 1:
             raise ValueError("T_max must be positive")
         if self.gen_mode not in GEN_MODES:
             raise ValueError(f"unknown gen_mode {self.gen_mode!r}")
-        if len(self.chi_cdf) != self.s + 1:
-            raise ValueError("chi_cdf must have s + 1 entries")
-        if any(b < a for a, b in zip(self.chi_cdf, self.chi_cdf[1:])):
-            raise ValueError("chi_cdf must be non-decreasing")
+        if not self.chi_cdf or any(b < a for a, b in zip(self.chi_cdf, self.chi_cdf[1:])):
+            raise ValueError("chi_cdf must be non-empty and non-decreasing")
         if any(c < 0 for c in self.chi_cdf):
             raise ValueError("chi_cdf entries must be non-negative")
-        if self.chi_sample_bits > 15:
-            raise ValueError("chi_sample_bits must be at most 15: the sampler reads "
-                             f"one 16-bit word per entry, got {self.chi_sample_bits}")
-        if self.chi_cdf[-1] != (1 << self.chi_sample_bits) - 1:
-            raise ValueError("chi_cdf must end at 2**chi_sample_bits - 1")
+        words = self.chi_cdf[-1] + 1
+        if words & (words - 1) or words > 1 << 15:
+            raise ValueError("chi_cdf must end at 2**k - 1 with k at most 15: the sampler "
+                             f"reads one 16-bit word per entry, got {self.chi_cdf[-1]}")
+
+    @property
+    def s(self) -> int:
+        """Support bound of chi: values lie in [-s, s]."""
+        return len(self.chi_cdf) - 1
+
+    @property
+    def chi_sample_bits(self) -> int:
+        """k with chi_cdf[-1] == 2**k - 1: the bits of a draw's magnitude index."""
+        return self.chi_cdf[-1].bit_length()
 
     @property
     def q(self) -> int:
@@ -89,17 +94,14 @@ class ParamSet:
         return self.B * self.m_bar * self.n_bar
 
     def chi_pmf(self) -> dict[int, Fraction]:
-        """Exact probability mass of chi on {-s, ..., s}, derived from chi_cdf."""
+        """Exact probability mass of chi on {-s, ..., s}: the words of each
+        value in the sampler's own table, counted through its _chi_counts."""
         from fractions import Fraction
 
-        denom = 1 << self.chi_sample_bits
-        counts = [self.chi_cdf[0] + 1]
-        counts += [self.chi_cdf[k] - self.chi_cdf[k - 1] for k in range(1, self.s + 1)]
-        pmf = {0: Fraction(counts[0], denom)}
+        total, counts = 2 << self.chi_sample_bits, _chi_counts(self.chi_cdf)
+        pmf = {0: Fraction(2 * counts[0], total)}
         for z in range(1, self.s + 1):
-            half = Fraction(counts[z], 2 * denom)
-            pmf[z] = half
-            pmf[-z] = half
+            pmf[z] = pmf[-z] = Fraction(counts[z], total)
         return pmf
 
 
@@ -154,8 +156,7 @@ _CDF_1344 = (9142, 23462, 30338, 32361, 32725, 32765, 32767)
 
 def _frodo(name: str, n: int, D: int, B: int, cdf: tuple[int, ...],
            mode: str, pid: int) -> ParamSet:
-    return ParamSet(name=name, D=D, B=B, n=n, m_bar=8, n_bar=8,
-                    s=len(cdf) - 1, chi_cdf=cdf, chi_sample_bits=15,
+    return ParamSet(name=name, D=D, B=B, n=n, m_bar=8, n_bar=8, chi_cdf=cdf,
                     T_max=16, gen_mode=mode, paramset_id=pid)
 
 
@@ -169,13 +170,11 @@ for _p in (
     _frodo("frodo-1344-aes", 1344, 16, 4, _CDF_1344, "aes-like", 13),
     # Small enough for exhaustive tests, big enough q for certified updates:
     # the bound holds up to T = 7, and T_max = 4 is the advertised budget.
-    ParamSet(name="toy-16", D=16, B=1, n=8, m_bar=16, n_bar=8, s=1,
-             chi_cdf=_TOY_CDF, chi_sample_bits=15, T_max=4,
-             gen_mode="toy", paramset_id=100),
+    ParamSet(name="toy-16", D=16, B=1, n=8, m_bar=16, n_bar=8, chi_cdf=_TOY_CDF,
+             T_max=4, gen_mode="toy", paramset_id=100),
     # 8-bit modulus for exhaustive encode/decode sweeps; never bound-certified.
-    ParamSet(name="toy-8", D=8, B=2, n=8, m_bar=4, n_bar=4, s=1,
-             chi_cdf=_TOY_CDF, chi_sample_bits=15, T_max=1,
-             gen_mode="toy", paramset_id=101),
+    ParamSet(name="toy-8", D=8, B=2, n=8, m_bar=4, n_bar=4, chi_cdf=_TOY_CDF,
+             T_max=1, gen_mode="toy", paramset_id=101),
 ):
     _REGISTRY[_p.name] = _p
 

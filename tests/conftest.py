@@ -16,16 +16,14 @@ def toy8():
     return load_paramset("toy-8")
 
 
-def adhoc_paramset(name="adhoc", D=4, B=1, n=8, m_bar=2, n_bar=2, s=1,
-                   chi_cdf=(16383, 32767), chi_sample_bits=15, T_max=1,
-                   gen_mode="toy", paramset_id=999):
-    return ParamSet(name=name, D=D, B=B, n=n, m_bar=m_bar, n_bar=n_bar, s=s,
-                    chi_cdf=chi_cdf, chi_sample_bits=chi_sample_bits,
-                    T_max=T_max, gen_mode=gen_mode, paramset_id=paramset_id)
+def adhoc_paramset(name="adhoc", D=4, B=1, n=8, m_bar=2, n_bar=2,
+                   chi_cdf=(16383, 32767), T_max=1, gen_mode="toy", paramset_id=999):
+    return ParamSet(name=name, D=D, B=B, n=n, m_bar=m_bar, n_bar=n_bar,
+                    chi_cdf=chi_cdf, T_max=T_max, gen_mode=gen_mode,
+                    paramset_id=paramset_id)
 
 
 def noiseless_paramset(**kw):
-    kw.setdefault("s", 0)
     kw.setdefault("chi_cdf", (32767,))
     kw.setdefault("name", "adhoc-noiseless")
     return adhoc_paramset(**kw)

@@ -1,11 +1,12 @@
 import functools
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frue import envelope as env
-from frue.matrix import RngHandle, sample_uniform
+from frue.matrix import MatrixZq, RngHandle, sample_uniform
 from frue.params import load_paramset, params_dump, registered_names
 from frue.pke import random_message_bits
 from frue.ue import EpochKey, UeCiphertext, UpdateToken, ue_enc
@@ -58,6 +59,26 @@ def test_roundtrip_every_kind_every_paramset(name):
     e = env.read_envelope(blob)
     assert e.payload == params_dump(p)
     assert env.pack_paramset(e.p) == blob
+
+
+GOLDEN_SHA256_PARAMSET = {
+    "frodo-640-shake": "fd2df03a2c66dabae108a0d7ad8ed7b657bdf3a16cddf6fd2aa581e4961d71fc",
+    "frodo-976-shake": "97a1a9b800adb3211415dbd37a634b36a6292aed53bedc88a47c0b9be1289c65",
+    "frodo-1344-shake": "6ba63e675126a9b1014a18e50ea7086d5b51c7c4eb45d0e06dbfecb9955df041",
+    "frodo-640-aes": "19372bbe55a84188ee4be0902553550d282d88909dd33ddf6481a0f7557d2b04",
+    "frodo-976-aes": "34b988ea6959fe37f15f46f5c19b50490f147a0afcc503d941c6f6cd689a2e4a",
+    "frodo-1344-aes": "4ca73d84def1f3355a61c57d420f01b606d98997050c4499ec3daa905abf10ee",
+    "toy-16": "5106e50a3eb43206b0eb545175978423dc7ee0283ef598b563c8fe7130d6520f",
+    "toy-8": "06b6b39e3bd6ce96e65d3286d7164d2a2ebab2a670e681168211a73b545cbbc5",
+}
+
+
+def test_paramset_files_keep_their_bytes():
+    # a v1 paramset file must parse to exactly params_dump(p), so every byte
+    # of each registered set's payload is pinned
+    assert sorted(GOLDEN_SHA256_PARAMSET) == sorted(registered_names())
+    for name, digest in GOLDEN_SHA256_PARAMSET.items():
+        assert hashlib.sha256(env.pack_paramset(load_paramset(name))).hexdigest() == digest, name
 
 
 def test_roundtrip_with_real_objects(toy16, deployment16):
@@ -118,7 +139,8 @@ def test_wrong_shape_payload_rejected(toy16, toy8):
         env.read_envelope(big_header + body8)
     # a transposed record has the right length but not the layout's shape
     _, tok, _ = synthetic_objects(toy16, b"shape3")
-    tok_t = UpdateToken(tok.epoch, tok.d1_a.transpose(), tok.d1_b, tok.d2_a, tok.d2_b)
+    d1_a_t = MatrixZq(tok.d1_a.data.T, tok.d1_a.D)
+    tok_t = UpdateToken(tok.epoch, d1_a_t, tok.d1_b, tok.d2_a, tok.d2_b)
     with pytest.raises(env.MalformedEnvelopeError, match="d1_a"):
         env.read_envelope(env.pack_token(toy16, tok_t))
 

@@ -42,7 +42,7 @@ def test_mul_single_entry_mod8():
 def test_identity_product():
     rng = RngHandle(b"id")
     x = rand_matrix(rng, 5, 3, 12)
-    assert MatrixZq.identity(5, 12) @ x == x
+    assert MatrixZq(np.eye(5, dtype=np.uint16), 12) @ x == x
 
 
 def test_dimension_and_modulus_mismatches():
@@ -70,7 +70,7 @@ def test_mul_associative_and_distributive(r, k, m, c, D, seed):
 def test_transpose_reverses_products(r, k, c, D, seed):
     rng = RngHandle(str(seed))
     a, b = rand_matrix(rng, r, k, D), rand_matrix(rng, k, c, D)
-    assert (a @ b).transpose() == b.transpose() @ a.transpose()
+    assert MatrixZq((a @ b).data.T, D) == MatrixZq(b.data.T, D) @ MatrixZq(a.data.T, D)
 
 
 def test_matmul_float_path_agrees_with_plain_integers():
@@ -270,7 +270,7 @@ def test_paired_route_matches_int64(D):
     # rows than its right side has columns) packs its rows; S2 (inner 40) is
     # below the floor and runs in float64
     p640 = load_paramset("frodo-640-shake")
-    p = adhoc_paramset(D=D, s=p640.s, chi_cdf=p640.chi_cdf)
+    p = adhoc_paramset(D=D, chi_cdf=p640.chi_cdf)
     rng = RngHandle(b"paired-%d" % D)
     for rows in (_PAIR_ROWS, _PAIR_ROWS + 1, 1023):
         S1, S2 = sample_chi(rng, rows, 640, p), sample_chi(rng, rows, 40, p)
@@ -592,8 +592,8 @@ def test_chi_deterministic_under_seed(toy16):
 
 def test_chi_matches_the_lane_reference():
     # sizes that are not multiples of 4 leave the rest of their last output unread
-    narrow = adhoc_paramset(D=6, s=2, chi_cdf=(1, 5, 7), chi_sample_bits=3)
-    for p in (load_paramset("toy-16"), load_paramset("frodo-640-shake"), narrow):
+    narrow = adhoc_paramset(D=6, chi_cdf=(1, 5, 7))
+    for p in [load_paramset(name) for name in registered_names()] + [narrow]:
         shapes = ((5, 3), (16, 8), (1, 1), (0, 4), (640, 8), (2, 7))
         rng = RngHandle(b"lanes-" + p.name.encode())
         want = chi_reference(b"lanes-" + p.name.encode(), [r * c for r, c in shapes], p)
@@ -605,8 +605,8 @@ def test_chi_matches_the_lane_reference():
 def test_chi_table_counts_equal_chi_pmf_exactly():
     # every (chi_sample_bits + 1)-bit word once: the table is chi itself
     sets = [load_paramset(name) for name in registered_names()]
-    for p in sets + [adhoc_paramset(D=6, s=2, chi_cdf=(1, 5, 7), chi_sample_bits=3)]:
-        lut = MatrixZq(_chi_lut(p.chi_cdf, p.chi_sample_bits, p.D)[None, :], p.D)
+    for p in sets + [adhoc_paramset(D=6, chi_cdf=(1, 5, 7))]:
+        lut = MatrixZq(_chi_lut(p.chi_cdf, p.D)[None, :], p.D)
         values, counts = np.unique(lut.signed(), return_counts=True)
         total = 2 << p.chi_sample_bits
         assert {int(v): Fraction(int(c), total) for v, c in zip(values, counts)} == \

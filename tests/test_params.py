@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from frue.params import (UnknownParamSetError, bound_sides,
+from frue.params import (ParamSet, UnknownParamSetError, bound_sides,
                          empirical_chain_epochs, load_by_id, load_paramset,
                          max_certified_epochs, params_dump, registered_names,
                          validate_correctness_bound)
@@ -155,10 +155,26 @@ def test_invalid_constructions_rejected():
     with pytest.raises(ValueError):
         adhoc_paramset(n=12)
     with pytest.raises(ValueError):
-        adhoc_paramset(chi_cdf=(4, 3, 32767), s=2)
+        adhoc_paramset(chi_cdf=(4, 3, 32767))
     with pytest.raises(ValueError):
-        adhoc_paramset(chi_cdf=(100, 200), s=1)   # wrong terminal value
+        adhoc_paramset(chi_cdf=(100, 200))   # wrong terminal value
     with pytest.raises(ValueError):
         adhoc_paramset(gen_mode="weird")
     with pytest.raises(ValueError, match="at most 15"):   # one 16-bit word per sample
-        adhoc_paramset(chi_cdf=(32767, 65535), chi_sample_bits=16)
+        adhoc_paramset(chi_cdf=(32767, 65535))
+    for table in ((), (-1, 32767), (5, 6)):          # empty, negative, 7 words
+        with pytest.raises(ValueError):
+            adhoc_paramset(chi_cdf=table)
+
+
+def test_chi_cdf_fixes_s_and_chi_sample_bits():
+    # s and chi_sample_bits are read off the table, so no constructor takes them
+    for table, s, bits in (((1, 5, 7), 2, 3), ((32767,), 0, 15), ((0,), 0, 0),
+                           ((16383, 32767), 1, 15)):
+        p = adhoc_paramset(chi_cdf=table)
+        assert (p.s, p.chi_sample_bits) == (s, bits)
+    kw = {f: getattr(p, f) for f in ParamSet.__dataclass_fields__}
+    assert len(kw) == 10
+    for extra in ({"s": 1}, {"chi_sample_bits": 15}):
+        with pytest.raises(TypeError):
+            ParamSet(**kw, **extra)

@@ -462,7 +462,7 @@ def test_derive_prev_secret_noiseless():
 
 
 def test_no_valid_plane_on_undersized_modulus():
-    cramped = adhoc_paramset(D=6, B=1, n=8, s=1)
+    cramped = adhoc_paramset(D=6, B=1, n=8)
     with pytest.raises(NoValidPlaneError):
         select_recovery_plane(cramped)
     rng = RngHandle(b"cramped")
