@@ -27,10 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import RngHandle
-# The targets live in frue.params, so the CLI reads them without loading this
-# module; they stay importable from here too.
-from .params import (BENCH_LEVELS, BENCH_MODES, ParamSet, UnknownBenchTargetError,
-                     paramset_for)
+from .params import ParamSet, paramset_for
 from .pke import pke_setup, random_message_bits
 from .ue import ue_dec, ue_enc, ue_kg, ue_tg, ue_upd
 

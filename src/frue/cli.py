@@ -32,15 +32,13 @@ from .hybrids import (high_bits_projection, hyb_update_sampler,
                       make_update_instance, real_update_sampler, sim_ue_enc,
                       smudging_estimate, statistical_distance_estimate)
 from .matrix import DimensionMismatchError, RngHandle, gen_public_matrix
-from .params import (BENCH_LEVELS, BENCH_MODES, UnknownBenchTargetError,
-                     UnknownParamSetError, bound_sides, empirical_chain_epochs,
-                     load_paramset, max_certified_epochs, params_dump,
-                     registered_names, validate_correctness_bound)
+from .params import (BENCH_LEVELS, BENCH_MODES, UnknownParamSetError, bound_sides,
+                     empirical_chain_epochs, load_paramset, max_certified_epochs,
+                     params_dump, registered_names, validate_correctness_bound)
 from .pke import (MessageLengthError, bits_from_bytes, bytes_from_bits, pke_enc,
                   pke_setup)
 from .ue import EpochKey, EpochMismatchError, ue_dec, ue_kg, ue_tg, ue_upd
 
-EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MALFORMED = 3
 EXIT_EPOCH = 4
@@ -60,7 +58,6 @@ _ERROR_CODES = {
     EpochMismatchError: EXIT_EPOCH,
     MessageLengthError: EXIT_MSGLEN,
     UnknownParamSetError: EXIT_UNKNOWN_NAME,
-    UnknownBenchTargetError: EXIT_UNKNOWN_NAME,
 }
 
 

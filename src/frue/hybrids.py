@@ -8,7 +8,8 @@ of encryption noise with key material, which the real update drags along),
 the two routes produce the same distribution; tests quantify the gap with
 an empirical total-variation estimate on projected marginals.
 
-The Sim procedures replace outputs with uniform samples of the right shape.
+The Sim procedures draw every matrix record of the object's file
+(envelope._layout) uniformly, in file order.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .envelope import KIND_CIPHERTEXT, KIND_PUBLIC_KEY, KIND_TOKEN, _layout
 from .matrix import MatrixZq, RngHandle, _lincomb, sample_chi, sample_uniform
 from .params import ParamSet
 from .pke import encode, pke_enc_traced, pke_setup, random_message_bits
@@ -48,19 +50,20 @@ def hyb_ue_upd(rng: RngHandle, p: ParamSet, A: MatrixZq, ct: UeCiphertext,
                     (1, E_ct), (1, msg)))
 
 
+def _sim_records(rng: RngHandle, kind: int, p: ParamSet) -> dict[str, MatrixZq]:
+    """Uniform draws of the matrix records a file of this kind holds, in order."""
+    return {name: sample_uniform(rng, rows, cols, p)
+            for name, rows, cols in _layout(kind, p)}
+
+
 def sim_ue_kg(rng: RngHandle, p: ParamSet) -> MatrixZq:
     """Simulated public key: uniform n x n_bar."""
-    return sample_uniform(rng, p.n, p.n_bar, p)
+    return _sim_records(rng, KIND_PUBLIC_KEY, p)["pk_B"]
 
 
 def sim_ue_tg(rng: RngHandle, p: ParamSet, epoch: int = 1) -> UpdateToken:
     """Simulated token: uniform components of the real token's shapes."""
-    nD = p.n * p.D
-    return UpdateToken(epoch=epoch,
-                       d1_a=sample_uniform(rng, nD, p.n, p),
-                       d1_b=sample_uniform(rng, nD, p.n_bar, p),
-                       d2_a=sample_uniform(rng, p.n, p.n, p),
-                       d2_b=sample_uniform(rng, p.n, p.n_bar, p))
+    return UpdateToken(epoch=epoch, **_sim_records(rng, KIND_TOKEN, p))
 
 
 def sim_ue_upd(rng: RngHandle, p: ParamSet, epoch: int = 1) -> UeCiphertext:
@@ -68,9 +71,7 @@ def sim_ue_upd(rng: RngHandle, p: ParamSet, epoch: int = 1) -> UeCiphertext:
 
 
 def sim_ue_enc(rng: RngHandle, p: ParamSet, epoch: int = 0) -> UeCiphertext:
-    return UeCiphertext(epoch=epoch,
-                        C1=sample_uniform(rng, p.m_bar, p.n, p),
-                        C2=sample_uniform(rng, p.m_bar, p.n_bar, p))
+    return UeCiphertext(epoch=epoch, **_sim_records(rng, KIND_CIPHERTEXT, p))
 
 
 def statistical_distance_estimate(sampler_a: Callable[[], object],

@@ -448,13 +448,15 @@ def _chi_counts(chi_cdf: tuple[int, ...]) -> list[int]:
 
 @functools.lru_cache(maxsize=64)
 def _chi_lut(chi_cdf: tuple[int, ...], D: int) -> np.ndarray:
-    """Residue table indexed by the raw word: word 2u + b holds (-1)**b * v,
-    v the magnitude u selects (_chi_counts)."""
+    """Residue table indexed by the raw 16-bit word: word 2u + b holds
+    (-1)**b * v, v the magnitude u selects (_chi_counts), repeated out to
+    2**16 words, so the bits above chi_sample_bits + 1 are ignored."""
     q = 1 << D
     v = np.repeat(np.arange(len(chi_cdf), dtype=np.int64), _chi_counts(chi_cdf))
     lut = np.empty(2 * len(v), dtype=np.uint16)
     lut[0::2] = v & (q - 1)                  # sign bit 0: +v
     lut[1::2] = (q - v) & (q - 1)            # sign bit 1: -v
+    lut = np.tile(lut, (1 << MAX_D) // len(lut))
     lut.setflags(write=False)
     return lut
 
@@ -467,22 +469,20 @@ def sample_chi(rng: RngHandle, rows: int, cols: int, p: ParamSet) -> MatrixZq:
 
     Entry k (row-major) is the 16-bit word k of the raw Philox stream:
     lane k % 4 of output k // 4, little-endian (RngHandle), so a draw of
-    w = rows * cols entries consumes ceil(w / 4) outputs.  The word is
-    masked to the table's chi_sample_bits + 1 <= 16 bits, r; the low bit of
-    r is the sign, and the rest, u, selects the magnitude as the count of
-    table entries strictly below u (FrodoKEM's sampler).  Outputs always lie
-    in [-s, s] (signed).  The (word -> residue) map is precomputed once per
+    w = rows * cols entries consumes ceil(w / 4) outputs.  Of the word, the
+    low bit is the sign, the next chi_sample_bits bits, u, select the
+    magnitude as the count of table entries strictly below u, and the rest
+    are ignored (FrodoKEM's sampler).  Outputs always lie in [-s, s]
+    (signed).  The (word -> residue) map, _chi_lut, is precomputed once per
     parameter set and applied in place, in blocks of _CHI_BLOCK words.
     """
     w, lut = rows * cols, _chi_lut(p.chi_cdf, p.D)
     raw = rng._gen.bit_generator.random_raw(-(-w // 4))
     words = raw.astype("<u8", copy=False).view("<u2")[:w]
-    if len(lut) < 1 << MAX_D:   # a 16-bit mask keeps every word as it is
-        words &= np.uint16(len(lut) - 1)
     # Each block's residues overwrite its words: take reads a block only
     # through its own intp copy of it.  take(out=) buffers its output in the
-    # default mode "raise"; the masked words are all < len(lut), so "clip"
-    # never acts and skips that copy.
+    # default mode "raise"; every 16-bit word is < len(lut), so "clip" never
+    # acts and skips that copy.
     for s in range(0, w, _CHI_BLOCK):
         block = words[s:s + _CHI_BLOCK]
         lut.take(block, out=block, mode="clip")

@@ -24,7 +24,7 @@ if TYPE_CHECKING:
 
 
 class UnknownParamSetError(KeyError):
-    """Raised when a parameter-set name is not registered."""
+    """Raised when a parameter-set name or id, or a bench target, is not registered."""
 
     # KeyError's str() is the repr of its argument; report the message
     __str__ = Exception.__str__
@@ -128,8 +128,8 @@ def validate_correctness_bound(p: ParamSet, T: int) -> bool:
     """True iff the set is certified for T chained updates (exact arithmetic)."""
     if T < 1:
         raise ValueError("T must be >= 1")
-    lhs, rhs = bound_sides(p, T)
-    return lhs < rhs
+    certified = max_certified_epochs(p)
+    return certified is None or T <= certified
 
 
 def max_certified_epochs(p: ParamSet) -> int | None:
@@ -215,14 +215,10 @@ BENCH_LEVELS = ("640", "976", "1344")
 BENCH_MODES = ("aes-like", "shake-like")
 
 
-class UnknownBenchTargetError(ValueError):
-    """Level / gen-mode combination is not benchable."""
-
-
 def paramset_for(level: str, mode: str) -> ParamSet:
     """The registered set `frue bench` times for one level and mode."""
     if str(level) not in BENCH_LEVELS or mode not in BENCH_MODES:
-        raise UnknownBenchTargetError(f"no benchmark target for level={level} mode={mode}")
+        raise UnknownParamSetError(f"no benchmark target for level={level} mode={mode}")
     return load_paramset(f"frodo-{level}-{mode.removesuffix('-like')}")
 
 

@@ -11,13 +11,13 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from frue import bench as bench_mod
 from frue import envelope as env
 from frue.cli import (EXIT_EPOCH, EXIT_MALFORMED, EXIT_MSGLEN,
                       EXIT_UNKNOWN_NAME, main, message_capacity, pack_message,
                       unpack_message)
 from frue.matrix import RngHandle, sample_uniform
-from frue.params import registered_names
+from frue.params import (BENCH_LEVELS, BENCH_MODES, UnknownParamSetError,
+                         paramset_for, registered_names)
 from frue.pke import MessageLengthError
 from frue.ue import UeCiphertext
 
@@ -684,18 +684,27 @@ def test_bench_unknown_level(runner):
     res = runner.invoke(main, ["bench", "--level", "640", "--level", "123", "--runs", "1"])
     assert res.exit_code == EXIT_UNKNOWN_NAME
     assert "frodo-640" not in res.output and "UE." not in res.output
+    # the library raises the one unknown-name error, with the same message
+    with pytest.raises(UnknownParamSetError) as exc:
+        paramset_for("123", "aes-like")
+    assert str(exc.value) == "no benchmark target for level=123 mode=aes-like"
 
 
 def test_bench_targets_are_the_registered_frodo_sets():
-    for level in bench_mod.BENCH_LEVELS:
-        for mode in bench_mod.BENCH_MODES:
-            p = bench_mod.paramset_for(level, mode)
+    for level in BENCH_LEVELS:
+        for mode in BENCH_MODES:
+            p = paramset_for(level, mode)
             assert p.name in registered_names() and p.name.startswith("frodo-")
             assert (str(p.n), p.gen_mode) == (level, mode)
 
 
-@pytest.mark.parametrize("args", [("--mode", "aes"), ("--level", "0640")])
+UNKNOWN_TARGETS = {("--mode", "aes"): "level=640 mode=aes",
+                   ("--level", "0640"): "level=0640 mode=aes-like"}
+
+
+@pytest.mark.parametrize("args", list(UNKNOWN_TARGETS))
 def test_bench_unknown_target(runner, args):
     res = runner.invoke(main, ["bench", *args, "--runs", "1"])
     assert res.exit_code == EXIT_UNKNOWN_NAME
-    assert res.stdout == "" and "no benchmark target" in res.stderr
+    assert res.stdout == ""
+    assert res.stderr == f"error: no benchmark target for {UNKNOWN_TARGETS[args]}\n"

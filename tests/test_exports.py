@@ -50,12 +50,16 @@ def test_gadget_is_one_function_object_under_every_name():
     assert ue.tensor_d is matrix.tensor_d and frue.tensor_d is matrix.tensor_d
 
 
-def test_no_dead_private_helpers():
-    # every module-level _-prefixed function, class or assigned name in
-    # src/frue, and every _-prefixed method of a class defined there, is
-    # referenced somewhere in src/frue besides its own definition
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in
-             sorted((Path(__file__).resolve().parent.parent / "src" / "frue").glob("*.py"))}
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parsed(*dirs: str) -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(), filename=str(path))
+            for d in dirs for path in sorted((ROOT / d).glob("*.py"))}
+
+
+def read_names(trees) -> set[str]:
+    """Every name the trees read: loaded names, attributes and imported names."""
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -63,22 +67,47 @@ def test_no_dead_private_helpers():
                 used.add(node.id)
             elif isinstance(node, (ast.Attribute, ast.alias)):
                 used.add(node.attr if isinstance(node, ast.Attribute) else node.name)
+    return used
+
+
+def assigned_names(stmt) -> list[str]:
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_no_dead_private_helpers():
+    # every module-level _-prefixed function, class or assigned name in
+    # src/frue, and every _-prefixed method of a class defined there, is
+    # referenced somewhere in src/frue besides its own definition
+    trees = parsed("src/frue")
+    used = read_names(trees)
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     dead = []
-    for module, tree in trees.items():
+    for path, tree in trees.items():
         for stmt in tree.body:
             if isinstance(stmt, ast.ClassDef):
-                dead += [f"{module}:{f.lineno}: {stmt.name}.{f.name}" for f in stmt.body
+                dead += [f"{path.name}:{f.lineno}: {stmt.name}.{f.name}" for f in stmt.body
                          if isinstance(f, functions) and f.name.startswith("_")
                          and not f.name.endswith("__") and f.name not in used]
             if isinstance(stmt, (*functions, ast.ClassDef)):
                 names = [stmt.name]
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                names = assigned_names(stmt)
             else:
                 continue
-            dead += [f"{module}:{stmt.lineno}: {name}" for name in names
+            dead += [f"{path.name}:{stmt.lineno}: {name}" for name in names
                      if name.startswith("_") and not name.endswith("__")
                      and name not in used]
     assert dead == []
+
+
+def test_no_unread_public_constants():
+    # every public module-level assigned name in src/frue is read somewhere
+    # in src/frue, tests/ or perfbench/
+    src = parsed("src/frue")
+    used = read_names({**src, **parsed("tests", "perfbench")})
+    unread = [f"{path.name}:{stmt.lineno}: {name}" for path, tree in src.items()
+              for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+              for name in assigned_names(stmt)
+              if not name.startswith("_") and name not in used]
+    assert unread == []

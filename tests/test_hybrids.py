@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 
+from frue import envelope as env
 from frue.hybrids import (high_bits_projection, hyb_ue_upd,
                           hyb_update_sampler, make_update_instance,
                           real_update_sampler, sample_token_randomness,
@@ -7,6 +10,7 @@ from frue.hybrids import (high_bits_projection, hyb_ue_upd,
                           smudging_estimate, statistical_distance_estimate,
                           token_from_randomness)
 from frue.matrix import MatrixZq, RngHandle, sample_chi
+from frue.params import load_paramset
 from frue.pke import encode, pke_enc_traced, pke_setup, random_message_bits
 from frue.ue import ue_dec, ue_kg, ue_upd
 
@@ -92,6 +96,26 @@ def test_sim_output_shapes(toy16):
 def test_sim_deterministic_under_seed(toy16):
     assert sim_ue_enc(RngHandle(b"s"), toy16).C1 == sim_ue_enc(RngHandle(b"s"), toy16).C1
     assert sim_ue_tg(RngHandle(b"t"), toy16).d1_a == sim_ue_tg(RngHandle(b"t"), toy16).d1_a
+
+
+SIM_SHA256 = {
+    "toy-16": "cf6503a4591415c987f9c7a5ead2a208d91eee1009763dbc7e444bce62fcfd17",
+    "toy-8": "938eac461dc0ddf072a3bc77bda0c5abba3b3a826fc671d70087690a8371260c",
+    "frodo-640-shake": "24786561346367444af975f9ce0ecd2ea5c641e25dac757469c5bc851bfcb9e7",
+}
+
+
+def test_sim_draws_keep_their_bytes():
+    # every simulator's output from a fixed seed, in its v1 file form (epoch
+    # included), so a change to their draw order or shapes shows here
+    for name, digest in SIM_SHA256.items():
+        p = load_paramset(name)
+        rng = RngHandle(b"sim-bytes-" + name.encode())
+        h = hashlib.sha256(sim_ue_kg(rng, p).data)
+        h.update(env.pack_token(p, sim_ue_tg(rng, p, 3)))
+        for ct in (sim_ue_enc(rng, p, 0), sim_ue_enc(rng, p, 5), sim_ue_upd(rng, p)):
+            h.update(env.pack_ciphertext(p, ct))
+        assert h.hexdigest() == digest, name
 
 
 def test_sim_marginals_uniform_chi_square():

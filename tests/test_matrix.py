@@ -592,24 +592,25 @@ def test_chi_deterministic_under_seed(toy16):
 
 def test_chi_matches_the_lane_reference():
     # sizes that are not multiples of 4 leave the rest of their last output unread
-    narrow = adhoc_paramset(D=6, chi_cdf=(1, 5, 7))
-    for p in [load_paramset(name) for name in registered_names()] + [narrow]:
+    narrow = [adhoc_paramset(D=6, chi_cdf=cdf)
+              for cdf in ((1, 5, 7), (0,), (3, 7), (100, 200, 255), (4000, 8191))]
+    for p in [load_paramset(name) for name in registered_names()] + narrow:
         shapes = ((5, 3), (16, 8), (1, 1), (0, 4), (640, 8), (2, 7))
         rng = RngHandle(b"lanes-" + p.name.encode())
         want = chi_reference(b"lanes-" + p.name.encode(), [r * c for r, c in shapes], p)
         for (r, c), ref in zip(shapes, want):
             got = sample_chi(rng, r, c, p)
-            assert np.array_equal(got.signed().ravel(), ref), (p.name, r, c)
+            assert np.array_equal(got.signed().ravel(), ref), (p.name, p.chi_cdf, r, c)
 
 
 def test_chi_table_counts_equal_chi_pmf_exactly():
-    # every (chi_sample_bits + 1)-bit word once: the table is chi itself
+    # every 16-bit word once: the table is chi itself
     sets = [load_paramset(name) for name in registered_names()]
     for p in sets + [adhoc_paramset(D=6, chi_cdf=(1, 5, 7))]:
         lut = MatrixZq(_chi_lut(p.chi_cdf, p.D)[None, :], p.D)
+        assert lut.cols == 1 << 16
         values, counts = np.unique(lut.signed(), return_counts=True)
-        total = 2 << p.chi_sample_bits
-        assert {int(v): Fraction(int(c), total) for v, c in zip(values, counts)} == \
+        assert {int(v): Fraction(int(c), lut.cols) for v, c in zip(values, counts)} == \
             {z: f for z, f in p.chi_pmf().items() if f}
 
 

@@ -105,7 +105,8 @@ def test_toy16_certified_at_its_epoch_budget(toy16):
 def test_bound_monotone_in_epoch_budget(toy16):
     certified = max_certified_epochs(toy16)
     for T in range(1, certified + 3):
-        assert validate_correctness_bound(toy16, T) == (T <= certified)
+        ok = bound_oracle(toy16.n, toy16.D, toy16.s, toy16.B, T)[2]
+        assert validate_correctness_bound(toy16, T) == (T <= certified) == ok
 
 
 def test_named_sets_fail_bound_and_carry_empirical_flag():
