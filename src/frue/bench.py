@@ -22,7 +22,7 @@ import ctypes
 import itertools
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,9 +30,6 @@ from .matrix import RngHandle
 from .params import ParamSet, paramset_for
 from .pke import pke_setup, random_message_bits
 from .ue import ue_dec, ue_enc, ue_kg, ue_tg, ue_upd
-
-BENCH_OPS = ("UE.KG", "UE.Enc", "UE.Dec", "UE.TG", "UE.Upd")
-CSV_COLUMNS = ("level", "mode", "op", "runs", "mean_s", "std_s")
 
 
 @dataclass(frozen=True)
@@ -113,8 +110,8 @@ def bench_level(level: str, mode: str, p: ParamSet, runs: int) -> list[BenchResu
         "UE.Upd": lambda: ue_upd(rng, p, tok, ct),
     }
     out = []
-    for op in BENCH_OPS:
-        mean, std = _time_op(ops[op], runs)
+    for op, fn in ops.items():
+        mean, std = _time_op(fn, runs)
         out.append(BenchResult(level, mode, op, runs, mean, std))
     return out
 
@@ -130,7 +127,7 @@ def run_benchmarks(levels, modes, runs: int) -> list[BenchResult]:
 
 
 def to_csv(results: list[BenchResult]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
+    lines = [",".join(f.name for f in fields(BenchResult))]
     for r in results:
         lines.append(f"{r.level},{r.mode},{r.op},{r.runs},{r.mean_s:.6f},{r.std_s:.6f}")
     return "\n".join(lines) + "\n"

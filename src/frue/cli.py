@@ -79,29 +79,20 @@ _IN_FILE = click.Path(exists=True, dir_okay=False)
 _OUT_FILE = click.Path(dir_okay=False)
 
 
-def _hex_seed(ctx, param, value: str | None) -> bytes | None:
-    """Click callback for --seed: hex text to bytes; not hex, or no bytes
-    (which would draw a random seed), is a usage error."""
+def _hex_seed(ctx, param, value: str | None) -> bytes:
+    """Click callback for --seed: hex text to bytes, or 32 fresh random bytes
+    when the option is absent; not hex, or no bytes, is a usage error."""
+    if value is None:
+        import secrets      # only an unseeded run needs it
+
+        return secrets.token_bytes(32)
     try:
-        seed = None if value is None else bytes.fromhex(value)
+        seed = bytes.fromhex(value)
     except ValueError:
         seed = b""
     if seed == b"":
         raise click.BadParameter(f"{value!r} is not a hex string of at least one byte")
     return seed
-
-
-def _seed_or_fresh(seed: bytes | None) -> bytes:
-    """The --seed bytes, or 32 fresh random bytes when none was given."""
-    if seed:
-        return seed
-    import secrets      # only an unseeded run needs it
-
-    return secrets.token_bytes(32)
-
-
-def _rng_from(seed: bytes | None, label: str) -> RngHandle:
-    return RngHandle(_seed_or_fresh(seed)).derive(label)
 
 
 def _no_clash(out: tuple[str, str], *keys: tuple[str, str]) -> None:
@@ -186,9 +177,8 @@ def keygen(params_name, epoch, seed, out_key, out_pub):
     """Generate an epoch key; writes the secret key file and the public-key file."""
     _no_clash(("--out-pub", out_pub), ("--out-key", out_key))
     p = load_paramset(params_name)
-    master = _seed_or_fresh(seed)
-    a_seed, A = pke_setup(_rng_from(master, "a-seed"), p)
-    key = ue_kg(_rng_from(master, f"epoch:{epoch}"), p, A, epoch)
+    a_seed, A = pke_setup(RngHandle(seed).derive("a-seed"), p)
+    key = ue_kg(RngHandle(seed).derive(f"epoch:{epoch}"), p, A, epoch)
     with open(out_pub, "wb") as fh:    # no secret key is left without its public key
         fh.write(env.pack_public_key(p, epoch, key.pk_B, a_seed))
     with open(out_key, "wb") as fh:
@@ -222,7 +212,7 @@ def encrypt(key_path, message_file, seed, out):
         data = fh.read()
     bits = pack_message(data, e.p)
     A = gen_public_matrix(a_seed, e.p)
-    ct = pke_enc(_rng_from(seed, "encrypt"), e.p, A, pk_B, bits)
+    ct = pke_enc(RngHandle(seed).derive("encrypt"), e.p, A, pk_B, bits)
     with open(out, "wb") as fh:
         fh.write(env.pack_ciphertext(e.p, replace(ct, epoch=e.epoch)))
     click.echo(f"wrote {out} (epoch {e.epoch})")
@@ -273,7 +263,7 @@ def token(prev_key, next_pub, seed, out):
         raise EpochMismatchError(
             f"need consecutive epochs, got {ke.epoch} -> {pe.epoch}")
     A = gen_public_matrix(a_seed_prev, ke.p)
-    tok = ue_tg(_rng_from(seed, "token"), ke.p, A, key.sk_S, pk_next, pe.epoch)
+    tok = ue_tg(RngHandle(seed).derive("token"), ke.p, A, key.sk_S, pk_next, pe.epoch)
     with open(out, "wb") as fh:
         fh.write(env.pack_token(ke.p, tok))
     click.echo(f"wrote {out} (token into epoch {pe.epoch})")
@@ -289,7 +279,7 @@ def update(token_path, ct_path, seed, out):
     """Re-encrypt a ciphertext file to the token's target epoch; --out may be --ct."""
     _no_clash(("--out", out), ("--token", token_path))
     te, ce = _read_pair(token_path, env.KIND_TOKEN, ct_path, env.KIND_CIPHERTEXT)
-    ct2 = ue_upd(_rng_from(seed, "update"), te.p, te.payload, ce.payload)
+    ct2 = ue_upd(RngHandle(seed).derive("update"), te.p, te.payload, ce.payload)
     with open(out, "wb") as fh:
         fh.write(env.pack_ciphertext(te.p, ct2))
     click.echo(f"wrote {out} (epoch {ct2.epoch})")
@@ -419,17 +409,17 @@ def game_run(script_path, params_name, bit, seed):
     """Replay a scripted oracle trace and report leakage sets and the verdict."""
     p = load_paramset(params_name)
     with open(script_path, encoding="utf-8", errors="replace") as fh:
-        _run_game_script(fh, p, _rng_from(seed, "game"), bit)
+        _run_game_script(fh, p, RngHandle(seed).derive("game"), bit)
 
 
 @main.command("hybrids-test")
 @click.option("--params", "params_name", default="toy-16", show_default=True)
 @click.option("--samples", type=click.IntRange(min=100), default=20000, show_default=True)
-@click.option("--seed", callback=_hex_seed)
+@click.option("--seed", callback=_hex_seed, default="1bad5eed")
 def hybrids_test(params_name, samples, seed):
     """Run the hybrid/simulator statistical checks and print the distances."""
     p = load_paramset(params_name)
-    rng = _rng_from(seed or bytes.fromhex("1bad5eed"), "hybrids")
+    rng = RngHandle(seed).derive("hybrids")
     inst = make_update_instance(p)
     proj = high_bits_projection(p)
 

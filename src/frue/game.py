@@ -40,9 +40,10 @@ class SecurityGame:
     has been issued iff `chall_ct` is set, and from then on the current
     epoch is in `leakage.C`.  Its Q~* is `_chall_msgs` at every epoch of
     `leakage.C`, so a decryption is checked against `_chall_msgs` alone.
-    An oracle answers None where the paper answers bottom, and a refused
-    call changes nothing; the game keeps no log beside `L`, `chall_ct` and
-    `leakage`.
+    The current epoch `e` is `leakage.l`, which only `o_next` advances.
+    An oracle answers None where the paper answers bottom, and None always
+    means refused: the call changed nothing.  The game keeps no log beside
+    `L`, `chall_ct` and `leakage`.
     """
 
     def __init__(self, rng: RngHandle, p: ParamSet, A: MatrixZq, b: int):
@@ -52,7 +53,6 @@ class SecurityGame:
         self.p = p
         self.A = A
         self.b = b
-        self.e = 0
         self.keys: dict[int, EpochKey] = {0: ue_kg(rng, p, A, 0)}
         self.tokens: dict[int, UpdateToken] = {}      # no token into epoch 0
         self.qid = 0
@@ -61,6 +61,10 @@ class SecurityGame:
         self._chall_msgs: tuple[bytes, ...] = ()
         self.L: dict[UeCiphertext, tuple[int, bytes]] = {}
         self.leakage = LeakageSets()
+
+    @property
+    def e(self) -> int:
+        return self.leakage.l
 
     # -- oracles ---------------------------------------------------------
 
@@ -82,8 +86,7 @@ class SecurityGame:
         return m
 
     def o_next(self) -> None:
-        self.e += 1
-        self.leakage.l = self.e
+        self.leakage.l += 1
         self.keys[self.e] = ue_kg(self.rng, self.p, self.A, self.e)
         self.tokens[self.e] = ue_tg(self.rng, self.p, self.A,
                                     self.keys[self.e - 1].sk_S,
@@ -103,13 +106,13 @@ class SecurityGame:
     def o_corr(self, inp: str, e_hat: int):
         if inp not in ("key", "token"):
             raise ValueError("inp must be 'key' or 'token'")
-        if not 0 <= e_hat <= self.e:
+        if not (inp == "token") <= e_hat <= self.e:     # no token enters epoch 0
             return None
         if inp == "key":
             self.leakage.K.add(e_hat)
             return self.keys[e_hat]
         self.leakage.T.add(e_hat)
-        return self.tokens.get(e_hat)          # epoch 0 has no token
+        return self.tokens[e_hat]
 
     def o_chall(self, m_bar, ct_bar: UeCiphertext):
         """Issue the one challenge: fresh encryption of m_bar (b = 0) or an

@@ -166,7 +166,6 @@ def derive_prev_secret(p: ParamSet, sk_next: MatrixZq, tok: UpdateToken) -> Matr
     """
     k = select_recovery_plane(p)
     W = _lincomb((1, tok.d1_b), (-1, tok.d1_a, sk_next))
-    block = MatrixZq(W.data[(k - 1) * p.n: k * p.n], p.D)
-    w = -block.signed().astype(np.int64)
+    w = -W.signed()[(k - 1) * p.n: k * p.n].astype(np.int64)
     recovered = ((w << 1) + (1 << (k - 1))) >> k   # round-half-up of w / 2**(k-1)
     return MatrixZq.from_signed(recovered, p.D)

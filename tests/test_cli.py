@@ -579,6 +579,22 @@ def test_game_run_two_hop_transcript(runner, tmp_path, bit):
         "twf=0 verdict=clean guess=1 returned=1"]
 
 
+def test_game_run_token_into_epoch_0_is_refused(runner, tmp_path):
+    # no token enters epoch 0: the game refuses the corruption and records nothing
+    script = tmp_path / "token0.jsonl"
+    script.write_text("\n".join(json.dumps(r) for r in [
+        {"op": "next"},
+        {"op": "corr", "inp": "token", "epoch": 0},
+        {"op": "guess", "bit": 0},
+    ]))
+    res = invoke(runner, "game-run", "--script", str(script), "--seed", "0abc")
+    assert res.exit_code == 0
+    assert res.stdout.splitlines() == [
+        "[0] next -> epoch 1", "[1] corr token @ 0 -> reject", "[2] guess 0",
+        "K  = []", "T  = []", "C  = []", "K* = []", "T* = []", "C* = []",
+        "twf=0 verdict=clean guess=0 returned=0"]
+
+
 @pytest.mark.parametrize("bad, code", [
     ("not json", EXIT_MALFORMED),
     ("[1, 2]", EXIT_MALFORMED),
@@ -658,6 +674,14 @@ def test_hybrids_test_command(runner):
     assert res.exit_code == 0
     assert "decrypt agreement      : 200/200" in res.output
     assert "smudging distance" in res.output
+
+
+def test_hybrids_test_default_seed(runner):
+    # an absent --seed is the documented default, not a fresh random seed
+    args = ("hybrids-test", "--params", "toy-16", "--samples", "200")
+    res = invoke(runner, *args)
+    assert res.exit_code == 0
+    assert res.output == invoke(runner, *args, "--seed", "1bad5eed").output
 
 
 def test_bench_single_run_reports_zero_std(runner, tmp_path):

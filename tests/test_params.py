@@ -36,15 +36,14 @@ def test_every_registered_set_satisfies_type_invariants():
         p = load_paramset(name)
         assert 1 <= p.B <= p.D <= 16
         assert p.n % 8 == 0
-        assert len(p.chi_cdf) == p.s + 1
         assert list(p.chi_cdf) == sorted(p.chi_cdf)
-        assert p.chi_cdf[-1] == 2**p.chi_sample_bits - 1
         assert p.ell == p.B * p.m_bar * p.n_bar
         assert p.T_max >= 1
         # n * D is the largest inner dimension of any scheme product
-        # (ord_bits(C1) @ d1_a); MatrixZq @ raises at or past this float64
-        # bound.  That product pairs d1_a's columns in chunks of
-        # (2**26 - 1) // (q/2) inner rows, each exact at any n * D.
+        # (ord_bits(C1) @ d1_a); MatrixZq @ raises once inner * (q/2)**2
+        # reaches 2**53, and this stricter bound, with (q - 1)**2, holds too.
+        # That product pairs d1_a's columns in chunks of (2**26 - 1) // (q/2)
+        # inner rows, each exact at any n * D.
         assert p.n * p.D * (p.q - 1) ** 2 < 2**53
 
 
