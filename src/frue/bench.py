@@ -51,27 +51,21 @@ _OPENBLAS_THREAD_CALLS = (
 )
 
 
-def _openblas_thread_calls():
-    """(get, set) thread-count calls of the OpenBLAS numpy links to, or None."""
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run BLAS on one thread inside the block, if numpy links an OpenBLAS
+    that exposes its thread-count calls; other BLAS builds are left alone."""
     core = getattr(np, "_core", None) or np.core
     try:
         lib = ctypes.CDLL(core._multiarray_umath.__file__)
     except OSError:
-        return None
-    for get_name, set_name in _OPENBLAS_THREAD_CALLS:
-        if hasattr(lib, get_name) and hasattr(lib, set_name):
-            return getattr(lib, get_name), getattr(lib, set_name)
-    return None
-
-
-@contextlib.contextmanager
-def _single_blas_thread():
-    """Run BLAS on one thread inside the block; other BLAS builds are left alone."""
-    calls = _openblas_thread_calls()
-    if calls is None:
+        lib = None                  # has none of the calls
+    names = next((pair for pair in _OPENBLAS_THREAD_CALLS
+                  if all(hasattr(lib, name) for name in pair)), None)
+    if names is None:
         yield
         return
-    get_threads, set_threads = calls
+    get_threads, set_threads = (getattr(lib, name) for name in names)
     before = get_threads()
     set_threads(1)
     try:
@@ -93,7 +87,7 @@ def _time_op(fn, runs: int) -> tuple[float, float]:
 
 
 @_single_blas_thread()
-def bench_level(level: str, mode: str, p: ParamSet, runs: int) -> list[BenchResult]:
+def bench_level(p: ParamSet, runs: int) -> list[BenchResult]:
     rng = RngHandle(b"frue-bench")
     _, A = pke_setup(rng, p)
     k0 = ue_kg(rng, p, A, 0)
@@ -112,7 +106,7 @@ def bench_level(level: str, mode: str, p: ParamSet, runs: int) -> list[BenchResu
     out = []
     for op, fn in ops.items():
         mean, std = _time_op(fn, runs)
-        out.append(BenchResult(level, mode, op, runs, mean, std))
+        out.append(BenchResult(str(p.n), p.gen_mode, op, runs, mean, std))
     return out
 
 
@@ -121,9 +115,8 @@ def run_benchmarks(levels, modes, runs: int) -> list[BenchResult]:
     target is resolved before the first is timed, so a bad one fails fast."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    targets = dict.fromkeys((str(level), mode) for level in levels for mode in modes)
-    resolved = [(level, mode, paramset_for(level, mode)) for level, mode in targets]
-    return [r for target in resolved for r in bench_level(*target, runs)]
+    targets = dict.fromkeys(paramset_for(level, mode) for level in levels for mode in modes)
+    return [r for p in targets for r in bench_level(p, runs)]
 
 
 def to_csv(results: list[BenchResult]) -> str:

@@ -83,9 +83,7 @@ def _hex_seed(ctx, param, value: str | None) -> bytes:
     """Click callback for --seed: hex text to bytes, or 32 fresh random bytes
     when the option is absent; not hex, or no bytes, is a usage error."""
     if value is None:
-        import secrets      # only an unseeded run needs it
-
-        return secrets.token_bytes(32)
+        return os.urandom(32)
     try:
         seed = bytes.fromhex(value)
     except ValueError:
@@ -118,10 +116,8 @@ def pack_message(data: bytes, p) -> np.ndarray:
     if len(data) > cap:
         raise MessageLengthError(
             f"message of {len(data)} bytes exceeds capacity {cap} of {p.name}")
-    block = struct.pack("<Q", len(data)) + data + b"\x00" * (cap - len(data))
-    bits = np.zeros(p.ell, dtype=np.uint8)
-    bits[:8 * len(block)] = bits_from_bytes(block, 8 * len(block))
-    return bits
+    frame = struct.pack("<Q", len(data)) + data
+    return bits_from_bytes(frame.ljust((p.ell + 7) // 8, b"\x00"), p.ell)
 
 
 def unpack_message(bits: np.ndarray, p) -> bytes:
@@ -380,7 +376,7 @@ def _run_game_script(script, p, rng: RngHandle, b: int) -> None:
                     click.echo(f"[{i}] upd-ct -> {said(g.o_upd_ct())}")
                 case {"op": "dec"} if type(rec.get("qid", 0)) is int:
                     target = latest(rec["qid"]) if "qid" in rec else g.chall_ct
-                    out = g.o_dec(target) if target is not None else None
+                    out = g.o_dec(target)
                     click.echo(f"[{i}] dec -> " + ("reject" if out is None
                                                    else bytes_from_bits(out).hex()))
                 case {"op": "guess", "bit": int(0 | 1 as guess)}:

@@ -43,6 +43,9 @@ KIND_NAMES = {
 _HEADER = struct.Struct("<4sBBHI")  # magic, version, kind, paramset_id, epoch
 
 _SEEDED = (KIND_EPOCH_KEY, KIND_PUBLIC_KEY)     # kinds that end with an a_seed
+# the object each kind builds from its epoch and matrix records; a public key's is pk_B
+_PAYLOAD_TYPES = {KIND_EPOCH_KEY: EpochKey, KIND_PUBLIC_KEY: lambda epoch, pk_B: pk_B,
+                  KIND_TOKEN: UpdateToken, KIND_CIPHERTEXT: UeCiphertext}
 
 
 def _layout(kind: int, p: ParamSet) -> tuple[tuple[str, int, int], ...]:
@@ -145,17 +148,10 @@ def read_envelope(data: bytes) -> Envelope:
     if off != len(data):
         raise MalformedEnvelopeError(f"{len(data) - off} trailing bytes")
 
-    if kind == KIND_EPOCH_KEY:
-        payload = (EpochKey(epoch=epoch, **fields), a_seed)
-    elif kind == KIND_PUBLIC_KEY:
-        payload = (fields["pk_B"], a_seed)
-    elif kind == KIND_TOKEN:
-        if epoch < 1:
-            raise MalformedEnvelopeError("token epoch must be >= 1")
-        payload = UpdateToken(epoch=epoch, **fields)
-    else:
-        payload = UeCiphertext(epoch=epoch, **fields)
-    return Envelope(kind, p, epoch, payload)
+    if kind == KIND_TOKEN and epoch < 1:
+        raise MalformedEnvelopeError("token epoch must be >= 1")
+    obj = _PAYLOAD_TYPES[kind](epoch=epoch, **fields)
+    return Envelope(kind, p, epoch, (obj, a_seed) if kind in _SEEDED else obj)
 
 
 def read_envelope_file(path, expect_kind: int | tuple[int, ...] | None = None) -> Envelope:

@@ -77,6 +77,8 @@ class SecurityGame:
     def o_dec(self, ct: UeCiphertext):
         """Decrypt under the current key.  A challenge plaintext coming back
         flags a trivial win, so run_experiment answers with a coin."""
+        if not isinstance(ct, UeCiphertext):
+            return None
         try:
             m = ue_dec(self.p, self.keys[self.e], ct)
         except (EpochMismatchError, DimensionMismatchError):

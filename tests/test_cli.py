@@ -1,4 +1,6 @@
 import ast
+import ctypes
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import textwrap
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -89,6 +92,89 @@ def test_full_lifecycle_roundtrip(runner, tmp_path):
     assert out.read_bytes() == b"attack!\x00"
 
 
+# Every output of the key lifecycle from fixed seeds, in the order a key
+# holder runs it.  Each step is (exit code, stdout, stderr, SHA-256 of every
+# file it wrote): a change to the CLI, the envelope codec or the scheme that
+# alters one byte of any of them fails here.  frodo-640-shake's rotated
+# decrypt exits 5: one update overflows its noise budget (certified and
+# empirical chain budgets are both 0), and the pinned output records that.
+GOLDEN_STEPS = (
+    "keygen --params {p} --epoch 0 --seed aa11 --out-key k0 --out-pub p0",
+    "keygen --params {p} --epoch 1 --seed aa11 --out-key k1 --out-pub p1",
+    "encrypt --key p0 --message-file msg --seed 01 --out ct0",
+    "token --prev-key k0 --next-pub p1 --seed 02 --out t1",
+    "update --token t1 --ct ct0 --seed 03 --out ct1",
+    "decrypt --key k0 --ct ct0 --out m0",
+    "decrypt --key k1 --ct ct1 --out m1",
+    "params show {p} --out ps",
+)
+_WARN_640 = ("warning: frodo-640-shake is certified for 0 chained updates and 0 ran "
+             "clean in trials; updated ciphertexts may not decrypt\n")
+GOLDEN_OUTPUTS = {
+    "frodo-640-shake": [
+        (0, "wrote k0 and p0 (frodo-640-shake, epoch 0)\n", "",
+         {"k0": "307f5b1a9a9a0e528ae388dfaf0c39a0a8fb5b48745c0b88dc9ff41fe971bafb",
+          "p0": "82ec2e3ed08b0d5e7546668797b5e4efa32b858ff1b5e55771de730fa1046fc4"}),
+        (0, "wrote k1 and p1 (frodo-640-shake, epoch 1)\n", "",
+         {"k1": "24604ad9ec5404af9227f2ea64a76f02847807957493014f7eb7e6e02f298c76",
+          "p1": "40fc5cc8d634a49c285077e2cd406d9da833e5fa93e54136eb2a1bf06710e509"}),
+        (0, "wrote ct0 (epoch 0)\n", "",
+         {"ct0": "c2581e0b1fcc42c34cbb4eba48e2bbd6647d5f5be50cd8f7e4e3e3e898da3312"}),
+        (0, "wrote t1 (token into epoch 1)\n", _WARN_640,
+         {"t1": "0100c8bbffa6a757902986dfc95b0c74a03fada8cdfa696f46b2b095915ffc11"}),
+        (0, "wrote ct1 (epoch 1)\n", _WARN_640,
+         {"ct1": "4a6cf3e8ea03cf1a4a7b7e440391709f47a695d2765697d7a1adf7a2878fb73b"}),
+        (0, "wrote m0 (7 bytes)\n", "",
+         {"m0": "5ac03da17d7d5241b49a9a94f86b08a431d7052c8585ca997b373f0bc7da0dcc"}),
+        (5, "", "error: decoded length 13584068724964324471 exceeds capacity 8\n", {}),
+        (0, "name=frodo-640-shake\nparamset_id=1\nD=15\nq=32768\nB=2\nn=640\nm_bar=8\n"
+            "n_bar=8\ns=12\nchi_sample_bits=15\nchi_cdf=4643,13363,20579,25843,29227,31145,"
+            "32103,32525,32689,32745,32762,32766,32767\nT_max=16\ngen_mode=shake-like\n"
+            "message_bits=128\nbound_certified_epochs=0\nempirical_chain_epochs=0\n"
+            "wrote ps\n", "",
+         {"ps": "fd2df03a2c66dabae108a0d7ad8ed7b657bdf3a16cddf6fd2aa581e4961d71fc"}),
+    ],
+    "toy-16": [
+        (0, "wrote k0 and p0 (toy-16, epoch 0)\n", "",
+         {"k0": "d6ca4ba088e91d46682c1ce20cac389da7da5445bc2a987d15929932c6a31d5b",
+          "p0": "e2186747904d2e301bd193973220cd5fc256a0d43e2f7a5e872029bc86742134"}),
+        (0, "wrote k1 and p1 (toy-16, epoch 1)\n", "",
+         {"k1": "bf98807594376e074e900a0c9d048a2e91136d8c69043b5a55d8655967dcd061",
+          "p1": "33732919b158180461538d104540d2ac6521e080c5412410c802385bc9e44fde"}),
+        (0, "wrote ct0 (epoch 0)\n", "",
+         {"ct0": "12c1f7cdfdc5d27a0427f7e81e836a3e6b7e0aea2c21f106d423678285b71db6"}),
+        (0, "wrote t1 (token into epoch 1)\n", "",
+         {"t1": "51dc21b797960b9929e7e4df7052cfed92822815d8ec15cba69d218873f9bb13"}),
+        (0, "wrote ct1 (epoch 1)\n", "",
+         {"ct1": "8cbf66db067bae689d57f412eaf706f349929181c441f126e1a7ab9f93ca6d5f"}),
+        (0, "wrote m0 (7 bytes)\n", "",
+         {"m0": "5ac03da17d7d5241b49a9a94f86b08a431d7052c8585ca997b373f0bc7da0dcc"}),
+        (0, "wrote m1 (7 bytes)\n", "",
+         {"m1": "5ac03da17d7d5241b49a9a94f86b08a431d7052c8585ca997b373f0bc7da0dcc"}),
+        (0, "name=toy-16\nparamset_id=100\nD=16\nq=65536\nB=1\nn=8\nm_bar=16\nn_bar=8\n"
+            "s=1\nchi_sample_bits=15\nchi_cdf=16383,32767\nT_max=4\ngen_mode=toy\n"
+            "message_bits=128\nbound_certified_epochs=7\nempirical_chain_epochs=4\n"
+            "wrote ps\n", "",
+         {"ps": "5106e50a3eb43206b0eb545175978423dc7ee0283ef598b563c8fe7130d6520f"}),
+    ],
+}
+
+
+@pytest.mark.parametrize("params", sorted(GOLDEN_OUTPUTS))
+def test_lifecycle_outputs_match_golden(runner, tmp_path, monkeypatch, params):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "msg").write_bytes(b"golden\n")
+    seen, got = {}, []
+    for step in GOLDEN_STEPS:
+        res = invoke(runner, *step.format(p=params).split())
+        files = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                 for f in tmp_path.iterdir() if f.name != "msg"}
+        got.append((res.exit_code, res.stdout, res.stderr,
+                    {name: h for name, h in files.items() if seen.get(name) != h}))
+        seen = files
+    assert got == GOLDEN_OUTPUTS[params]
+
+
 def test_token_and_update_warn_without_chain_budget(runner, tmp_path):
     # frodo-640's certified and empirical chain budgets are both 0: token and
     # update still exit 0 and write their files, each with one warning line
@@ -138,8 +224,9 @@ def test_unseeded_steps_draw_fresh_seeds(runner, tmp_path):
     assert (tmp_path / "out").read_bytes() == b"fresh"
 
 
-# Loaded on demand only: the bench timing harness, game-run's JSON reader, the
-# random source of an unseeded run and the exact bound arithmetic.
+# Loaded on demand only: the bench timing harness, game-run's JSON reader and
+# the exact bound arithmetic.  frue never imports secrets (an unseeded run
+# reads os.urandom); numpy.random loads it in a step that draws.
 _ON_DEMAND = ("frue.bench", "statistics", "json", "secrets", "fractions", "decimal")
 
 
@@ -672,8 +759,11 @@ def test_hybrids_test_command(runner):
     res = invoke(runner, "hybrids-test", "--params", "toy-16", "--samples", "200",
                  "--seed", "1dea")
     assert res.exit_code == 0
-    assert "decrypt agreement      : 200/200" in res.output
-    assert "smudging distance" in res.output
+    assert res.stdout == (
+        "decrypt agreement      : 200/200\n"
+        "real-vs-hybrid distance: 0.16000 (baseline 0.15000)\n"
+        "smudging distance      : 0.02636 (baseline 0.02505, analytic 0.00049)\n"
+        "sim uniformity chi2(15): 17.88 (alpha=0.001 cutoff 37.70)\n")
 
 
 def test_hybrids_test_default_seed(runner):
@@ -720,6 +810,39 @@ def test_bench_targets_are_the_registered_frodo_sets():
             p = paramset_for(level, mode)
             assert p.name in registered_names() and p.name.startswith("frodo-")
             assert (str(p.n), p.gen_mode) == (level, mode)
+
+
+def _openblas_thread_count_calls():
+    """(get, set) thread-count calls of the OpenBLAS numpy links to; skip
+    the test when numpy's BLAS exposes none of them."""
+    core = getattr(np, "_core", None) or np.core
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    for get, set_ in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                      ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                      ("openblas_get_num_threads", "openblas_set_num_threads")):
+        if hasattr(lib, get) and hasattr(lib, set_):
+            return getattr(lib, get), getattr(lib, set_)
+    pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count calls")
+
+
+def test_single_blas_thread_sets_one_thread_and_restores_the_count():
+    from frue.bench import _single_blas_thread
+
+    get_threads, set_threads = _openblas_thread_count_calls()
+    start = get_threads()
+    set_threads(2)              # a count other than 1, so a restore shows
+    try:
+        if get_threads() != 2:
+            pytest.skip("OpenBLAS here runs at most one thread")
+        with _single_blas_thread():
+            assert get_threads() == 1
+        assert get_threads() == 2
+        with pytest.raises(RuntimeError), _single_blas_thread():
+            assert get_threads() == 1
+            raise RuntimeError("inside the block")
+        assert get_threads() == 2
+    finally:
+        set_threads(start)
 
 
 UNKNOWN_TARGETS = {("--mode", "aes"): "level=640 mode=aes",

@@ -148,6 +148,15 @@ def test_dec_rejects_only_what_ue_dec_raises(game, monkeypatch):
         g.o_dec(ct)
 
 
+def test_dec_refuses_a_missing_ciphertext(game):
+    # like o_upd and o_chall, o_dec answers None to what is not a ciphertext
+    g, d = game
+    g.o_enc(random_message_bits(g.rng, d["p"]))
+    before = state(g)
+    assert g.o_dec(None) is None
+    assert state(g) == before
+
+
 def test_upd_rejects_unrecorded_ciphertext(game):
     g, d = game
     m = random_message_bits(g.rng, d["p"])
