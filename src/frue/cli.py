@@ -93,6 +93,26 @@ def _hex_seed(ctx, param, value: str | None) -> bytes:
     return seed
 
 
+def _write(path: str, data: bytes) -> None:
+    """The CLI's one file writer: renames a `.part` sibling with the old file's mode onto
+    the real path.  A failed step leaves the old file whole (no fsync: not power loss)."""
+    if os.path.exists(path) and not os.path.isfile(path):   # a device or pipe: in place
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return
+    real = os.path.realpath(path)
+    part = f"{real}.{os.getpid()}.part"
+    try:
+        with open(part, "wb") as fh:
+            if os.path.exists(real):
+                os.fchmod(fh.fileno(), os.stat(real).st_mode & 0o7777)
+            fh.write(data)
+        os.replace(part, real)
+    finally:
+        if os.path.exists(part):                # the step failed: the old file stands
+            os.unlink(part)
+
+
 def _no_clash(out: tuple[str, str], *keys: tuple[str, str]) -> None:
     """Usage error if output (option, path) resolves to the file of one of keys."""
     for option, path in keys:
@@ -156,8 +176,7 @@ def params_list():
 def params_show(name, out_path):
     p = load_paramset(name)
     if out_path:
-        with open(out_path, "wb") as fh:
-            fh.write(env.pack_paramset(p))
+        _write(out_path, env.pack_paramset(p))
     click.echo(params_dump(p) + (f"wrote {out_path}\n" if out_path else ""), nl=False)
 
 
@@ -175,17 +194,15 @@ def keygen(params_name, epoch, seed, out_key, out_pub):
     p = load_paramset(params_name)
     a_seed, A = pke_setup(RngHandle(seed).derive("a-seed"), p)
     key = ue_kg(RngHandle(seed).derive(f"epoch:{epoch}"), p, A, epoch)
-    with open(out_pub, "wb") as fh:    # no secret key is left without its public key
-        fh.write(env.pack_public_key(p, epoch, key.pk_B, a_seed))
-    with open(out_key, "wb") as fh:
-        fh.write(env.pack_epoch_key(p, key, a_seed))
+    _write(out_pub, env.pack_public_key(p, epoch, key.pk_B, a_seed))
+    _write(out_key, env.pack_epoch_key(p, key, a_seed))     # never before its public key
     click.echo(f"wrote {out_key} and {out_pub} ({p.name}, epoch {epoch})")
 
 
 def _read_pair(path_a, kind_a: int, path_b, kind_b: int):
     """Read two envelope files of the given kinds; they must share a parameter set."""
-    a = env.read_envelope_file(path_a, expect_kind=kind_a)
-    b = env.read_envelope_file(path_b, expect_kind=kind_b)
+    a = env.read_envelope_file(path_a, kind_a)
+    b = env.read_envelope_file(path_b, kind_b)
     if a.p.paramset_id != b.p.paramset_id:
         raise env.MalformedEnvelopeError(
             f"{env.KIND_NAMES[kind_a]} and {env.KIND_NAMES[kind_b]} files use "
@@ -201,7 +218,7 @@ def _read_pair(path_a, kind_a: int, path_b, kind_b: int):
 def encrypt(key_path, message_file, seed, out):
     """Encrypt a file under an epoch key (public-key file suffices)."""
     _no_clash(("--out", out), ("--key", key_path))
-    e = env.read_envelope_file(key_path, (env.KIND_EPOCH_KEY, env.KIND_PUBLIC_KEY))
+    e = env.read_envelope_file(key_path, env.KIND_EPOCH_KEY, env.KIND_PUBLIC_KEY)
     key, a_seed = e.payload                     # an EpochKey, or a public key's pk_B
     pk_B = key.pk_B if e.kind == env.KIND_EPOCH_KEY else key
     with open(message_file, "rb") as fh:
@@ -209,8 +226,7 @@ def encrypt(key_path, message_file, seed, out):
     bits = pack_message(data, e.p)
     A = gen_public_matrix(a_seed, e.p)
     ct = pke_enc(RngHandle(seed).derive("encrypt"), e.p, A, pk_B, bits)
-    with open(out, "wb") as fh:
-        fh.write(env.pack_ciphertext(e.p, replace(ct, epoch=e.epoch)))
+    _write(out, env.pack_ciphertext(e.p, replace(ct, epoch=e.epoch)))
     click.echo(f"wrote {out} (epoch {e.epoch})")
 
 
@@ -222,11 +238,8 @@ def decrypt(key_path, ct_path, out):
     """Decrypt a ciphertext file with the matching epoch key."""
     _no_clash(("--out", out), ("--key", key_path))
     ke, ce = _read_pair(key_path, env.KIND_EPOCH_KEY, ct_path, env.KIND_CIPHERTEXT)
-    key, _ = ke.payload
-    bits = ue_dec(ke.p, key, ce.payload)
-    data = unpack_message(bits, ke.p)
-    with open(out, "wb") as fh:
-        fh.write(data)
+    data = unpack_message(ue_dec(ke.p, ke.payload[0], ce.payload), ke.p)
+    _write(out, data)
     click.echo(f"wrote {out} ({len(data)} bytes)")
 
 
@@ -260,8 +273,7 @@ def token(prev_key, next_pub, seed, out):
             f"need consecutive epochs, got {ke.epoch} -> {pe.epoch}")
     A = gen_public_matrix(a_seed_prev, ke.p)
     tok = ue_tg(RngHandle(seed).derive("token"), ke.p, A, key.sk_S, pk_next, pe.epoch)
-    with open(out, "wb") as fh:
-        fh.write(env.pack_token(ke.p, tok))
+    _write(out, env.pack_token(ke.p, tok))
     click.echo(f"wrote {out} (token into epoch {pe.epoch})")
     _warn_without_chain_budget(ke.p)
 
@@ -276,8 +288,7 @@ def update(token_path, ct_path, seed, out):
     _no_clash(("--out", out), ("--token", token_path))
     te, ce = _read_pair(token_path, env.KIND_TOKEN, ct_path, env.KIND_CIPHERTEXT)
     ct2 = ue_upd(RngHandle(seed).derive("update"), te.p, te.payload, ce.payload)
-    with open(out, "wb") as fh:
-        fh.write(env.pack_ciphertext(te.p, ct2))
+    _write(out, env.pack_ciphertext(te.p, ct2))
     click.echo(f"wrote {out} (epoch {ct2.epoch})")
     _warn_without_chain_budget(te.p)
 
@@ -293,8 +304,7 @@ def verify_bound(params_name, T):
     click.echo(f"parameter set : {p.name}")
     click.echo(f"epoch budget T: {T}")
     click.echo(f"noise bound   : {lhs}")
-    click.echo(f"per-update cap: q/(T*2^(B+1)) = {rhs} "
-               f"(~{float(rhs):.4f})")
+    click.echo(f"per-update cap: q/(T*2^(B+1)) = {rhs} (~{float(rhs):.4f})")
     cert = max_certified_epochs(p)
     click.echo(f"verdict       : {'certified' if ok else 'NOT certified'} for T={T}")
     click.echo(f"certified up to T={'unbounded' if cert is None else cert}; "
@@ -318,8 +328,7 @@ def bench(levels, modes, runs, out_csv):
     results = bench_mod.run_benchmarks(levels, modes, runs)
     click.echo(bench_mod.format_table(results), nl=False)
     if out_csv:
-        with open(out_csv, "w") as fh:
-            fh.write(bench_mod.to_csv(results))
+        _write(out_csv, bench_mod.to_csv(results).encode())
         click.echo(f"wrote {out_csv}")
 
 

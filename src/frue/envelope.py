@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .matrix import MatrixZq
 from .params import ParamSet, UnknownParamSetError, load_by_id, params_dump
 from .pke import A_SEED_LEN
-from .ue import EpochKey, UeCiphertext, UpdateToken
+from .ue import EpochKey, EpochMismatchError, UeCiphertext, UpdateToken
 
 MAGIC = b"FRUE"
 VERSION = 1
@@ -148,18 +148,18 @@ def read_envelope(data: bytes) -> Envelope:
     if off != len(data):
         raise MalformedEnvelopeError(f"{len(data) - off} trailing bytes")
 
-    if kind == KIND_TOKEN and epoch < 1:
-        raise MalformedEnvelopeError("token epoch must be >= 1")
-    obj = _PAYLOAD_TYPES[kind](epoch=epoch, **fields)
+    try:
+        obj = _PAYLOAD_TYPES[kind](epoch=epoch, **fields)
+    except EpochMismatchError as exc:       # a token into epoch 0, refused by UpdateToken
+        raise MalformedEnvelopeError(str(exc)) from None
     return Envelope(kind, p, epoch, (obj, a_seed) if kind in _SEEDED else obj)
 
 
-def read_envelope_file(path, expect_kind: int | tuple[int, ...] | None = None) -> Envelope:
-    """Read an envelope file; a kind not in expect_kind (a kind or a tuple) is malformed."""
+def read_envelope_file(path, *kinds: int) -> Envelope:
+    """Read an envelope file; a kind not among kinds is malformed."""
     with open(path, "rb") as fh:
         env = read_envelope(fh.read())
-    kinds = (expect_kind,) if isinstance(expect_kind, int) else expect_kind
-    if kinds is not None and env.kind not in kinds:
+    if env.kind not in kinds:
         names = " or ".join(KIND_NAMES[k] for k in kinds)
         raise MalformedEnvelopeError(f"expected {'an' if names[0] in 'aeiou' else 'a'} "
                                      f"{names} file, got {KIND_NAMES[env.kind]}")

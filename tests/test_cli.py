@@ -3,6 +3,7 @@ import ctypes
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import textwrap
@@ -14,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from frue import envelope as env
+from frue import cli, envelope as env
 from frue.cli import (EXIT_EPOCH, EXIT_MALFORMED, EXIT_MSGLEN,
                       EXIT_UNKNOWN_NAME, main, message_capacity, pack_message,
                       unpack_message)
@@ -242,13 +243,18 @@ def _modules_loaded(cwd, preload, *argvs):
             main(argv, standalone_mode=False)
         print(sorted(set(sys.modules) - before))
     """)
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _python(cwd, script)
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def _python(cwd, script):
+    """Run script in a fresh interpreter that imports frue from this tree."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_lifecycle_steps_load_only_what_they_run(tmp_path):
@@ -286,6 +292,30 @@ def test_update_epoch_mismatch_exit_code(runner, tmp_path):
     res = runner.invoke(main, ["update", "--token", str(tok), "--ct", str(ct1),
                                "--out", str(tmp_path / "bad.frue")])
     assert res.exit_code == EXIT_EPOCH
+
+
+def test_token_file_into_epoch_0_is_malformed(runner, tmp_path):
+    before = _lifecycle_files(runner, tmp_path)
+    tok = bytearray(before["t1"])
+    tok[8:12] = (0).to_bytes(4, "little")           # the header's epoch field
+    (tmp_path / "t0").write_bytes(tok)
+    with pytest.raises(env.MalformedEnvelopeError, match=r"^token epoch must be >= 1$"):
+        env.read_envelope(bytes(tok))
+    res = runner.invoke(main, ["update", "--token", str(tmp_path / "t0"), "--ct",
+                               str(tmp_path / "ct0"), "--out", str(tmp_path / "ct1")])
+    assert res.exit_code == EXIT_MALFORMED
+    assert "token epoch must be >= 1" in res.stderr
+    assert not (tmp_path / "ct1").exists()
+
+
+def test_token_across_two_epochs_is_epoch_mismatch(runner, tmp_path):
+    keys = make_keys(runner, tmp_path, (0, 2))
+    out = tmp_path / "t2.frue"
+    res = runner.invoke(main, ["token", "--prev-key", str(keys[0][0]), "--next-pub",
+                               str(keys[2][1]), "--out", str(out)])
+    assert res.exit_code == EXIT_EPOCH
+    assert "need consecutive epochs, got 0 -> 2" in res.stderr
+    assert not out.exists()
 
 
 def test_decrypt_with_wrong_epoch_key(runner, tmp_path):
@@ -538,6 +568,81 @@ def test_update_may_rotate_in_place(runner, tmp_path):
     assert res.exit_code == 0 and (tmp_path / "out").read_bytes() == b"hi"
 
 
+def test_failed_rotation_in_place_keeps_the_ciphertext(runner, tmp_path):
+    # a write cut short at 100 bytes (the ciphertext has 542) fails the step
+    before = _lifecycle_files(runner, tmp_path)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    argv = ["update", "--token", "t1", "--ct", "ct0", "--out", "ct0", "--seed", "03"]
+    proc = _python(tmp_path, textwrap.dedent(f"""
+        import resource
+        resource.setrlimit(resource.RLIMIT_FSIZE, (100, 100))
+        from frue.cli import main
+        main({argv!r})
+    """))
+    assert proc.returncode == 2, proc.stderr
+    assert "File too large" in proc.stderr and "Traceback" not in proc.stderr
+    assert (tmp_path / "ct0").read_bytes() == before["ct0"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    res = invoke(runner, "decrypt", "--key", str(tmp_path / "k0.frue"), "--ct",
+                 str(tmp_path / "ct0"), "--out", str(tmp_path / "out"))
+    assert res.exit_code == 0 and (tmp_path / "out").read_bytes() == b"hi"
+
+
+def test_rotation_keeps_the_mode_and_a_symlink(runner, tmp_path):
+    before = _lifecycle_files(runner, tmp_path)
+    (tmp_path / "ct0").chmod(0o600)
+    (tmp_path / "link").symlink_to("ct0")
+    link = str(tmp_path / "link")
+    res = invoke(runner, "update", "--token", str(tmp_path / "t1"), "--ct", link,
+                 "--out", link, "--seed", "03")
+    assert res.exit_code == 0, res.output
+    assert os.readlink(link) == "ct0" and (tmp_path / "ct0").read_bytes() != before["ct0"]
+    assert stat.S_IMODE((tmp_path / "ct0").stat().st_mode) == 0o600
+    # a new output gets the mode a plain open gives it
+    res = invoke(runner, "decrypt", "--key", str(tmp_path / "k1.frue"), "--ct", link,
+                 "--out", str(tmp_path / "out"))
+    assert res.exit_code == 0 and (tmp_path / "out").read_bytes() == b"hi"
+    (tmp_path / "plain").touch()
+    assert (tmp_path / "out").stat().st_mode == (tmp_path / "plain").stat().st_mode
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".part")]
+
+
+def test_output_to_a_pipe_is_written_in_place(runner, tmp_path):
+    _lifecycle_files(runner, tmp_path)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)    # so the writer does not block
+    try:
+        res = invoke(runner, "decrypt", "--key", str(tmp_path / "k0.frue"), "--ct",
+                     str(tmp_path / "ct0"), "--out", str(fifo))
+        assert res.exit_code == 0, res.output
+        assert os.read(reader, 64) == b"hi"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_every_output_has_one_writer():
+    # frue.cli opens a file for writing in _write alone, so the commit-by-rename
+    # rule that keeps the old file on a failed step is stated once
+    tree = ast.parse(Path(cli.__file__).read_text())
+
+    def writing_opens(root):
+        for node in ast.walk(root):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "open":
+                mode = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+                if mode and not (isinstance(mode[0], ast.Constant)
+                                 and set(mode[0].value) <= set("rbt")):
+                    yield node
+
+    writer = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_write")
+    inside = set(writing_opens(writer))
+    assert inside                                   # the check is not vacuous
+    assert [n.lineno for n in writing_opens(tree) if n not in inside] == []
+
+
 def _commands(group: click.Group):
     for cmd in group.commands.values():
         yield cmd
@@ -581,7 +686,7 @@ def test_params_show_writes_envelope(runner, tmp_path):
     out = tmp_path / "toy16.frue"
     res = invoke(runner, "params", "show", "toy-16", "--out", str(out))
     assert res.exit_code == 0
-    e = env.read_envelope_file(out, expect_kind=env.KIND_PARAMSET)
+    e = env.read_envelope_file(out, env.KIND_PARAMSET)
     assert e.p.name == "toy-16" and "chi_cdf=" in e.payload
 
 
@@ -802,6 +907,9 @@ def test_bench_unknown_level(runner):
     with pytest.raises(UnknownParamSetError) as exc:
         paramset_for("123", "aes-like")
     assert str(exc.value) == "no benchmark target for level=123 mode=aes-like"
+    from frue.bench import run_benchmarks
+    with pytest.raises(ValueError, match="runs must be >= 1"):
+        run_benchmarks(["640"], ["shake-like"], runs=0)
 
 
 def test_bench_targets_are_the_registered_frodo_sets():
@@ -825,8 +933,11 @@ def _openblas_thread_count_calls():
     pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count calls")
 
 
-def test_single_blas_thread_sets_one_thread_and_restores_the_count():
+def test_single_blas_thread_sets_one_thread_and_restores_the_count(monkeypatch):
     from frue.bench import _single_blas_thread
+
+    def no_library(*args, **kwargs):
+        raise OSError("cannot load numpy's extension")
 
     get_threads, set_threads = _openblas_thread_count_calls()
     start = get_threads()
@@ -841,6 +952,12 @@ def test_single_blas_thread_sets_one_thread_and_restores_the_count():
             assert get_threads() == 1
             raise RuntimeError("inside the block")
         assert get_threads() == 2
+        inside = None
+        with monkeypatch.context() as m:    # an extension ctypes cannot load:
+            m.setattr(ctypes, "CDLL", no_library)
+            with _single_blas_thread():     # the block runs at the count it had
+                inside = get_threads()
+        assert inside == 2
     finally:
         set_threads(start)
 

@@ -155,9 +155,9 @@ def test_read_envelope_file_kind_check(tmp_path, toy16):
     _, tok, _ = synthetic_objects(toy16, b"file")
     path = tmp_path / "tok.frue"
     path.write_bytes(env.pack_token(toy16, tok))
-    assert env.read_envelope_file(path, expect_kind=env.KIND_TOKEN).payload == tok
+    assert env.read_envelope_file(path, env.KIND_TOKEN).payload == tok
     with pytest.raises(env.MalformedEnvelopeError):
-        env.read_envelope_file(path, expect_kind=env.KIND_CIPHERTEXT)
+        env.read_envelope_file(path, env.KIND_CIPHERTEXT)
 
 
 @functools.cache

@@ -114,6 +114,8 @@ def test_setup_deterministic(deployment16):
     g1 = gs_setup(RngHandle(b"det"), d["p"], d["A"], b=0)
     g2 = gs_setup(RngHandle(b"det"), d["p"], d["A"], b=0)
     assert g1.keys[0].sk_S == g2.keys[0].sk_S
+    with pytest.raises(ValueError, match="challenge bit"):
+        gs_setup(RngHandle(b"det"), d["p"], d["A"], b=2)
 
 
 def test_scripted_trace_enc_next_upd_dec(game):

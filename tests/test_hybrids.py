@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 from frue import envelope as env
 from frue.hybrids import (high_bits_projection, hyb_ue_upd,
@@ -9,7 +10,7 @@ from frue.hybrids import (high_bits_projection, hyb_ue_upd,
                           sim_ue_enc, sim_ue_kg, sim_ue_tg, sim_ue_upd,
                           smudging_estimate, statistical_distance_estimate,
                           token_from_randomness)
-from frue.matrix import MatrixZq, RngHandle, sample_chi
+from frue.matrix import DimensionMismatchError, MatrixZq, RngHandle, sample_chi
 from frue.params import load_paramset
 from frue.pke import encode, pke_enc_traced, pke_setup, random_message_bits
 from frue.ue import ue_dec, ue_kg, ue_upd
@@ -78,6 +79,9 @@ def test_real_and_hybrid_agree_up_to_garbage_term(toy16):
     garbage = s1 @ (k0.pk_B - A @ k0.sk_S) - e1 @ k0.sk_S
     assert real.C1 == hyb.C1
     assert real.C2 - hyb.C2 == garbage
+    wide = MatrixZq.zeros(p.n, p.n_bar + 1, p.D)        # one column too many
+    with pytest.raises(DimensionMismatchError, match="n x n_bar"):
+        token_from_randomness(p, A, wide, k1.pk_B, 1, tr)
 
 
 def test_sim_output_shapes(toy16):

@@ -53,6 +53,8 @@ def test_dimension_and_modulus_mismatches():
         a @ MatrixZq([[1, 2]], 4)
     with pytest.raises(DimensionMismatchError):
         a + MatrixZq([[1, 2]], 5)
+    with pytest.raises(TypeError, match="expected MatrixZq"):
+        a @ np.array([[1], [2]])        # a bare array is not a matrix mod q
 
 
 @settings(max_examples=40, deadline=None)
@@ -359,6 +361,9 @@ def test_entries_validated_on_construction():
         MatrixZq([[16]], 4)
     with pytest.raises(ValueError):
         MatrixZq([1, 2, 3], 4)          # not 2-D
+    for D in (0, 17):                   # words are 1 to 16 bits wide
+        with pytest.raises(ValueError, match="D must be in"):
+            MatrixZq([[0]], D)
 
 
 def test_out_of_range_integers_raise_before_any_cast():
@@ -670,6 +675,8 @@ def test_rng_reproducible_and_derivable():
     assert c.bytes(8) != d.bytes(8)
     assert RngHandle("text").bytes(4) == RngHandle(b"text").bytes(4)
     assert RngHandle(7).bytes(4) == RngHandle(7).bytes(4)
+    with pytest.raises(AttributeError, match="advanced only by drawing"):
+        a.seed = b"other"
 
 
 def test_matrix_record_roundtrip_and_truncation():

@@ -160,6 +160,9 @@ def test_invalid_constructions_rejected():
         adhoc_paramset(chi_cdf=(100, 200))   # wrong terminal value
     with pytest.raises(ValueError):
         adhoc_paramset(gen_mode="weird")
+    for empty in ({"m_bar": 0}, {"n_bar": 0}, {"T_max": 0}):
+        with pytest.raises(ValueError, match="must be positive"):
+            adhoc_paramset(**empty)
     with pytest.raises(ValueError, match="at most 15"):   # one 16-bit word per sample
         adhoc_paramset(chi_cdf=(32767, 65535))
     for table in ((), (-1, 32767), (5, 6)):          # empty, negative, 7 words
