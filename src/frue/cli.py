@@ -94,23 +94,33 @@ def _hex_seed(ctx, param, value: str | None) -> bytes:
 
 
 def _write(path: str, data: bytes) -> None:
-    """The CLI's one file writer: renames a `.part` sibling with the old file's mode onto
-    the real path.  A failed step leaves the old file whole (no fsync: not power loss)."""
+    """The CLI's one file writer: writes a new `.part` sibling of the real path and renames
+    it onto that path with the old file's mode, and its owner and group where this process
+    may set them.  A failed step leaves the old file whole (no fsync: not power loss)."""
     if os.path.exists(path) and not os.path.isfile(path):   # a device or pipe: in place
         with open(path, "wb") as fh:
             fh.write(data)
         return
     real = os.path.realpath(path)
-    part = f"{real}.{os.getpid()}.part"
+    old = os.stat(path) if os.path.exists(path) else None
+    if old is not None:                     # refuse a file we may not write, as open() does
+        os.close(os.open(path, os.O_WRONLY))
+    part = f"{real}.{os.getpid()}.part"     # O_EXCL: never through a planted file or link
+    fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                 0o666 if old is None else old.st_mode & 0o700)   # owner alone until done
     try:
-        with open(part, "wb") as fh:
-            if os.path.exists(real):
-                os.fchmod(fh.fileno(), os.stat(real).st_mode & 0o7777)
+        with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+            if old is not None:
+                try:                        # root keeps the owner; anyone, a group they are in
+                    os.fchown(fd, old.st_uid if os.geteuid() == 0 else -1, old.st_gid)
+                except PermissionError:
+                    pass
+                os.fchmod(fd, old.st_mode & 0o7777)
         os.replace(part, real)
-    finally:
-        if os.path.exists(part):                # the step failed: the old file stands
-            os.unlink(part)
+    except BaseException:                   # the step failed: the old file stands
+        os.unlink(part)
+        raise
 
 
 def _no_clash(out: tuple[str, str], *keys: tuple[str, str]) -> None:
@@ -238,7 +248,9 @@ def decrypt(key_path, ct_path, out):
     """Decrypt a ciphertext file with the matching epoch key."""
     _no_clash(("--out", out), ("--key", key_path))
     ke, ce = _read_pair(key_path, env.KIND_EPOCH_KEY, ct_path, env.KIND_CIPHERTEXT)
-    data = unpack_message(ue_dec(ke.p, ke.payload[0], ce.payload), ke.p)
+    key, _ = ke.payload
+    bits = ue_dec(ke.p, key, ce.payload)
+    data = unpack_message(bits, ke.p)
     _write(out, data)
     click.echo(f"wrote {out} ({len(data)} bytes)")
 
@@ -304,7 +316,8 @@ def verify_bound(params_name, T):
     click.echo(f"parameter set : {p.name}")
     click.echo(f"epoch budget T: {T}")
     click.echo(f"noise bound   : {lhs}")
-    click.echo(f"per-update cap: q/(T*2^(B+1)) = {rhs} (~{float(rhs):.4f})")
+    click.echo(f"per-update cap: q/(T*2^(B+1)) = {rhs} "
+               f"(~{float(rhs):.4f})")
     cert = max_certified_epochs(p)
     click.echo(f"verdict       : {'certified' if ok else 'NOT certified'} for T={T}")
     click.echo(f"certified up to T={'unbounded' if cert is None else cert}; "

@@ -1,5 +1,6 @@
 import ast
 import ctypes
+import errno
 import hashlib
 import json
 import os
@@ -622,6 +623,61 @@ def test_output_to_a_pipe_is_written_in_place(runner, tmp_path):
     assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
+def _rotate_in_place(runner, tmp_path):
+    return runner.invoke(main, ["update", "--token", str(tmp_path / "t1"), "--ct",
+                                str(tmp_path / "ct0"), "--out", str(tmp_path / "ct0"),
+                                "--seed", "03"])
+
+
+def test_read_only_output_is_refused(runner, tmp_path, monkeypatch):
+    before = _lifecycle_files(runner, tmp_path)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    ct0 = tmp_path / "ct0"
+    ct0.chmod(0o400)
+    if os.geteuid() == 0:               # root may write any file: answer as the kernel would
+        real_open = os.open
+
+        def denying_open(path, flags, *args, **kwargs):
+            if os.fspath(path) == str(ct0) and flags & os.O_ACCMODE != os.O_RDONLY:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return real_open(path, flags, *args, **kwargs)
+        monkeypatch.setattr(os, "open", denying_open)
+    res = _rotate_in_place(runner, tmp_path)
+    monkeypatch.undo()
+    assert res.exit_code == 2 and "Permission denied" in res.stderr, res.output
+    assert ct0.read_bytes() == before["ct0"] and stat.S_IMODE(ct0.stat().st_mode) == 0o400
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
+def test_planted_part_file_is_not_written_through(runner, tmp_path):
+    before = _lifecycle_files(runner, tmp_path)
+    victim = tmp_path / "victim"
+    victim.write_bytes(b"victim")
+    part = Path(f"{os.path.realpath(tmp_path / 'ct0')}.{os.getpid()}.part")
+    part.symlink_to(victim)
+    res = _rotate_in_place(runner, tmp_path)
+    assert res.exit_code == 2 and "File exists" in res.stderr, res.output
+    assert victim.read_bytes() == b"victim" and os.readlink(part) == str(victim)
+    assert (tmp_path / "ct0").read_bytes() == before["ct0"]
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="only root may give a file to another user")
+def test_rotation_keeps_the_owner_and_group(runner, tmp_path, monkeypatch):
+    before = _lifecycle_files(runner, tmp_path)
+    ct0 = tmp_path / "ct0"
+    os.chown(ct0, 65534, 65534)
+    ct0.chmod(0o664)                    # the umask takes the group write bit from a new file
+    modes = []                          # the sibling's mode before it gets the old owner
+    real_fchown = os.fchown
+    monkeypatch.setattr(os, "fchown", lambda fd, uid, gid: (
+        modes.append(stat.S_IMODE(os.fstat(fd).st_mode)), real_fchown(fd, uid, gid)))
+    res = _rotate_in_place(runner, tmp_path)
+    assert res.exit_code == 0, res.output
+    assert ct0.read_bytes() != before["ct0"] and modes == [0o600]
+    st_ = ct0.stat()
+    assert (st_.st_uid, st_.st_gid, stat.S_IMODE(st_.st_mode)) == (65534, 65534, 0o664)
+
+
 def test_every_output_has_one_writer():
     # frue.cli opens a file for writing in _write alone, so the commit-by-rename
     # rule that keeps the old file on a failed step is stated once
@@ -629,12 +685,15 @@ def test_every_output_has_one_writer():
 
     def writing_opens(root):
         for node in ast.walk(root):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                    and node.func.id == "open":
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name) and node.func.id == "open":
                 mode = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
                 if mode and not (isinstance(mode[0], ast.Constant)
                                  and set(mode[0].value) <= set("rbt")):
                     yield node
+            elif ast.unparse(node.func) in ("os.open", "os.fdopen"):   # any mode
+                yield node
 
     writer = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "_write")
