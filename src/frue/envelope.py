@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .matrix import MatrixZq
+from .matrix import MatrixZq, _record_size
 from .params import ParamSet, UnknownParamSetError, load_by_id, params_dump
 from .pke import A_SEED_LEN
 from .ue import EpochKey, EpochMismatchError, UeCiphertext, UpdateToken
@@ -108,7 +108,15 @@ def pack_ciphertext(p: ParamSet, ct: UeCiphertext) -> bytes:
     return _pack(KIND_CIPHERTEXT, p, ct.epoch, vars(ct))
 
 
-def read_envelope(data: bytes) -> Envelope:
+def _size(kind: int, p: ParamSet) -> int:
+    """Bytes of a well-formed envelope of this kind and parameter set."""
+    if kind == KIND_PARAMSET:
+        return _HEADER.size + len(params_dump(p).encode())
+    return _HEADER.size + A_SEED_LEN * (kind in _SEEDED) + sum(
+        _record_size(rows, cols) for _, rows, cols in _layout(kind, p))
+
+
+def _read_header(data: bytes) -> tuple[int, ParamSet, int]:
     if len(data) < _HEADER.size:
         raise MalformedEnvelopeError("short header")
     magic, version, kind, pid, epoch = _HEADER.unpack_from(data, 0)
@@ -122,6 +130,11 @@ def read_envelope(data: bytes) -> Envelope:
         p = load_by_id(pid)
     except UnknownParamSetError:
         raise MalformedEnvelopeError(f"unknown paramset id {pid}") from None
+    return kind, p, epoch
+
+
+def read_envelope(data: bytes) -> Envelope:
+    kind, p, epoch = _read_header(data)
     off = _HEADER.size
 
     if kind == KIND_PARAMSET:
@@ -156,9 +169,11 @@ def read_envelope(data: bytes) -> Envelope:
 
 
 def read_envelope_file(path, *kinds: int) -> Envelope:
-    """Read an envelope file; a kind not among kinds is malformed."""
+    """Read at most _size + 1 bytes of a file; a kind not among kinds is malformed."""
     with open(path, "rb") as fh:
-        env = read_envelope(fh.read())
+        head = fh.read(_HEADER.size)
+        kind, p, _ = _read_header(head)
+        env = read_envelope(head + fh.read(_size(kind, p) - _HEADER.size + 1))
     if env.kind not in kinds:
         names = " or ".join(KIND_NAMES[k] for k in kinds)
         raise MalformedEnvelopeError(f"expected {'an' if names[0] in 'aeiou' else 'a'} "

@@ -108,13 +108,12 @@ class SecurityGame:
     def o_corr(self, inp: str, e_hat: int):
         if inp not in ("key", "token"):
             raise ValueError("inp must be 'key' or 'token'")
-        if not (inp == "token") <= e_hat <= self.e:     # no token enters epoch 0
+        store, leaked = ((self.keys, self.leakage.K) if inp == "key"
+                         else (self.tokens, self.leakage.T))
+        if e_hat not in store:
             return None
-        if inp == "key":
-            self.leakage.K.add(e_hat)
-            return self.keys[e_hat]
-        self.leakage.T.add(e_hat)
-        return self.tokens[e_hat]
+        leaked.add(e_hat)
+        return store[e_hat]
 
     def o_chall(self, m_bar, ct_bar: UeCiphertext):
         """Issue the one challenge: fresh encryption of m_bar (b = 0) or an

@@ -258,11 +258,16 @@ class MatrixZq:
         if end > len(buf):
             raise ValueError("truncated matrix header")
         rows, cols, D = _MATRIX_HEADER.unpack_from(buf, offset)
-        body = end + 2 * rows * cols
+        body = offset + _record_size(rows, cols)
         if body > len(buf):
             raise ValueError("truncated matrix body")
         data = np.frombuffer(buf, dtype="<u2", count=rows * cols, offset=end)
         return cls(data.reshape(rows, cols), D), body
+
+
+def _record_size(rows: int, cols: int) -> int:
+    """Bytes of a rows x cols record: its header, then one word per entry."""
+    return _MATRIX_HEADER.size + 2 * rows * cols
 
 
 def _blocks(rows: int, cols: int):

@@ -104,8 +104,6 @@ def pke_setup(rng: RngHandle, p: ParamSet) -> tuple[bytes, MatrixZq]:
 
 def pke_keygen(rng: RngHandle, p: ParamSet, A: MatrixZq) -> EpochKey:
     """Sample S, E from chi and publish B = A @ S + E, as an epoch-0 key."""
-    if A.shape != (p.n, p.n):
-        raise DimensionMismatchError(f"A must be {p.n}x{p.n}")
     S = sample_chi(rng, p.n, p.n_bar, p)
     E = sample_chi(rng, p.n, p.n_bar, p)
     return EpochKey(epoch=0, sk_S=S, pk_B=_lincomb((1, A, S), (1, E)))

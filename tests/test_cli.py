@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import click
@@ -342,6 +343,31 @@ def test_truncated_ciphertext_exit_code(runner, tmp_path):
     res = runner.invoke(main, ["decrypt", "--key", str(keys[0][0]), "--ct",
                                str(ct), "--out", str(tmp_path / "o.bin")])
     assert res.exit_code == EXIT_MALFORMED
+
+
+def test_ciphertext_with_a_long_tail_is_read_bounded(runner, tmp_path):
+    keys = make_keys(runner, tmp_path, (0,))
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(b"z")
+    ct = tmp_path / "ct.frue"
+    invoke(runner, "encrypt", "--key", str(keys[0][0]), "--message-file",
+           str(msg), "--out", str(ct))
+    size = ct.stat().st_size
+    with open(ct, "r+b") as fh:                     # a sparse 64 MiB tail of zeros
+        fh.truncate(size + 64 * 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(env.MalformedEnvelopeError, match="trailing bytes$"):
+            env.read_envelope_file(ct, env.KIND_CIPHERTEXT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"read peaked at {peak} bytes"
+    res = runner.invoke(main, ["decrypt", "--key", str(keys[0][0]), "--ct",
+                               str(ct), "--out", str(tmp_path / "o.bin")])
+    assert res.exit_code == EXIT_MALFORMED
+    assert res.stderr == "error: 1 trailing bytes\n"
+    assert not (tmp_path / "o.bin").exists()
 
 
 def test_oversized_message_exit_code(runner, tmp_path, toy16):

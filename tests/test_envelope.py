@@ -120,6 +120,8 @@ def test_malformed_inputs_rejected(toy16):
         env.read_envelope(good + b"\x00")                  # trailing bytes
     with pytest.raises(env.MalformedEnvelopeError):
         env.read_envelope(good[:-3])                       # short payload
+    with pytest.raises(env.MalformedEnvelopeError, match="truncated a_seed"):
+        env.read_envelope(env.pack_epoch_key(toy16, key, bytes(16))[:-5])  # seed cut
 
     dump = env.pack_paramset(toy16)
     with pytest.raises(env.MalformedEnvelopeError):

@@ -185,6 +185,9 @@ def test_corr_guards_and_recording(game):
     before = state(g)
     assert g.o_corr("token", 0) is None        # no token enters epoch 0
     assert state(g) == before
+    for inp, e_hat in (("key", 0.5), ("token", "1"), ("key", 2)):
+        assert g.o_corr(inp, e_hat) is None    # no such epoch in the store
+        assert state(g) == before
     with pytest.raises(ValueError):
         g.o_corr("bananas", 0)
     with pytest.raises(ValueError):            # inp is checked before the epoch

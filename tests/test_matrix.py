@@ -685,7 +685,7 @@ def test_matrix_record_roundtrip_and_truncation():
     blob = m.to_bytes()
     back, consumed = MatrixZq.from_bytes_at(blob)
     assert back == m and consumed == len(blob)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="truncated matrix body"):
         MatrixZq.from_bytes_at(blob[:-1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="truncated matrix header"):
         MatrixZq.from_bytes_at(blob[:4])
