@@ -145,7 +145,7 @@ def pack_message(data: bytes, p) -> np.ndarray:
     cap = message_capacity(p)
     if len(data) > cap:
         raise MessageLengthError(
-            f"message of {len(data)} bytes exceeds capacity {cap} of {p.name}")
+            f"message longer than the {cap} bytes {p.name} can carry")
     frame = struct.pack("<Q", len(data)) + data
     return bits_from_bytes(frame.ljust((p.ell + 7) // 8, b"\x00"), p.ell)
 
@@ -231,8 +231,8 @@ def encrypt(key_path, message_file, seed, out):
     e = env.read_envelope_file(key_path, env.KIND_EPOCH_KEY, env.KIND_PUBLIC_KEY)
     key, a_seed = e.payload                     # an EpochKey, or a public key's pk_B
     pk_B = key.pk_B if e.kind == env.KIND_EPOCH_KEY else key
-    with open(message_file, "rb") as fh:
-        data = fh.read()
+    with open(message_file, "rb") as fh:             # one byte past capacity is refused
+        data = fh.read(message_capacity(e.p) + 1)
     bits = pack_message(data, e.p)
     A = gen_public_matrix(a_seed, e.p)
     ct = pke_enc(RngHandle(seed).derive("encrypt"), e.p, A, pk_B, bits)

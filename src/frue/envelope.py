@@ -4,13 +4,13 @@ Layout: magic "FRUE", version byte, kind byte, paramset id (2 bytes LE),
 epoch (4 bytes LE), then the payload: for a paramset, the text of
 params.params_dump; for every other kind, the matrix records `_layout`
 declares, in its order (MatrixZq.to_bytes format), then a 16-byte seed for
-the kinds in `_SEEDED`.  `_layout` is the one statement of that order; pack
-and parse both follow it.  Parsing is strict: bad magic, unknown kind or id,
-short payloads, trailing bytes, shape mismatches against the parameter set,
-a token epoch below 1 and a paramset envelope other than epoch 0 with the
-current dump all raise MalformedEnvelopeError.  So every envelope that
-parses re-packs to the same bytes, and a later change to a registered set
-makes its older paramset files unreadable.
+the kinds in `_SEEDED`.  `_layout` states that order and `_size` the length
+it adds up to; pack and parse both follow them and refuse any other length.
+Parsing is strict: bad magic, unknown kind or id, shape mismatches against
+the parameter set, a token epoch below 1 and a paramset envelope other than
+epoch 0 with the current dump all raise MalformedEnvelopeError.  So every
+envelope that parses re-packs to the same bytes, and a later change to a
+registered set makes its older paramset files unreadable.
 """
 
 from __future__ import annotations
@@ -79,13 +79,13 @@ def _header(kind: int, p: ParamSet, epoch: int) -> bytes:
 
 def _pack(kind: int, p: ParamSet, epoch: int, fields: dict[str, MatrixZq],
           a_seed: bytes = b"") -> bytes:
-    if kind in _SEEDED and len(a_seed) != A_SEED_LEN:
-        raise MalformedEnvelopeError(f"a_seed must be {A_SEED_LEN} bytes")
     # one join of every record's header and words: no record is copied first
-    return b"".join([_header(kind, p, epoch),
+    data = b"".join([_header(kind, p, epoch),
                      *(part for name, _, _ in _layout(kind, p)
                        for part in fields[name]._record()),
                      a_seed])
+    _check_size(data, kind, p)
+    return data
 
 
 def pack_paramset(p: ParamSet) -> bytes:
@@ -116,6 +116,12 @@ def _size(kind: int, p: ParamSet) -> int:
         _record_size(rows, cols) for _, rows, cols in _layout(kind, p))
 
 
+def _check_size(data: bytes, kind: int, p: ParamSet) -> None:
+    if len(data) != (size := _size(kind, p)):
+        raise MalformedEnvelopeError(
+            f"{KIND_NAMES[kind]} of {p.name} must be {size} bytes, got {len(data)}")
+
+
 def _read_header(data: bytes) -> tuple[int, ParamSet, int]:
     if len(data) < _HEADER.size:
         raise MalformedEnvelopeError("short header")
@@ -144,6 +150,7 @@ def read_envelope(data: bytes) -> Envelope:
                 f"paramset payload is not the current dump of {p.name} at epoch 0")
         return Envelope(kind, p, epoch, dump)
 
+    _check_size(data, kind, p)
     fields = {}
     for name, rows, cols in _layout(kind, p):
         try:
@@ -154,28 +161,21 @@ def read_envelope(data: bytes) -> Envelope:
             raise MalformedEnvelopeError(
                 f"{name}: expected {(rows, cols)} at D={p.D}, got {m.shape} at D={m.D}")
         fields[name] = m
-    if kind in _SEEDED:
-        a_seed, off = data[off:off + A_SEED_LEN], off + A_SEED_LEN
-        if off > len(data):
-            raise MalformedEnvelopeError("truncated a_seed")
-    if off != len(data):
-        raise MalformedEnvelopeError(f"{len(data) - off} trailing bytes")
 
     try:
         obj = _PAYLOAD_TYPES[kind](epoch=epoch, **fields)
     except EpochMismatchError as exc:       # a token into epoch 0, refused by UpdateToken
         raise MalformedEnvelopeError(str(exc)) from None
-    return Envelope(kind, p, epoch, (obj, a_seed) if kind in _SEEDED else obj)
+    return Envelope(kind, p, epoch, (obj, data[off:]) if kind in _SEEDED else obj)
 
 
 def read_envelope_file(path, *kinds: int) -> Envelope:
-    """Read at most _size + 1 bytes of a file; a kind not among kinds is malformed."""
+    """Read a file whose header names one of kinds, and at most _size + 1 bytes."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         kind, p, _ = _read_header(head)
-        env = read_envelope(head + fh.read(_size(kind, p) - _HEADER.size + 1))
-    if env.kind not in kinds:
-        names = " or ".join(KIND_NAMES[k] for k in kinds)
-        raise MalformedEnvelopeError(f"expected {'an' if names[0] in 'aeiou' else 'a'} "
-                                     f"{names} file, got {KIND_NAMES[env.kind]}")
-    return env
+        if kind not in kinds:
+            names = " or ".join(KIND_NAMES[k] for k in kinds)
+            raise MalformedEnvelopeError(f"expected {'an' if names[0] in 'aeiou' else 'a'} "
+                                         f"{names} file, got {KIND_NAMES[kind]}")
+        return read_envelope(head + fh.read(_size(kind, p) - _HEADER.size + 1))

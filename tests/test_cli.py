@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -357,7 +358,7 @@ def test_ciphertext_with_a_long_tail_is_read_bounded(runner, tmp_path):
         fh.truncate(size + 64 * 2**20)
     tracemalloc.start()
     try:
-        with pytest.raises(env.MalformedEnvelopeError, match="trailing bytes$"):
+        with pytest.raises(env.MalformedEnvelopeError, match="542 bytes, got 543$"):
             env.read_envelope_file(ct, env.KIND_CIPHERTEXT)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -366,7 +367,7 @@ def test_ciphertext_with_a_long_tail_is_read_bounded(runner, tmp_path):
     res = runner.invoke(main, ["decrypt", "--key", str(keys[0][0]), "--ct",
                                str(ct), "--out", str(tmp_path / "o.bin")])
     assert res.exit_code == EXIT_MALFORMED
-    assert res.stderr == "error: 1 trailing bytes\n"
+    assert res.stderr == "error: ciphertext of toy-16 must be 542 bytes, got 543\n"
     assert not (tmp_path / "o.bin").exists()
 
 
@@ -378,6 +379,39 @@ def test_oversized_message_exit_code(runner, tmp_path, toy16):
                                "--message-file", str(msg), "--out",
                                str(tmp_path / "ct.frue")])
     assert res.exit_code == EXIT_MSGLEN
+    # a sparse 64 MiB file is refused after capacity + 1 bytes, not read whole
+    with open(msg, "r+b") as fh:
+        fh.truncate(64 * 2**20)
+    tracemalloc.start()
+    try:
+        res = runner.invoke(main, ["encrypt", "--key", str(keys[0][0]),
+                                   "--message-file", str(msg), "--out",
+                                   str(tmp_path / "ct.frue")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == EXIT_MSGLEN
+    assert peak < 2**20, f"encrypt peaked at {peak} bytes"
+    assert res.stderr == "error: message longer than the 8 bytes toy-16 can carry\n"
+    assert not (tmp_path / "ct.frue").exists()
+
+
+def test_decrypt_reads_a_ciphertext_from_a_pipe(runner, tmp_path):
+    # the envelope reader reads forward only, so a FIFO works as --ct
+    keys = make_keys(runner, tmp_path, (0,))
+    msg, ct, fifo = tmp_path / "m.bin", tmp_path / "ct.frue", tmp_path / "ct.fifo"
+    msg.write_bytes(b"piped")
+    invoke(runner, "encrypt", "--key", str(keys[0][0]), "--message-file",
+           str(msg), "--out", str(ct))
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(ct.read_bytes(),),
+                              daemon=True)
+    writer.start()
+    res = runner.invoke(main, ["decrypt", "--key", str(keys[0][0]), "--ct",
+                               str(fifo), "--out", str(tmp_path / "o.bin")])
+    writer.join(timeout=10)
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "o.bin").read_bytes() == b"piped"
 
 
 def test_deployment_mismatch_rejected(runner, tmp_path):

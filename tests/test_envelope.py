@@ -1,11 +1,13 @@
 import functools
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frue import envelope as env
+from frue.hybrids import sim_ue_tg
 from frue.matrix import MatrixZq, RngHandle, sample_uniform
 from frue.params import load_paramset, params_dump, registered_names
 from frue.pke import random_message_bits
@@ -120,7 +122,8 @@ def test_malformed_inputs_rejected(toy16):
         env.read_envelope(good + b"\x00")                  # trailing bytes
     with pytest.raises(env.MalformedEnvelopeError):
         env.read_envelope(good[:-3])                       # short payload
-    with pytest.raises(env.MalformedEnvelopeError, match="truncated a_seed"):
+    with pytest.raises(env.MalformedEnvelopeError,
+                       match="epoch-key of toy-16 must be 302 bytes, got 297$"):
         env.read_envelope(env.pack_epoch_key(toy16, key, bytes(16))[:-5])  # seed cut
 
     dump = env.pack_paramset(toy16)
@@ -147,10 +150,14 @@ def test_wrong_shape_payload_rejected(toy16, toy8):
         env.read_envelope(env.pack_token(toy16, tok_t))
 
 
-def test_seed_length_enforced(toy16):
+def test_seed_length_enforced(toy16, toy8):
     key, _, _ = synthetic_objects(toy16, b"seed")
     with pytest.raises(env.MalformedEnvelopeError):
         env.pack_epoch_key(toy16, key, b"short")
+    # records that do not add up to the layout are refused on write, as on read
+    *_, ct8 = synthetic_objects(toy8, b"seed8")
+    with pytest.raises(env.MalformedEnvelopeError, match="ciphertext of toy-16 must be"):
+        env.pack_ciphertext(toy16, ct8)
 
 
 def test_read_envelope_file_kind_check(tmp_path, toy16):
@@ -160,6 +167,18 @@ def test_read_envelope_file_kind_check(tmp_path, toy16):
     assert env.read_envelope_file(path, env.KIND_TOKEN).payload == tok
     with pytest.raises(env.MalformedEnvelopeError):
         env.read_envelope_file(path, env.KIND_CIPHERTEXT)
+    # a 13.3 MB frodo-640 token is refused from its header, before its body is read
+    p640 = load_paramset("frodo-640")
+    path.write_bytes(env.pack_token(p640, sim_ue_tg(RngHandle(b"file640"), p640)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(env.MalformedEnvelopeError,
+                           match="^expected a ciphertext file, got token$"):
+            env.read_envelope_file(path, env.KIND_CIPHERTEXT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"read peaked at {peak} bytes"
 
 
 @functools.cache
