@@ -1,16 +1,14 @@
 """Binary file envelopes for keys, tokens, and ciphertexts.
 
-Layout: magic "FRUE", version byte, kind byte, paramset id (2 bytes LE),
-epoch (4 bytes LE), then the payload: for a paramset, the text of
-params.params_dump; for every other kind, the matrix records `_layout`
-declares, in its order (MatrixZq.to_bytes format), then a 16-byte seed for
-the kinds in `_SEEDED`.  `_layout` states that order and `_size` the length
-it adds up to; pack and parse both follow them and refuse any other length.
-Parsing is strict: bad magic, unknown kind or id, shape mismatches against
-the parameter set, a token epoch below 1 and a paramset envelope other than
-epoch 0 with the current dump all raise MalformedEnvelopeError.  So every
-envelope that parses re-packs to the same bytes, and a later change to a
-registered set makes its older paramset files unreadable.
+Layout: magic "FRUE", version byte, kind byte, paramset id (2 bytes LE), epoch (4 bytes
+LE), then the payload: for a paramset, the text of params.params_dump; for every other
+kind, the matrix records `_layout` declares, in its order (MatrixZq.to_bytes format), then
+a 16-byte seed for the kinds in `_SEEDED`.  One rule, `_records`, judges a key, token or
+ciphertext on pack and on parse alike: its length (`_size`), then each record's shape and D.
+Parsing also refuses bad magic, an unknown kind or id, a token epoch below 1 and a paramset
+envelope other than epoch 0 with the current dump, all with MalformedEnvelopeError.  So pack
+writes only what parse accepts, every envelope that parses re-packs to the same bytes, and a
+later change to a registered set makes its older paramset files unreadable.
 """
 
 from __future__ import annotations
@@ -84,7 +82,7 @@ def _pack(kind: int, p: ParamSet, epoch: int, fields: dict[str, MatrixZq],
                      *(part for name, _, _ in _layout(kind, p)
                        for part in fields[name]._record()),
                      a_seed])
-    _check_size(data, kind, p)
+    _records(data, kind, p)
     return data
 
 
@@ -116,10 +114,23 @@ def _size(kind: int, p: ParamSet) -> int:
         _record_size(rows, cols) for _, rows, cols in _layout(kind, p))
 
 
-def _check_size(data: bytes, kind: int, p: ParamSet) -> None:
+def _records(data: bytes, kind: int, p: ParamSet) -> tuple[dict[str, MatrixZq], int]:
+    """A key, token or ciphertext envelope's records by name, and the offset after the last;
+    refuses a length other than _size, or a record off _layout's shape or D = p.D."""
     if len(data) != (size := _size(kind, p)):
         raise MalformedEnvelopeError(
             f"{KIND_NAMES[kind]} of {p.name} must be {size} bytes, got {len(data)}")
+    fields, off = {}, _HEADER.size
+    for name, rows, cols in _layout(kind, p):
+        try:
+            m, off = MatrixZq.from_bytes_at(data, off)
+        except ValueError as exc:
+            raise MalformedEnvelopeError(f"{name}: {exc}") from None
+        if m.shape != (rows, cols) or m.D != p.D:
+            raise MalformedEnvelopeError(
+                f"{name}: expected {(rows, cols)} at D={p.D}, got {m.shape} at D={m.D}")
+        fields[name] = m
+    return fields, off
 
 
 def _read_header(data: bytes) -> tuple[int, ParamSet, int]:
@@ -140,33 +151,22 @@ def _read_header(data: bytes) -> tuple[int, ParamSet, int]:
 
 
 def read_envelope(data: bytes) -> Envelope:
+    """Parse an envelope, or raise MalformedEnvelopeError.  The payload is, by kind:
+    paramset, the params_dump text; epoch-key, (EpochKey, a_seed); public-key,
+    (pk_B, a_seed); token, an UpdateToken; ciphertext, a UeCiphertext."""
     kind, p, epoch = _read_header(data)
-    off = _HEADER.size
-
     if kind == KIND_PARAMSET:
         dump = params_dump(p)
-        if epoch != 0 or data[off:] != dump.encode():
+        if epoch != 0 or data[_HEADER.size:] != dump.encode():
             raise MalformedEnvelopeError(
                 f"paramset payload is not the current dump of {p.name} at epoch 0")
         return Envelope(kind, p, epoch, dump)
-
-    _check_size(data, kind, p)
-    fields = {}
-    for name, rows, cols in _layout(kind, p):
-        try:
-            m, off = MatrixZq.from_bytes_at(data, off)
-        except ValueError as exc:
-            raise MalformedEnvelopeError(f"{name}: {exc}") from None
-        if m.shape != (rows, cols) or m.D != p.D:
-            raise MalformedEnvelopeError(
-                f"{name}: expected {(rows, cols)} at D={p.D}, got {m.shape} at D={m.D}")
-        fields[name] = m
-
+    fields, end = _records(data, kind, p)
     try:
         obj = _PAYLOAD_TYPES[kind](epoch=epoch, **fields)
     except EpochMismatchError as exc:       # a token into epoch 0, refused by UpdateToken
         raise MalformedEnvelopeError(str(exc)) from None
-    return Envelope(kind, p, epoch, (obj, data[off:]) if kind in _SEEDED else obj)
+    return Envelope(kind, p, epoch, (obj, data[end:]) if kind in _SEEDED else obj)
 
 
 def read_envelope_file(path, *kinds: int) -> Envelope:

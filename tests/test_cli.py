@@ -738,6 +738,22 @@ def test_rotation_keeps_the_owner_and_group(runner, tmp_path, monkeypatch):
     assert (st_.st_uid, st_.st_gid, stat.S_IMODE(st_.st_mode)) == (65534, 65534, 0o664)
 
 
+def test_rotation_by_a_user_outside_the_old_group_keeps_the_mode(runner, tmp_path,
+                                                                  monkeypatch):
+    # fchown refused, as for a group this process is not in: the file is otherwise its own
+    before = _lifecycle_files(runner, tmp_path)
+    ct0 = tmp_path / "ct0"
+    ct0.chmod(0o640)
+
+    def denying_fchown(fd, uid, gid):
+        raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+    monkeypatch.setattr(os, "fchown", denying_fchown)
+    res = _rotate_in_place(runner, tmp_path)
+    assert res.exit_code == 0, res.output
+    assert ct0.read_bytes() != before["ct0"] and stat.S_IMODE(ct0.stat().st_mode) == 0o640
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".part")]
+
+
 def test_every_output_has_one_writer():
     # frue.cli opens a file for writing in _write alone, so the commit-by-rename
     # rule that keeps the old file on a failed step is stated once

@@ -1,6 +1,8 @@
 import functools
 import hashlib
+import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,12 +144,17 @@ def test_wrong_shape_payload_rejected(toy16, toy8):
     body8 = env.pack_ciphertext(toy8, ct8)[env._HEADER.size:]
     with pytest.raises(env.MalformedEnvelopeError):
         env.read_envelope(big_header + body8)
-    # a transposed record has the right length but not the layout's shape
+    # a transposed record has the right length but not the layout's shape: refused on
+    # write, and on read once its record header is rewritten in a good token's bytes
     _, tok, _ = synthetic_objects(toy16, b"shape3")
-    d1_a_t = MatrixZq(tok.d1_a.data.T, tok.d1_a.D)
-    tok_t = UpdateToken(tok.epoch, d1_a_t, tok.d1_b, tok.d2_a, tok.d2_b)
-    with pytest.raises(env.MalformedEnvelopeError, match="d1_a"):
-        env.read_envelope(env.pack_token(toy16, tok_t))
+    tok_t = replace(tok, d1_a=MatrixZq(tok.d1_a.data.T, tok.d1_a.D))
+    transposed = r"^d1_a: expected \(128, 8\) at D=16, got \(8, 128\) at D=16$"
+    with pytest.raises(env.MalformedEnvelopeError, match=transposed):
+        env.pack_token(toy16, tok_t)
+    blob = bytearray(env.pack_token(toy16, tok))
+    blob[env._HEADER.size:env._HEADER.size + 9] = struct.pack("<IIB", 8, 128, 16)
+    with pytest.raises(env.MalformedEnvelopeError, match=transposed):
+        env.read_envelope(bytes(blob))
 
 
 def test_seed_length_enforced(toy16, toy8):
@@ -158,6 +165,11 @@ def test_seed_length_enforced(toy16, toy8):
     *_, ct8 = synthetic_objects(toy8, b"seed8")
     with pytest.raises(env.MalformedEnvelopeError, match="ciphertext of toy-16 must be"):
         env.pack_ciphertext(toy16, ct8)
+    # records of the right shape at a D other than the set's, as the reader refuses them
+    _, _, ct = synthetic_objects(toy16, b"seedD")
+    with pytest.raises(env.MalformedEnvelopeError,
+                       match=r"^C1: expected \(16, 8\) at D=16, got \(16, 8\) at D=8$"):
+        env.pack_ciphertext(toy16, replace(ct, C1=MatrixZq(ct.C1.data & 0xFF, 8)))
 
 
 def test_read_envelope_file_kind_check(tmp_path, toy16):
