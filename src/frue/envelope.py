@@ -3,12 +3,12 @@
 Layout: magic "FRUE", version byte, kind byte, paramset id (2 bytes LE), epoch (4 bytes
 LE), then the payload: for a paramset, the text of params.params_dump; for every other
 kind, the matrix records `_layout` declares, in its order (MatrixZq.to_bytes format), then
-a 16-byte seed for the kinds in `_SEEDED`.  One rule, `_records`, judges a key, token or
-ciphertext on pack and on parse alike: its length (`_size`), then each record's shape and D.
-Parsing also refuses bad magic, an unknown kind or id, a token epoch below 1 and a paramset
-envelope other than epoch 0 with the current dump, all with MalformedEnvelopeError.  So pack
-writes only what parse accepts, every envelope that parses re-packs to the same bytes, and a
-later change to a registered set makes its older paramset files unreadable.
+a 16-byte seed for the kinds in `_SEEDED`.  One rule, `_parse`, judges every envelope on
+pack and on parse alike, header and paramset included: magic, version, a known kind and
+id, the length (`_size`), each record's shape and D, then for a paramset epoch 0 and the
+current dump, and for a token an epoch of at least 1, all with MalformedEnvelopeError.  So
+pack writes only what parse accepts, every envelope that parses re-packs to the same
+bytes, and a later change to a registered set makes its older paramset files unreadable.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ _PAYLOAD_TYPES = {KIND_EPOCH_KEY: EpochKey, KIND_PUBLIC_KEY: lambda epoch, pk_B:
 
 
 def _layout(kind: int, p: ParamSet) -> tuple[tuple[str, int, int], ...]:
-    """Matrix records of a key, token or ciphertext in file order, as
-    (attribute name, rows, cols); every record is at D = p.D."""
+    """Matrix records of an envelope in file order, as (attribute name, rows, cols);
+    every record is at D = p.D, and a paramset has none."""
     nD = p.n * p.D
     return {
+        KIND_PARAMSET: (),
         KIND_EPOCH_KEY: (("sk_S", p.n, p.n_bar), ("pk_B", p.n, p.n_bar)),
         KIND_PUBLIC_KEY: (("pk_B", p.n, p.n_bar),),
         KIND_TOKEN: (("d1_a", nD, p.n), ("d1_b", nD, p.n_bar),
@@ -71,23 +72,22 @@ class Envelope:
     payload: object     # per-kind object, see read_envelope
 
 
-def _header(kind: int, p: ParamSet, epoch: int) -> bytes:
-    return _HEADER.pack(MAGIC, VERSION, kind, p.paramset_id, epoch)
-
-
 def _pack(kind: int, p: ParamSet, epoch: int, fields: dict[str, MatrixZq],
-          a_seed: bytes = b"") -> bytes:
+          tail: bytes = b"") -> bytes:
+    try:
+        header = _HEADER.pack(MAGIC, VERSION, kind, p.paramset_id, epoch)
+    except struct.error:
+        raise MalformedEnvelopeError(f"epoch {epoch} or paramset id {p.paramset_id} "
+                                     "does not fit the header") from None
     # one join of every record's header and words: no record is copied first
-    data = b"".join([_header(kind, p, epoch),
-                     *(part for name, _, _ in _layout(kind, p)
-                       for part in fields[name]._record()),
-                     a_seed])
-    _records(data, kind, p)
+    data = b"".join([header, *(part for name, _, _ in _layout(kind, p)
+                               for part in fields[name]._record()), tail])
+    _parse(data)    # not read_envelope: the benchmark tracer would count each pack as a read
     return data
 
 
 def pack_paramset(p: ParamSet) -> bytes:
-    return _header(KIND_PARAMSET, p, 0) + params_dump(p).encode()
+    return _pack(KIND_PARAMSET, p, 0, {}, params_dump(p).encode())
 
 
 def pack_epoch_key(p: ParamSet, key: EpochKey, a_seed: bytes) -> bytes:
@@ -108,29 +108,8 @@ def pack_ciphertext(p: ParamSet, ct: UeCiphertext) -> bytes:
 
 def _size(kind: int, p: ParamSet) -> int:
     """Bytes of a well-formed envelope of this kind and parameter set."""
-    if kind == KIND_PARAMSET:
-        return _HEADER.size + len(params_dump(p).encode())
-    return _HEADER.size + A_SEED_LEN * (kind in _SEEDED) + sum(
-        _record_size(rows, cols) for _, rows, cols in _layout(kind, p))
-
-
-def _records(data: bytes, kind: int, p: ParamSet) -> tuple[dict[str, MatrixZq], int]:
-    """A key, token or ciphertext envelope's records by name, and the offset after the last;
-    refuses a length other than _size, or a record off _layout's shape or D = p.D."""
-    if len(data) != (size := _size(kind, p)):
-        raise MalformedEnvelopeError(
-            f"{KIND_NAMES[kind]} of {p.name} must be {size} bytes, got {len(data)}")
-    fields, off = {}, _HEADER.size
-    for name, rows, cols in _layout(kind, p):
-        try:
-            m, off = MatrixZq.from_bytes_at(data, off)
-        except ValueError as exc:
-            raise MalformedEnvelopeError(f"{name}: {exc}") from None
-        if m.shape != (rows, cols) or m.D != p.D:
-            raise MalformedEnvelopeError(
-                f"{name}: expected {(rows, cols)} at D={p.D}, got {m.shape} at D={m.D}")
-        fields[name] = m
-    return fields, off
+    return _HEADER.size + sum(_record_size(r, c) for _, r, c in _layout(kind, p)) + (
+        len(params_dump(p).encode()) if kind == KIND_PARAMSET else A_SEED_LEN * (kind in _SEEDED))
 
 
 def _read_header(data: bytes) -> tuple[int, ParamSet, int]:
@@ -150,23 +129,40 @@ def _read_header(data: bytes) -> tuple[int, ParamSet, int]:
     return kind, p, epoch
 
 
-def read_envelope(data: bytes) -> Envelope:
-    """Parse an envelope, or raise MalformedEnvelopeError.  The payload is, by kind:
-    paramset, the params_dump text; epoch-key, (EpochKey, a_seed); public-key,
-    (pk_B, a_seed); token, an UpdateToken; ciphertext, a UeCiphertext."""
+def _parse(data: bytes) -> Envelope:
+    """The one rule on envelope bytes, run by read_envelope and by every pack_*."""
     kind, p, epoch = _read_header(data)
+    if len(data) != (size := _size(kind, p)):
+        raise MalformedEnvelopeError(
+            f"{KIND_NAMES[kind]} of {p.name} must be {size} bytes, got {len(data)}")
+    fields, off = {}, _HEADER.size
+    for name, rows, cols in _layout(kind, p):
+        try:
+            m, off = MatrixZq.from_bytes_at(data, off)
+        except ValueError as exc:
+            raise MalformedEnvelopeError(f"{name}: {exc}") from None
+        if m.shape != (rows, cols) or m.D != p.D:
+            raise MalformedEnvelopeError(
+                f"{name}: expected {(rows, cols)} at D={p.D}, got {m.shape} at D={m.D}")
+        fields[name] = m
     if kind == KIND_PARAMSET:
         dump = params_dump(p)
-        if epoch != 0 or data[_HEADER.size:] != dump.encode():
+        if epoch != 0 or data[off:] != dump.encode():
             raise MalformedEnvelopeError(
                 f"paramset payload is not the current dump of {p.name} at epoch 0")
         return Envelope(kind, p, epoch, dump)
-    fields, end = _records(data, kind, p)
     try:
         obj = _PAYLOAD_TYPES[kind](epoch=epoch, **fields)
     except EpochMismatchError as exc:       # a token into epoch 0, refused by UpdateToken
         raise MalformedEnvelopeError(str(exc)) from None
-    return Envelope(kind, p, epoch, (obj, data[end:]) if kind in _SEEDED else obj)
+    return Envelope(kind, p, epoch, (obj, data[off:]) if kind in _SEEDED else obj)
+
+
+def read_envelope(data: bytes) -> Envelope:
+    """Parse an envelope, or raise MalformedEnvelopeError.  The payload is, by kind:
+    paramset, the params_dump text; epoch-key, (EpochKey, a_seed); public-key,
+    (pk_B, a_seed); token, an UpdateToken; ciphertext, a UeCiphertext."""
+    return _parse(data)
 
 
 def read_envelope_file(path, *kinds: int) -> Envelope:

@@ -1,8 +1,10 @@
+import ast
 import functools
 import hashlib
 import struct
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,7 +133,8 @@ def test_malformed_inputs_rejected(toy16):
     dump = env.pack_paramset(toy16)
     with pytest.raises(env.MalformedEnvelopeError):
         env.read_envelope(dump[:-5] + b"junk!")            # paramset text edited
-    with pytest.raises(env.MalformedEnvelopeError):
+    with pytest.raises(env.MalformedEnvelopeError,
+                       match="^paramset of toy-16 must be 209 bytes, got 12$"):
         env.read_envelope(dump[:8] + (77).to_bytes(4, "little"))   # no dump, epoch 77
     with pytest.raises(env.MalformedEnvelopeError):
         env.read_envelope(dump[:8] + (77).to_bytes(4, "little") + dump[12:])  # epoch 77
@@ -170,6 +173,38 @@ def test_seed_length_enforced(toy16, toy8):
     with pytest.raises(env.MalformedEnvelopeError,
                        match=r"^C1: expected \(16, 8\) at D=16, got \(16, 8\) at D=8$"):
         env.pack_ciphertext(toy16, replace(ct, C1=MatrixZq(ct.C1.data & 0xFF, 8)))
+    # header fields the header cannot hold, an unregistered set, a dump not the registry's
+    for epoch in (-1, 2**32):
+        with pytest.raises(env.MalformedEnvelopeError,
+                           match=f"^epoch {epoch} or paramset id 100 does not fit the header$"):
+            env.pack_ciphertext(toy16, replace(ct, epoch=epoch))
+    with pytest.raises(env.MalformedEnvelopeError,
+                       match="^epoch 1 or paramset id 65536 does not fit the header$"):
+        env.pack_ciphertext(replace(toy16, paramset_id=2**16), ct)
+    with pytest.raises(env.MalformedEnvelopeError, match="^unknown paramset id 999$"):
+        env.pack_ciphertext(replace(toy16, paramset_id=999, name="mine"), ct)
+    with pytest.raises(env.MalformedEnvelopeError,
+                       match="^paramset payload is not the current dump of toy-16 at epoch 0$"):
+        env.pack_paramset(replace(toy16, T_max=5))
+
+
+def test_every_envelope_has_one_writer():
+    # _pack alone builds a header, and each pack_* hands it one envelope's parts,
+    # so the rule _pack runs on its bytes covers every envelope frue writes
+    tree = ast.parse(Path(env.__file__).read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    header_packs = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and ast.unparse(node) == "_HEADER.pack"]
+    assert header_packs                             # the check is not vacuous
+    inside = set(ast.walk(funcs["_pack"]))
+    assert [n.lineno for n in header_packs if n not in inside] == []
+    packers = [name for name in funcs if name.startswith("pack_")]
+    assert len(packers) == 5
+    for name in packers:
+        body = funcs[name].body
+        assert len(body) == 1 and isinstance(body[0], ast.Return), name
+        call = body[0].value
+        assert isinstance(call, ast.Call) and ast.unparse(call.func) == "_pack", name
 
 
 def test_read_envelope_file_kind_check(tmp_path, toy16):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from frue import hybrids, ue
+from frue import envelope, hybrids, ue
 from frue.matrix import RngHandle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -57,6 +57,24 @@ def test_traced_pass_intercepts_token_randomness(monkeypatch, toy16):
     assert {name: t.counts[f"{name}.calls"] for name in layers} == {
         "hybrids.sample_token_randomness": 2, "hybrids.token_from_randomness": 2,
         "ue.ue_upd": 1, "ue.ue_tg": 1, "matrix.sample_chi": 3}
+
+
+def test_traced_pack_counts_no_read(monkeypatch, toy16, deployment16):
+    # every pack_* parses the bytes it wrote, but not through read_envelope,
+    # so a traced pack adds nothing to the read layer's counters
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    d = deployment16
+    key, tok = d["keys"][0], d["tokens"][1]
+    ct = hybrids.sim_ue_enc(RngHandle(b"traced-pack"), toy16)
+    with tracer.Tracer().patched() as t:
+        envelope.pack_paramset(toy16)
+        envelope.pack_epoch_key(toy16, key, d["a_seed"])
+        envelope.pack_public_key(toy16, key.epoch, key.pk_B, d["a_seed"])
+        envelope.pack_token(toy16, tok)
+        envelope.pack_ciphertext(toy16, ct)
+    assert t.counts["envelope.pack.calls"] == 5
+    assert "envelope.read_envelope.calls" not in t.counts
 
 
 def _frue_references():
