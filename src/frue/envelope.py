@@ -165,13 +165,13 @@ def read_envelope(data: bytes) -> Envelope:
     return _parse(data)
 
 
-def read_envelope_file(path, *kinds: int) -> Envelope:
-    """Read a file whose header names one of kinds, and at most _size + 1 bytes."""
+def read_envelope_file(path, kind: int, *kinds: int) -> Envelope:
+    """Read a file whose header names kind or one of kinds, and at most _size + 1 bytes."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
-        kind, p, _ = _read_header(head)
-        if kind not in kinds:
+        got, p, _ = _read_header(head)
+        if got not in (kinds := (kind, *kinds)):
             names = " or ".join(KIND_NAMES[k] for k in kinds)
             raise MalformedEnvelopeError(f"expected {'an' if names[0] in 'aeiou' else 'a'} "
-                                         f"{names} file, got {KIND_NAMES[kind]}")
-        return read_envelope(head + fh.read(_size(kind, p) - _HEADER.size + 1))
+                                         f"{names} file, got {KIND_NAMES[got]}")
+        return read_envelope(head + fh.read(_size(got, p) - _HEADER.size + 1))

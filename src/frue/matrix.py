@@ -396,11 +396,8 @@ class RngHandle:
     output is specified independently of platform or library version.
 
     sample_chi reads the raw 64-bit Philox outputs directly, as four
-    little-endian 16-bit lanes each: word 4i + j of a draw is bits
-    16j .. 16j + 15 of output i.  A draw of w words consumes ceil(w / 4)
-    outputs, so consecutive draws whose sizes are multiples of 4 read the
-    stream exactly as one draw of their total size does.  The other methods
-    go through numpy's Generator on the same Philox state.
+    little-endian 16-bit words each, and _chi_cut cuts one such draw into
+    matrices; the other methods use numpy's Generator on the same state.
     """
 
     __slots__ = ("seed", "_gen")
@@ -492,6 +489,21 @@ def sample_chi(rng: RngHandle, rows: int, cols: int, p: ParamSet) -> MatrixZq:
         block = words[s:s + _CHI_BLOCK]
         lut.take(block, out=block, mode="clip")
     return MatrixZq._new(words.reshape(rows, cols), p.D)
+
+
+def _chi_cut(rng: RngHandle, p: ParamSet, *shapes: tuple[int, int]) -> list[MatrixZq]:
+    """One chi draw for every matrix of `shapes`, cut row-major in order.
+
+    Matrix i takes its rows * cols words rounded up to a multiple of 4, so the
+    next starts at a fresh Philox output (sample_chi): the result, and the
+    handle's position after it, are those of one sample_chi call per shape.
+    """
+    sizes = [-(-r * c // 4) * 4 for r, c in shapes]
+    flat, off, out = sample_chi(rng, 1, sum(sizes), p).data[0], 0, []
+    for (r, c), w in zip(shapes, sizes):
+        out.append(MatrixZq._new(flat[off:off + r * c].reshape(r, c), p.D))
+        off += w
+    return out
 
 
 def _expand_shake(seed: bytes, p: ParamSet) -> np.ndarray:

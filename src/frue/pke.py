@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import (DimensionMismatchError, MatrixZq, RngHandle, _lincomb,
-                     gen_public_matrix, sample_chi)
+from .matrix import (DimensionMismatchError, MatrixZq, RngHandle, _chi_cut,
+                     _lincomb, gen_public_matrix)
 from .params import ParamSet
 
 
@@ -104,8 +104,7 @@ def pke_setup(rng: RngHandle, p: ParamSet) -> tuple[bytes, MatrixZq]:
 
 def pke_keygen(rng: RngHandle, p: ParamSet, A: MatrixZq) -> EpochKey:
     """Sample S, E from chi and publish B = A @ S + E, as an epoch-0 key."""
-    S = sample_chi(rng, p.n, p.n_bar, p)
-    E = sample_chi(rng, p.n, p.n_bar, p)
+    S, E = _chi_cut(rng, p, (p.n, p.n_bar), (p.n, p.n_bar))
     return EpochKey(epoch=0, sk_S=S, pk_B=_lincomb((1, A, S), (1, E)))
 
 
@@ -113,9 +112,7 @@ def pke_enc_traced(rng: RngHandle, p: ParamSet, A: MatrixZq, pk_B: MatrixZq,
                    m) -> tuple[UeCiphertext, MatrixZq]:
     """Encrypt at epoch 0; also return the C2 noise term E'' (for instrumentation)."""
     msg = encode(m, p)
-    S1 = sample_chi(rng, p.m_bar, p.n, p)
-    E1 = sample_chi(rng, p.m_bar, p.n, p)
-    E2 = sample_chi(rng, p.m_bar, p.n_bar, p)
+    S1, E1, E2 = _chi_cut(rng, p, (p.m_bar, p.n), (p.m_bar, p.n), (p.m_bar, p.n_bar))
     C1 = _lincomb((1, S1, A), (1, E1))                   # S1 A + E1
     C2 = _lincomb((1, S1, pk_B), (1, E2), (1, msg))      # S1 B + E2 + encode(m)
     return UeCiphertext(epoch=0, C1=C1, C2=C2), E2

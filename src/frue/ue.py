@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matrix import (DimensionMismatchError, MatrixZq, RngHandle, _lincomb,
-                     ord_bits, sample_chi, tensor_d)
+from .matrix import (DimensionMismatchError, MatrixZq, RngHandle, _chi_cut,
+                     _lincomb, ord_bits, sample_chi, tensor_d)
 from .params import ParamSet
 from .pke import EpochKey, UeCiphertext, pke_dec, pke_enc, pke_keygen
 
@@ -81,21 +81,12 @@ def sample_token_randomness(rng: RngHandle, p: ParamSet) -> TokenRandomness:
       S'_(2), E'_(2) at n x n,  E''_(2) at n x n_bar.
 
     This is the one place the layout and order are written down; ue_tg and
-    the hybrid oracles both draw through it.  The six matrices come from one
-    flat chi batch, sliced row-major.  A draw of w words consumes ceil(w / 4)
-    Philox outputs (sample_chi), and every size here has the factor n, a
-    multiple of 8, so the batch yields exactly what six separate draws in
-    the same order would.
+    the hybrid oracles both draw through it.  Like KeyGen and Enc, it draws
+    chi once, cut into its matrices by frue.matrix (_chi_cut).
     """
     nD = p.n * p.D
-    shapes = ((nD, p.n), (nD, p.n), (nD, p.n_bar),
-              (p.n, p.n), (p.n, p.n), (p.n, p.n_bar))
-    flat = sample_chi(rng, 1, sum(r * c for r, c in shapes), p).data
-    mats, off = [], 0
-    for r, c in shapes:
-        mats.append(MatrixZq._new(flat[0, off:off + r * c].reshape(r, c), p.D))
-        off += r * c
-    return TokenRandomness(*mats)
+    return TokenRandomness(*_chi_cut(rng, p, (nD, p.n), (nD, p.n), (nD, p.n_bar),
+                                     (p.n, p.n), (p.n, p.n), (p.n, p.n_bar)))
 
 
 def token_from_randomness(p: ParamSet, A: MatrixZq, sk_prev: MatrixZq,

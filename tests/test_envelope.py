@@ -212,6 +212,8 @@ def test_read_envelope_file_kind_check(tmp_path, toy16):
     path = tmp_path / "tok.frue"
     path.write_bytes(env.pack_token(toy16, tok))
     assert env.read_envelope_file(path, env.KIND_TOKEN).payload == tok
+    with pytest.raises(TypeError):                  # no kind to expect
+        env.read_envelope_file(path)
     with pytest.raises(env.MalformedEnvelopeError):
         env.read_envelope_file(path, env.KIND_CIPHERTEXT)
     # a 13.3 MB frodo-640 token is refused from its header, before its body is read

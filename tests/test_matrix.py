@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import frue.matrix
 from frue.matrix import (_CHI_BLOCK, _PAIR_ROWS, DimensionMismatchError, MatrixZq,
-                         RngHandle, _chi_lut, _lincomb, gen_public_matrix, sample_chi,
-                         sample_uniform, signed_rep)
+                         RngHandle, _chi_cut, _chi_lut, _lincomb, gen_public_matrix,
+                         sample_chi, sample_uniform, signed_rep)
 from frue.params import load_paramset, registered_names
 from frue.ue import ord_bits, tensor_d
 
@@ -326,6 +326,18 @@ def test_paired_guard_edge_is_exact(D):
         assert hasattr(S, "_pairs") == packs and hasattr(S, "_f64") == (not packs)
 
 
+def test_row_sum_past_uint32_is_measured_in_int64():
+    # at D = 16 a row of 2**17 words q/2 has l1 norm 2**17 * 2**15 = 2**32,
+    # which a uint32 row sum wraps to 0: _chunk sums it in int64, finds L past
+    # the limit, and the product runs in float64 with no column pairs
+    cols = 2**17
+    X = MatrixZq(np.full((1, cols), 2**15, dtype=np.uint16), 16)
+    Y = MatrixZq(np.ones((cols, 2), dtype=np.uint16), 16)
+    want = (X.data.astype(np.int64) @ Y.data.astype(np.int64)) & (2**16 - 1)
+    assert (X @ Y).data.tolist() == want.tolist()
+    assert X._k == 0 and not hasattr(Y, "_colpairs")
+
+
 def test_left_side_past_the_limit_runs_in_float64(monkeypatch):
     # a uniform left side (KeyGen's A @ S at frodo-640, D = 15) is past the
     # limit in its first block of rows: measuring it lifts one block, packs
@@ -461,10 +473,10 @@ def test_word_format_has_one_owner():
     # product route) touches that one module
     kept = set(MatrixZq.__slots__) - {"data", "D"}
     assert {"_f64", "_colpairs", "_pairs", "_tensor_d"} <= kept
-    # nor its copy accessors: every private attribute of the class but _new and
-    # _record, which ue.py and envelope.py build and serialize matrices with
+    # nor its copy accessors: every private attribute of the class but _record,
+    # which envelope.py serializes matrices with
     kept |= {name for name in dir(MatrixZq) if name.startswith("_")
-             and not (name.startswith("__") and name.endswith("__"))} - {"_new", "_record"}
+             and not (name.startswith("__") and name.endswith("__"))} - {"_record"}
     assert {"_float64", "_pairs_along", "_chunk", "_keep"} <= kept
     found = []
     for name, node in _nodes_outside_matrix():
@@ -606,6 +618,20 @@ def test_chi_matches_the_lane_reference():
         for (r, c), ref in zip(shapes, want):
             got = sample_chi(rng, r, c, p)
             assert np.array_equal(got.signed().ravel(), ref), (p.name, p.chi_cdf, r, c)
+
+
+def test_chi_cut_equals_consecutive_draws(toy8, toy16):
+    # each matrix of a cut starts at a fresh Philox output, so for any sizes the
+    # cut returns what one sample_chi call per shape returns, read-only, and
+    # leaves the handle where those calls leave it
+    adhoc = adhoc_paramset(n=8, m_bar=3, n_bar=1)
+    for p in (toy8, toy16, adhoc):
+        for shapes in (((3, 8), (3, 8), (3, 1)), ((1, 1), (2, 3), (5, 7), (8, 1))):
+            cut, one = RngHandle(b"cut"), RngHandle(b"cut")
+            got = _chi_cut(cut, p, *shapes)
+            assert got == [sample_chi(one, r, c, p) for r, c in shapes], (p.name, shapes)
+            assert not any(m.data.flags.writeable for m in got)
+            assert sample_chi(cut, 1, 5, p) == sample_chi(one, 1, 5, p), (p.name, shapes)
 
 
 def test_chi_table_counts_equal_chi_pmf_exactly():

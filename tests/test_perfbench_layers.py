@@ -14,6 +14,7 @@ import pytest
 
 from frue import envelope, hybrids, ue
 from frue.matrix import RngHandle
+from frue.pke import random_message_bits
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = PERFBENCH.parent / "src"
@@ -57,6 +58,25 @@ def test_traced_pass_intercepts_token_randomness(monkeypatch, toy16):
     assert {name: t.counts[f"{name}.calls"] for name in layers} == {
         "hybrids.sample_token_randomness": 2, "hybrids.token_from_randomness": 2,
         "ue.ue_upd": 1, "ue.ue_tg": 1, "matrix.sample_chi": 3}
+
+
+def test_traced_steps_draw_chi_once(monkeypatch, toy16, deployment16):
+    # KeyGen, Enc and TG each draw all their noise as one chi draw, cut in
+    # frue.matrix, so each traced step records one draw of all its entries
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    p, A, keys = toy16, deployment16["A"], deployment16["keys"]
+    rng = RngHandle(b"traced-steps")
+    m = random_message_bits(rng, p)
+    steps = {"ue_kg": (lambda: ue.ue_kg(rng, p, A, 0), 2 * p.n * p.n_bar),
+             "ue_enc": (lambda: ue.ue_enc(rng, p, A, keys[0], m), p.m_bar * (2 * p.n + p.n_bar)),
+             "ue_tg": (lambda: ue.ue_tg(rng, p, A, keys[0].sk_S, keys[1].pk_B, 1),
+                       (p.n * p.D + p.n) * (2 * p.n + p.n_bar))}
+    for name, (step, entries) in steps.items():
+        with tracer.Tracer().patched() as t:
+            step()
+        assert (t.counts["matrix.sample_chi.calls"],
+                t.counts["matrix.sample_chi.words"]) == (1, entries), name
 
 
 def test_traced_pack_counts_no_read(monkeypatch, toy16, deployment16):

@@ -9,7 +9,7 @@ import frue.pke
 import frue.ue
 from frue import envelope as env
 from frue.hybrids import hyb_ue_upd
-from frue.matrix import MatrixZq, RngHandle, sample_chi, sample_uniform
+from frue.matrix import MatrixZq, RngHandle, _chi_cut, sample_chi, sample_uniform
 from frue.params import load_paramset, registered_names
 from frue.pke import (encode, pke_dec, pke_enc, pke_enc_traced, pke_keygen, pke_setup,
                       random_message_bits)
@@ -310,11 +310,11 @@ def test_product_routes_keep_their_copies(toy16, monkeypatch):
     _, A = pke_setup(rng, p)
     k0, k1 = ue_kg(rng, p, A, 0), ue_kg(rng, p, A, 1)
     drawn = []
-    monkeypatch.setattr(frue.pke, "sample_chi",
-                        lambda *args: drawn.append(sample_chi(*args)) or drawn[-1])
+    monkeypatch.setattr(frue.pke, "_chi_cut",
+                        lambda *args: drawn.append(_chi_cut(*args)) or drawn[-1])
     ct = ue_enc(rng, p, A, k0, random_message_bits(rng, p))
     monkeypatch.undo()
-    S1 = drawn[0]
+    S1 = drawn[0][0]
     assert slots(S1) == ["data", "D", "_f64", "_k"] and S1._f64.nbytes == 40_960
     tr = sample_token_randomness(rng, p)
     tok = token_from_randomness(p, A, k0.sk_S, k1.pk_B, 1, tr)
