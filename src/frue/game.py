@@ -98,7 +98,7 @@ class SecurityGame:
             self.leakage.C.add(self.e)
 
     def o_upd(self, ct_prev: UeCiphertext):
-        rec = self.L.get(ct_prev)
+        rec = self.L.get(ct_prev) if isinstance(ct_prev, UeCiphertext) else None
         if rec is None or ct_prev.epoch != self.e - 1:
             return None
         ct = ue_upd(self.rng, self.p, self.tokens[self.e], ct_prev)
@@ -110,7 +110,10 @@ class SecurityGame:
             raise ValueError("inp must be 'key' or 'token'")
         store, leaked = ((self.keys, self.leakage.K) if inp == "key"
                          else (self.tokens, self.leakage.T))
-        if e_hat not in store:
+        try:
+            if e_hat not in store:
+                return None
+        except TypeError:                       # unhashable, so no epoch
             return None
         leaked.add(e_hat)
         return store[e_hat]
@@ -119,7 +122,7 @@ class SecurityGame:
         """Issue the one challenge: fresh encryption of m_bar (b = 0) or an
         update of the recorded ciphertext ct_bar (b = 1).  A malformed m_bar
         raises MessageLengthError at either b and changes nothing."""
-        rec = self.L.get(ct_bar)
+        rec = self.L.get(ct_bar) if isinstance(ct_bar, UeCiphertext) else None
         if self.chall_ct is not None or rec is None or ct_bar.epoch != self.e - 1:
             return None
         m_bar = as_bits(m_bar, self.p.ell)

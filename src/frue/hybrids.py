@@ -149,6 +149,8 @@ def high_bits_projection(p: ParamSet) -> Callable[[UeCiphertext], int]:
 
 
 def _empirical_tv(xs, ys) -> float:
+    if len(xs) < 1:
+        raise ValueError(f"num_samples must be >= 1, got {len(xs)}")
     lo = int(min(xs.min(), ys.min()))
     hi = int(max(xs.max(), ys.max()))
     cx = np.bincount(xs - lo, minlength=hi - lo + 1)

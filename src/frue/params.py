@@ -6,10 +6,12 @@ the message width B, the LWE dimension n, the ciphertext block shape
 (m_bar x n_bar), and the error distribution chi given as a cumulative table
 over its support {-s, ..., s}.
 
-The three production-scale sets reuse the FrodoKEM reference constants
-(dimensions 640 / 976 / 1344, with their published error tables).  The toy
-sets are first-class registered sets so that exhaustive and statistical tests
-are reproducible bit for bit.
+The production-scale sets are one table of levels times expanders: each
+FrodoKEM reference level (n = 640 / 976 / 1344, with its published error
+table) is registered once with SHAKE-like and once with AES-like expansion of
+A.  The toy sets are first-class registered sets so that exhaustive and
+statistical tests are reproducible bit for bit.  A set's empirical chain
+budget is 0 unless EMPIRICAL_CHAIN_EPOCHS lists it.
 """
 
 from __future__ import annotations
@@ -144,30 +146,20 @@ def max_certified_epochs(p: ParamSet) -> int | None:
 # Support-1 table giving P(0) = 1/2 and P(+/-1) = 1/4.
 _TOY_CDF = (16383, 32767)
 
-# FrodoKEM reference error tables (15-bit cumulative form; the sampler draws
-# one extra sign bit).  Cross-checked in tests: each implied mass function is
-# symmetric, sums to exactly 1, and has the documented variance.
-_CDF_640 = (4643, 13363, 20579, 25843, 29227, 31145, 32103, 32525,
-            32689, 32745, 32762, 32766, 32767)
-_CDF_976 = (5638, 15915, 23689, 28571, 31116, 32217, 32613, 32731,
-            32760, 32766, 32767)
-_CDF_1344 = (9142, 23462, 30338, 32361, 32725, 32765, 32767)
+# FrodoKEM's three levels, each stated once and registered once per expander:
+# n, D, B, the v1 file-format ids of its SHAKE-like and AES-like sets, and its
+# reference error table (15-bit cumulative form; the sampler draws one extra
+# sign bit).  Cross-checked in tests: each implied mass function is symmetric,
+# sums to exactly 1, and has the documented variance.
+_LEVELS = (
+    (640, 15, 2, 1, 11, (4643, 13363, 20579, 25843, 29227, 31145, 32103, 32525,
+                         32689, 32745, 32762, 32766, 32767)),
+    (976, 16, 3, 2, 12, (5638, 15915, 23689, 28571, 31116, 32217, 32613, 32731,
+                         32760, 32766, 32767)),
+    (1344, 16, 4, 3, 13, (9142, 23462, 30338, 32361, 32725, 32765, 32767)),
+)
 
-
-def _frodo(name: str, n: int, D: int, B: int, cdf: tuple[int, ...],
-           mode: str, pid: int) -> ParamSet:
-    return ParamSet(name=name, D=D, B=B, n=n, m_bar=8, n_bar=8, chi_cdf=cdf,
-                    T_max=16, gen_mode=mode, paramset_id=pid)
-
-
-_REGISTRY: dict[str, ParamSet] = {}
-for _p in (
-    _frodo("frodo-640-shake", 640, 15, 2, _CDF_640, "shake-like", 1),
-    _frodo("frodo-976-shake", 976, 16, 3, _CDF_976, "shake-like", 2),
-    _frodo("frodo-1344-shake", 1344, 16, 4, _CDF_1344, "shake-like", 3),
-    _frodo("frodo-640-aes", 640, 15, 2, _CDF_640, "aes-like", 11),
-    _frodo("frodo-976-aes", 976, 16, 3, _CDF_976, "aes-like", 12),
-    _frodo("frodo-1344-aes", 1344, 16, 4, _CDF_1344, "aes-like", 13),
+_REGISTRY = {p.name: p for p in (
     # Small enough for exhaustive tests, big enough q for certified updates:
     # the bound holds up to T = 7, and T_max = 4 is the advertised budget.
     ParamSet(name="toy-16", D=16, B=1, n=8, m_bar=16, n_bar=8, chi_cdf=_TOY_CDF,
@@ -175,24 +167,20 @@ for _p in (
     # 8-bit modulus for exhaustive encode/decode sweeps; never bound-certified.
     ParamSet(name="toy-8", D=8, B=2, n=8, m_bar=4, n_bar=4, chi_cdf=_TOY_CDF,
              T_max=1, gen_mode="toy", paramset_id=101),
-):
-    _REGISTRY[_p.name] = _p
+)}
+for _n, _D, _B, _shake_id, _aes_id, _cdf in _LEVELS:
+    for _expander, _pid in (("shake", _shake_id), ("aes", _aes_id)):
+        _p = ParamSet(name=f"frodo-{_n}-{_expander}", D=_D, B=_B, n=_n, m_bar=8, n_bar=8,
+                      chi_cdf=_cdf, T_max=16, gen_mode=f"{_expander}-like", paramset_id=_pid)
+        _REGISTRY[_p.name] = _p
 
-_ALIASES = {
-    "frodo-640": "frodo-640-shake",
-    "frodo-976": "frodo-976-shake",
-    "frodo-1344": "frodo-1344-shake",
-}
+_ALIASES = {f"frodo-{n}": f"frodo-{n}-shake" for n, *_ in _LEVELS}
 
-# Largest epoch budget at which chained update-then-decrypt ran clean in
-# this library's own trials (0 = a single update already corrupts at least
-# one decode).  The production sets fail after one hop: the update noise is
-# orders of magnitude past q / 2**(B+1), so only the toy-16 geometry rotates.
-EMPIRICAL_CHAIN_EPOCHS = {
-    "frodo-640-shake": 0, "frodo-976-shake": 0, "frodo-1344-shake": 0,
-    "frodo-640-aes": 0, "frodo-976-aes": 0, "frodo-1344-aes": 0,
-    "toy-16": 4, "toy-8": 0,
-}
+# Largest epoch budget at which chained update-then-decrypt ran clean in this
+# library's own trials; every set not listed reads 0, as one update already
+# corrupts a decode.  The production sets' update noise is orders of
+# magnitude past q / 2**(B+1), so only the toy-16 geometry rotates.
+EMPIRICAL_CHAIN_EPOCHS = {"toy-16": 4}
 
 
 def registered_names() -> list[str]:
@@ -211,7 +199,7 @@ def load_paramset(name: str) -> ParamSet:
         ) from None
 
 
-BENCH_LEVELS = ("640", "976", "1344")
+BENCH_LEVELS = tuple(str(n) for n, *_ in _LEVELS)
 BENCH_MODES = ("aes-like", "shake-like")
 
 
@@ -219,7 +207,7 @@ def paramset_for(level: str, mode: str) -> ParamSet:
     """The registered set `frue bench` times for one level and mode."""
     if str(level) not in BENCH_LEVELS or mode not in BENCH_MODES:
         raise UnknownParamSetError(f"no benchmark target for level={level} mode={mode}")
-    return load_paramset(f"frodo-{level}-{mode.removesuffix('-like')}")
+    return next(p for p in _REGISTRY.values() if (str(p.n), p.gen_mode) == (str(level), mode))
 
 
 def load_by_id(paramset_id: int) -> ParamSet:

@@ -49,6 +49,19 @@ def make_keys(runner, tmp_path, epochs, seed="aa11", params="toy-16"):
     return paths
 
 
+def _lifecycle_files(runner, tmp_path):
+    """Keys for epochs 0 and 1, a message, its epoch-0 ciphertext and the token."""
+    make_keys(runner, tmp_path, (0, 1))
+    (tmp_path / "msg").write_bytes(b"hi")
+    (tmp_path / "sub").mkdir()
+    for args in (["encrypt", "--key", "{d}/p0.frue", "--message-file", "{d}/msg",
+                  "--out", "{d}/ct0"],
+                 ["token", "--prev-key", "{d}/k0.frue", "--next-pub", "{d}/p1.frue",
+                  "--out", "{d}/t1"]):
+        assert invoke(runner, *[a.format(d=tmp_path) for a in args]).exit_code == 0
+    return {f.name: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()}
+
+
 # -- framing ------------------------------------------------------------------
 
 def test_message_framing_roundtrip(toy16):
@@ -280,16 +293,8 @@ def test_lifecycle_steps_load_only_what_they_run(tmp_path):
 
 
 def test_update_epoch_mismatch_exit_code(runner, tmp_path):
-    keys = make_keys(runner, tmp_path, (0, 1))
-    msg = tmp_path / "m.bin"
-    msg.write_bytes(b"z")
-    ct = tmp_path / "ct.frue"
-    invoke(runner, "encrypt", "--key", str(keys[0][0]), "--message-file",
-           str(msg), "--out", str(ct))
-    tok = tmp_path / "t1.frue"
-    invoke(runner, "token", "--prev-key", str(keys[0][0]), "--next-pub",
-           str(keys[1][1]), "--out", str(tok))
-    ct1 = tmp_path / "ct1.frue"
+    _lifecycle_files(runner, tmp_path)
+    ct, tok, ct1 = tmp_path / "ct0", tmp_path / "t1", tmp_path / "ct1"
     invoke(runner, "update", "--token", str(tok), "--ct", str(ct), "--out", str(ct1))
     # applying the same token again: ciphertext is already at the target epoch
     res = runner.invoke(main, ["update", "--token", str(tok), "--ct", str(ct1),
@@ -322,37 +327,24 @@ def test_token_across_two_epochs_is_epoch_mismatch(runner, tmp_path):
 
 
 def test_decrypt_with_wrong_epoch_key(runner, tmp_path):
-    keys = make_keys(runner, tmp_path, (0, 1))
-    msg = tmp_path / "m.bin"
-    msg.write_bytes(b"z")
-    ct = tmp_path / "ct.frue"
-    invoke(runner, "encrypt", "--key", str(keys[0][0]), "--message-file",
-           str(msg), "--out", str(ct))
-    res = runner.invoke(main, ["decrypt", "--key", str(keys[1][0]), "--ct",
-                               str(ct), "--out", str(tmp_path / "o.bin")])
+    _lifecycle_files(runner, tmp_path)
+    res = runner.invoke(main, ["decrypt", "--key", str(tmp_path / "k1.frue"), "--ct",
+                               str(tmp_path / "ct0"), "--out", str(tmp_path / "o.bin")])
     assert res.exit_code == EXIT_EPOCH
 
 
 def test_truncated_ciphertext_exit_code(runner, tmp_path):
-    keys = make_keys(runner, tmp_path, (0,))
-    msg = tmp_path / "m.bin"
-    msg.write_bytes(b"z")
-    ct = tmp_path / "ct.frue"
-    invoke(runner, "encrypt", "--key", str(keys[0][0]), "--message-file",
-           str(msg), "--out", str(ct))
+    _lifecycle_files(runner, tmp_path)
+    ct = tmp_path / "ct0"
     ct.write_bytes(ct.read_bytes()[:-7])
-    res = runner.invoke(main, ["decrypt", "--key", str(keys[0][0]), "--ct",
+    res = runner.invoke(main, ["decrypt", "--key", str(tmp_path / "k0.frue"), "--ct",
                                str(ct), "--out", str(tmp_path / "o.bin")])
     assert res.exit_code == EXIT_MALFORMED
 
 
 def test_ciphertext_with_a_long_tail_is_read_bounded(runner, tmp_path):
-    keys = make_keys(runner, tmp_path, (0,))
-    msg = tmp_path / "m.bin"
-    msg.write_bytes(b"z")
-    ct = tmp_path / "ct.frue"
-    invoke(runner, "encrypt", "--key", str(keys[0][0]), "--message-file",
-           str(msg), "--out", str(ct))
+    _lifecycle_files(runner, tmp_path)
+    ct = tmp_path / "ct0"
     size = ct.stat().st_size
     with open(ct, "r+b") as fh:                     # a sparse 64 MiB tail of zeros
         fh.truncate(size + 64 * 2**20)
@@ -364,7 +356,7 @@ def test_ciphertext_with_a_long_tail_is_read_bounded(runner, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, f"read peaked at {peak} bytes"
-    res = runner.invoke(main, ["decrypt", "--key", str(keys[0][0]), "--ct",
+    res = runner.invoke(main, ["decrypt", "--key", str(tmp_path / "k0.frue"), "--ct",
                                str(ct), "--out", str(tmp_path / "o.bin")])
     assert res.exit_code == EXIT_MALFORMED
     assert res.stderr == "error: ciphertext of toy-16 must be 542 bytes, got 543\n"
@@ -398,20 +390,16 @@ def test_oversized_message_exit_code(runner, tmp_path, toy16):
 
 def test_decrypt_reads_a_ciphertext_from_a_pipe(runner, tmp_path):
     # the envelope reader reads forward only, so a FIFO works as --ct
-    keys = make_keys(runner, tmp_path, (0,))
-    msg, ct, fifo = tmp_path / "m.bin", tmp_path / "ct.frue", tmp_path / "ct.fifo"
-    msg.write_bytes(b"piped")
-    invoke(runner, "encrypt", "--key", str(keys[0][0]), "--message-file",
-           str(msg), "--out", str(ct))
+    files = _lifecycle_files(runner, tmp_path)
+    fifo = tmp_path / "ct.fifo"
     os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_bytes, args=(ct.read_bytes(),),
-                              daemon=True)
+    writer = threading.Thread(target=fifo.write_bytes, args=(files["ct0"],), daemon=True)
     writer.start()
-    res = runner.invoke(main, ["decrypt", "--key", str(keys[0][0]), "--ct",
+    res = runner.invoke(main, ["decrypt", "--key", str(tmp_path / "k0.frue"), "--ct",
                                str(fifo), "--out", str(tmp_path / "o.bin")])
     writer.join(timeout=10)
     assert res.exit_code == 0, res.output
-    assert (tmp_path / "o.bin").read_bytes() == b"piped"
+    assert (tmp_path / "o.bin").read_bytes() == b"hi"
 
 
 def test_deployment_mismatch_rejected(runner, tmp_path):
@@ -450,26 +438,18 @@ def test_mismatched_parameter_sets_rejected(runner, tmp_path, toy8, cmd):
 
 
 def test_decrypt_with_public_key_file_names_the_kind(runner, tmp_path):
-    keys = make_keys(runner, tmp_path, (0,))
-    (tmp_path / "m").write_bytes(b"z")
-    ct = tmp_path / "ct.frue"
-    invoke(runner, "encrypt", "--key", str(keys[0][1]), "--message-file",
-           str(tmp_path / "m"), "--out", str(ct))
-    res = runner.invoke(main, ["decrypt", "--key", str(keys[0][1]), "--ct", str(ct),
-                               "--out", str(tmp_path / "o.bin")])
+    _lifecycle_files(runner, tmp_path)
+    res = runner.invoke(main, ["decrypt", "--key", str(tmp_path / "p0.frue"), "--ct",
+                               str(tmp_path / "ct0"), "--out", str(tmp_path / "o.bin")])
     assert res.exit_code == EXIT_MALFORMED
     assert res.stderr == "error: expected an epoch-key file, got public-key\n"
 
 
 def test_encrypt_with_non_key_file_names_both_kinds(runner, tmp_path):
-    keys = make_keys(runner, tmp_path, (0,))
-    (tmp_path / "m").write_bytes(b"z")
-    ct = tmp_path / "ct.frue"
-    invoke(runner, "encrypt", "--key", str(keys[0][0]), "--message-file",
-           str(tmp_path / "m"), "--out", str(ct))
+    _lifecycle_files(runner, tmp_path)
     out = tmp_path / "ct2.frue"
-    res = runner.invoke(main, ["encrypt", "--key", str(ct), "--message-file",
-                               str(tmp_path / "m"), "--out", str(out)])
+    res = runner.invoke(main, ["encrypt", "--key", str(tmp_path / "ct0"), "--message-file",
+                               str(tmp_path / "msg"), "--out", str(out)])
     assert res.exit_code == EXIT_MALFORMED
     assert res.stderr == ("error: expected an epoch-key or public-key file, "
                           "got ciphertext\n")
@@ -590,19 +570,6 @@ _CLASHES = [
       "--out", "{d}/sub/../k0.frue"], "--prev-key", "--out"),
     (["update", "--token", "{d}/t1", "--ct", "{d}/ct0", "--out", "{d}/t1"], "--token", "--out"),
 ]
-
-
-def _lifecycle_files(runner, tmp_path):
-    """Keys for epochs 0 and 1, a message, its epoch-0 ciphertext and the token."""
-    make_keys(runner, tmp_path, (0, 1))
-    (tmp_path / "msg").write_bytes(b"hi")
-    (tmp_path / "sub").mkdir()
-    for args in (["encrypt", "--key", "{d}/p0.frue", "--message-file", "{d}/msg",
-                  "--out", "{d}/ct0"],
-                 ["token", "--prev-key", "{d}/k0.frue", "--next-pub", "{d}/p1.frue",
-                  "--out", "{d}/t1"]):
-        assert invoke(runner, *[a.format(d=tmp_path) for a in args]).exit_code == 0
-    return {f.name: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()}
 
 
 @pytest.mark.parametrize("args, option_a, option_b", _CLASHES,
@@ -1053,6 +1020,9 @@ def test_bench_targets_are_the_registered_frodo_sets():
             p = paramset_for(level, mode)
             assert p.name in registered_names() and p.name.startswith("frodo-")
             assert (str(p.n), p.gen_mode) == (level, mode)
+    # and conversely: every registered non-toy set is one target, named once
+    targets = [paramset_for(level, mode).name for level in BENCH_LEVELS for mode in BENCH_MODES]
+    assert sorted(targets) == sorted(n for n in registered_names() if not n.startswith("toy-"))
 
 
 def _openblas_thread_count_calls():

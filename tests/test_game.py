@@ -153,10 +153,20 @@ def test_dec_rejects_only_what_ue_dec_raises(game, monkeypatch):
 def test_dec_refuses_a_missing_ciphertext(game):
     # like o_upd and o_chall, o_dec answers None to what is not a ciphertext
     g, d = game
-    g.o_enc(random_message_bits(g.rng, d["p"]))
+    m = random_message_bits(g.rng, d["p"])
+    g.o_enc(m)
+    g.o_next()
     before = state(g)
     assert g.o_dec(None) is None
     assert state(g) == before
+    # an unhashable argument is refused like any other, never a TypeError
+    assert g.o_dec([1]) is None
+    assert g.o_upd([1]) is None
+    assert g.o_chall(m, [1]) is None
+    assert g.o_corr("key", [1]) is None
+    assert g.o_corr("token", {}) is None
+    assert state(g) == before
+    assert g.o_corr("key", 1.0) is g.keys[1]       # an equal float still reads epoch 1
 
 
 def test_upd_rejects_unrecorded_ciphertext(game):

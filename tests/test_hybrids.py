@@ -166,6 +166,13 @@ def test_smudging_margin_at_fixed_seed():
     assert baseline < 0.05
 
 
+def test_distance_estimates_refuse_an_empty_sample():
+    with pytest.raises(ValueError, match=r"^num_samples must be >= 1, got 0$"):
+        statistical_distance_estimate(lambda: 0, lambda: 0, 0, int)
+    with pytest.raises(ValueError, match=r"^num_samples must be >= 1, got 0$"):
+        smudging_estimate(1, 2, 0, RngHandle(b"empty"))
+
+
 def test_update_marginals_close_quick(toy16):
     # 20k-sample sanity version of the full acceptance comparison
     inst = make_update_instance(toy16)

@@ -128,6 +128,11 @@ def test_alias_names_resolve_to_shake_variants():
     assert load_paramset("frodo-640").name == "frodo-640-shake"
     assert load_paramset("frodo-640").gen_mode == "shake-like"
     assert load_paramset("frodo-640-aes").gen_mode == "aes-like"
+    levels = sorted({load_paramset(n).n for n in registered_names() if n.startswith("frodo-")})
+    assert levels == [640, 976, 1344]
+    for n in levels:
+        p = load_paramset(f"frodo-{n}")
+        assert (p.name, p.n, p.gen_mode) == (f"frodo-{n}-shake", n, "shake-like")
 
 
 def test_paramset_ids_unique_and_loadable():
