@@ -83,6 +83,7 @@ def statistical_distance_estimate(sampler_a: Callable[[], object],
     Both samplers are drawn num_samples times; the projection must map each
     sample to an integer in a small range, or sampling noise dominates.
     """
+    _check_samples(num_samples)
     xs, ys = [np.fromiter((projection(draw()) for _ in range(num_samples)),
                           dtype=np.int64, count=num_samples)
               for draw in (sampler_a, sampler_b)]
@@ -148,9 +149,13 @@ def high_bits_projection(p: ParamSet) -> Callable[[UeCiphertext], int]:
     return project
 
 
+def _check_samples(num_samples: int) -> None:
+    """Refuse a sample count below 1 before anything is drawn."""
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+
+
 def _empirical_tv(xs, ys) -> float:
-    if len(xs) < 1:
-        raise ValueError(f"num_samples must be >= 1, got {len(xs)}")
     lo = int(min(xs.min(), ys.min()))
     hi = int(max(xs.max(), ys.max()))
     cx = np.bincount(xs - lo, minlength=hi - lo + 1)
@@ -166,6 +171,7 @@ def smudging_estimate(b1: int, b2: int, num_samples: int,
     The analytic distance is b1 / (2*b2 + 1): drowning a small offset in a
     much wider uniform draw leaves the distribution nearly unchanged.
     """
+    _check_samples(num_samples)
     wide = lambda: rng.integers(-b2, b2 + 1, size=num_samples)
     dist = _empirical_tv(wide(), wide() + b1)
     baseline = _empirical_tv(wide(), wide())

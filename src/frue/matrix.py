@@ -60,6 +60,17 @@ A token reused across many updates, or the public matrix across many
 products, is converted once.  The price is memory: the float64 copy is four
 times the uint16 words, packed rows or columns twice, the tensor_d stack D
 times; a matrix term (sum(+-M_j)) gets none.
+
+The bit planes of a ciphertext's C1 are not kept on C1.  ord_bits remembers
+only its last input and output, one pair per process, and returns the same
+planes (with their chunk and, once a product has used them, their float64
+copy) when called again on that very object; identity suffices, as a
+matrix never changes.  Only repeated updates of one ciphertext object gain,
+as in the distribution checks; a ciphertext parsed and updated once does
+not.  The pair keeps the planes alive, 154 KB of words and a 614 KB float64
+copy at frodo-640 (344 KB and 1.38 MB at frodo-1344), and the last matrix
+with whatever buffer it views, such as a parsed ciphertext's file bytes.
+Two threads racing on it cost one extra decomposition.
 """
 
 from __future__ import annotations
@@ -284,17 +295,26 @@ def _lift(data: np.ndarray, D: int) -> np.ndarray:
     return (data << np.uint16(MAX_D - D)).view(np.int16) >> (MAX_D - D)
 
 
+_last_bits: tuple = (None, None)     # (M, ord_bits(M)) of the last call
+
+
 def ord_bits(M: MatrixZq) -> MatrixZq:
     """Bit-plane decomposition, least significant plane first.
 
     Defined for any width: entry (i, j) satisfies
     M[i, j] = sum_k 2**(k-1) * out[i, (k-1)*cols + j].  Its entries are 0/1,
     so the result records its chunk (module docstring) and is never measured.
+    A second call on the same object as the last returns the same planes.
     """
+    global _last_bits
+    last, out = _last_bits
+    if last is M:
+        return out
     planes = M.data[:, None, :] >> _PLANES[M.D]
     planes &= np.uint16(1)
     out = MatrixZq._new(planes.reshape(M.rows, -1), M.D)
     out._keep("_k", (_PAIR_LIMIT - 1) // (M.q // 2))
+    _last_bits = (M, out)
     return out
 
 

@@ -171,6 +171,11 @@ def test_distance_estimates_refuse_an_empty_sample():
         statistical_distance_estimate(lambda: 0, lambda: 0, 0, int)
     with pytest.raises(ValueError, match=r"^num_samples must be >= 1, got 0$"):
         smudging_estimate(1, 2, 0, RngHandle(b"empty"))
+    # a negative count is refused as requested, before any draw
+    with pytest.raises(ValueError, match=r"^num_samples must be >= 1, got -1$"):
+        statistical_distance_estimate(lambda: 0, lambda: 0, -1, int)
+    with pytest.raises(ValueError, match=r"^num_samples must be >= 1, got -1$"):
+        smudging_estimate(1, 2, -1, RngHandle(b"empty"))
 
 
 def test_update_marginals_close_quick(toy16):
