@@ -8,6 +8,28 @@ of encryption noise with key material, which the real update drags along),
 the two routes produce the same distribution; tests quantify the gap with
 an empirical total-variation estimate on projected marginals.
 
+real_update_sampler and hyb_update_sampler read ahead.  A draw pops one
+ciphertext from the sampler's list.  An empty list is refilled with k draws
+at once: one chi draw of k rounds of the token noise and R, then one call
+of the token and update formulas (or the hybrid's) on the stacks they form
+(frue.matrix).  The words and their order are those of k single draws, so
+each draw equals the single calls on the same handle (sample_token_randomness,
+token_from_randomness and ue_upd, or hyb_ue_upd) bit for bit, and after
+whole batches the handle is where those calls leave it.  k is
+min(24, max(1, 2**20 // w)), w the chi words of one draw: 24 at toy-16
+(w = 3392) and toy-8 (w = 1472), and 1 at every frodo set, whose draws keep
+the 2-D products, pairing included.  At toy-16 (one BLAS thread on a
+2-core shared x86-64 host) a draw read about 100 us single, 30 us at k = 8,
+20 us at k = 24 to 64 and 25-30 us at k = 256, as a batch's float64 stacks
+outgrow L2.  24 also divides the 72 real and 24 hybrid draws of a perfbench
+oracle-toy16 round, so each round starts with empty lists and the
+benchmark's two traced passes count the same calls.
+
+A sampler owns its handle.  It draws the words of up to k - 1 draws before
+they are asked for, so another user of the same handle would read
+different words than with single calls.  The CLI, the tests and the
+benchmark each give every sampler a fresh handle (a new seed or derive()).
+
 The Sim procedures draw every matrix record of the object's file
 (envelope._layout) uniformly, in file order.
 """
@@ -20,11 +42,13 @@ from typing import Callable
 import numpy as np
 
 from .envelope import KIND_CIPHERTEXT, KIND_PUBLIC_KEY, KIND_TOKEN, _layout
-from .matrix import MatrixZq, RngHandle, _lincomb, sample_chi, sample_uniform
+from .matrix import (MatrixZq, RngHandle, _chi_cut, _lincomb, _unstack, sample_chi,
+                     sample_uniform)
 from .params import ParamSet
 from .pke import encode, pke_enc_traced, pke_setup, random_message_bits
-from .ue import (TokenRandomness, UeCiphertext, UpdateToken, ord_bits,
-                 sample_token_randomness, token_from_randomness, ue_kg, ue_upd)
+from .ue import (TokenRandomness, UeCiphertext, UpdateToken, _check_update_epochs,
+                 _token_shapes, _update, ord_bits, sample_token_randomness,
+                 token_from_randomness, ue_kg)
 
 
 def hyb_ue_upd(rng: RngHandle, p: ParamSet, A: MatrixZq, ct: UeCiphertext,
@@ -40,7 +64,13 @@ def hyb_ue_upd(rng: RngHandle, p: ParamSet, A: MatrixZq, ct: UeCiphertext,
     plaintext m already encoded (encode(m, p)) and E_ct is the C2 noise of
     the ciphertext being updated (caller-instrumented).
     """
-    R = sample_chi(rng, p.m_bar, p.n, p)
+    return _hyb_update(A, ct, pk_next, msg, E_ct, tr, sample_chi(rng, p.m_bar, p.n, p))
+
+
+def _hyb_update(A: MatrixZq, ct: UeCiphertext, pk_next: MatrixZq, msg: MatrixZq,
+                E_ct: MatrixZq, tr: TokenRandomness, R: MatrixZq) -> UeCiphertext:
+    """hyb_ue_upd's formula with its R given.  The noise and R may be stacks
+    (frue.matrix), and the result then is one: k reconstructions."""
     O = ord_bits(ct.C1)
     s_dag = _lincomb((1, O, tr.S1p), (1, R, tr.S2p))
     return UeCiphertext(
@@ -117,26 +147,54 @@ def make_update_instance(p: ParamSet, seed: bytes = b"frue-upd-instance") -> Upd
                           sk_next=k1.sk_S, m=m, ct=ct, E_ct=e_ct)
 
 
-def real_update_sampler(inst: UpdateInstance, rng: RngHandle) -> Callable[[], UeCiphertext]:
-    """One draw = fresh token randomness, then the real update route."""
+# a sampler reads k = min(_BATCH, max(1, _BATCH_WORDS // w)) draws ahead, w
+# the chi words of one draw (module docstring)
+_BATCH = 24
+_BATCH_WORDS = 2**20
+
+
+def _read_ahead(p: ParamSet, rng: RngHandle,
+                update: Callable[[TokenRandomness, MatrixZq], UeCiphertext]
+                ) -> Callable[[], UeCiphertext]:
+    """A sampler whose draw pops a ciphertext from a list.  An empty list is
+    refilled with k draws: one chi draw of k rounds of the token noise
+    (sample_token_randomness's shapes) and R, in the words and order of k
+    single draws, and one call of `update` on the stacks they form."""
+    shapes = (*_token_shapes(p), (p.m_bar, p.n))
+    k = min(_BATCH, max(1, _BATCH_WORDS // sum(r * c for r, c in shapes)))
+    ahead: list[UeCiphertext] = []
+
     def draw() -> UeCiphertext:
-        tr = sample_token_randomness(rng, inst.p)
-        tok = token_from_randomness(inst.p, inst.A, inst.sk_prev, inst.pk_next, 1, tr)
-        return ue_upd(rng, inst.p, tok, inst.ct)
+        if not ahead:
+            *tr, R = _chi_cut(rng, p, *shapes, k=k)
+            ct = update(TokenRandomness(*tr), R)
+            ahead.extend(UeCiphertext(epoch=ct.epoch, C1=c1, C2=c2) for c1, c2
+                         in zip(_unstack(ct.C1), _unstack(ct.C2)))
+            ahead.reverse()
+        return ahead.pop()
 
     return draw
+
+
+def real_update_sampler(inst: UpdateInstance, rng: RngHandle) -> Callable[[], UeCiphertext]:
+    """One draw = fresh token randomness, then the real update route
+    (token_from_randomness, then ue_upd), read ahead in batches; the
+    sampler owns `rng` (module docstring)."""
+    def update(tr: TokenRandomness, R: MatrixZq) -> UeCiphertext:
+        tok = token_from_randomness(inst.p, inst.A, inst.sk_prev, inst.pk_next, 1, tr)
+        _check_update_epochs(tok, inst.ct)
+        return _update(tok, inst.ct, R)
+
+    return _read_ahead(inst.p, rng, update)
 
 
 def hyb_update_sampler(inst: UpdateInstance, rng: RngHandle) -> Callable[[], UeCiphertext]:
-    """One draw = fresh token randomness, then the hybrid reconstruction."""
+    """One draw = fresh token randomness, then the hybrid reconstruction
+    (hyb_ue_upd), read ahead in batches; the sampler owns `rng` (module
+    docstring)."""
     msg = encode(inst.m, inst.p)      # the same plaintext on every draw
-
-    def draw() -> UeCiphertext:
-        tr = sample_token_randomness(rng, inst.p)
-        return hyb_ue_upd(rng, inst.p, inst.A, inst.ct, inst.pk_next,
-                          msg, inst.E_ct, tr)
-
-    return draw
+    return _read_ahead(inst.p, rng, lambda tr, R: _hyb_update(
+        inst.A, inst.ct, inst.pk_next, msg, inst.E_ct, tr, R))
 
 
 def high_bits_projection(p: ParamSet) -> Callable[[UeCiphertext], int]:

@@ -61,16 +61,16 @@ products, is converted once.  The price is memory: the float64 copy is four
 times the uint16 words, packed rows or columns twice, the tensor_d stack D
 times; a matrix term (sum(+-M_j)) gets none.
 
-The bit planes of a ciphertext's C1 are not kept on C1.  ord_bits remembers
-only its last input and output, one pair per process, and returns the same
-planes (with their chunk and, once a product has used them, their float64
-copy) when called again on that very object; identity suffices, as a
-matrix never changes.  Only repeated updates of one ciphertext object gain,
-as in the distribution checks; a ciphertext parsed and updated once does
-not.  The pair keeps the planes alive, 154 KB of words and a 614 KB float64
-copy at frodo-640 (344 KB and 1.38 MB at frodo-1344), and the last matrix
-with whatever buffer it views, such as a parsed ciphertext's file bytes.
-Two threads racing on it cost one extra decomposition.
+A stack is a MatrixZq whose words have a leading axis: k matrices of one
+shape.  Only this module makes one (_chi_cut with k > 1, and _lincomb of a
+stack) and _unstack splits one into its 2-D matrices, so no public
+function returns a stack.  _lincomb takes a stack for any operand.  Shapes
+conform on the last two axes, every stack of one call holds the same k, a
+2-D operand acts on each matrix of a stack, and the result is a stack of
+k.  The guard is unchanged: each matrix of a stack is its own product.  A
+product with a stacked operand runs in float64, as one np.matmul over the
+stack; pairing stays 2-D.  k draws of one formula thus cost one call
+(frue.hybrids' batched samplers).
 """
 
 from __future__ import annotations
@@ -295,26 +295,17 @@ def _lift(data: np.ndarray, D: int) -> np.ndarray:
     return (data << np.uint16(MAX_D - D)).view(np.int16) >> (MAX_D - D)
 
 
-_last_bits: tuple = (None, None)     # (M, ord_bits(M)) of the last call
-
-
 def ord_bits(M: MatrixZq) -> MatrixZq:
     """Bit-plane decomposition, least significant plane first.
 
     Defined for any width: entry (i, j) satisfies
     M[i, j] = sum_k 2**(k-1) * out[i, (k-1)*cols + j].  Its entries are 0/1,
     so the result records its chunk (module docstring) and is never measured.
-    A second call on the same object as the last returns the same planes.
     """
-    global _last_bits
-    last, out = _last_bits
-    if last is M:
-        return out
     planes = M.data[:, None, :] >> _PLANES[M.D]
     planes &= np.uint16(1)
     out = MatrixZq._new(planes.reshape(M.rows, -1), M.D)
     out._keep("_k", (_PAIR_LIMIT - 1) // (M.q // 2))
-    _last_bits = (M, out)
     return out
 
 
@@ -329,19 +320,22 @@ def tensor_d(M: MatrixZq) -> MatrixZq:
 def _lincomb(*terms) -> MatrixZq:
     """sum(+-X @ Y) + sum(+-M) mod q from terms (sign, X, Y) and (sign, M):
     the products in one float64 accumulator behind one guard, the rest as
-    words mod 2**16 (module docstring)."""
-    D, shape, inner = terms[0][1].D, None, 0
+    words mod 2**16 (module docstring).  Any operand may be a stack."""
+    D, shape, stack, inner = terms[0][1].D, None, (), 0
     for t in terms:
         for x in t[1:]:
             if not isinstance(x, MatrixZq):
                 raise TypeError(f"expected MatrixZq, got {type(x).__name__}")
             if x.D != D:
                 raise DimensionMismatchError(f"modulus mismatch: D={D} vs D={x.D}")
-        out = t[1].data.shape
+            if (lead := x.data.shape[:-2]) and stack not in ((), lead):
+                raise DimensionMismatchError(f"stack: {stack[0]} vs {lead[0]} matrices")
+            stack = stack or lead
+        out = t[1].data.shape[-2:]
         if len(t) == 3:
-            if out[1] != t[2].data.shape[0]:
-                raise DimensionMismatchError(f"mul: {out} @ {t[2].data.shape}")
-            inner, out = inner + out[1], (out[0], t[2].data.shape[1])
+            if out[1] != t[2].data.shape[-2]:
+                raise DimensionMismatchError(f"mul: {out} @ {t[2].data.shape[-2:]}")
+            inner, out = inner + out[1], (out[0], t[2].data.shape[-1])
         if shape not in (None, out):
             raise DimensionMismatchError(f"sum: {shape} vs {out}")
         shape = out
@@ -353,7 +347,8 @@ def _lincomb(*terms) -> MatrixZq:
     for t in terms:
         if len(t) == 2:
             continue
-        if t[1].data.shape[1] >= _PAIR_ROWS and (k := t[1]._chunk()):
+        if (t[1].data.ndim == t[2].data.ndim == 2 and t[1].cols >= _PAIR_ROWS
+                and (k := t[1]._chunk())):
             for words in _paired(t[1], t[2], k):
                 out = _accumulate(out, t[0], words)
         else:
@@ -361,13 +356,20 @@ def _lincomb(*terms) -> MatrixZq:
     if acc is not None:     # exact, then wraps mod 2**16
         out = _accumulate(out, 1, acc.astype(np.int64).astype(np.uint16))
     if out is None:
-        out = np.zeros(shape, dtype=np.uint16)
+        out = np.zeros(stack + shape, dtype=np.uint16)
     for t in terms:
         if len(t) == 2:
-            _accumulate(out, t[0], t[1].data)
+            out = _accumulate(out, t[0], t[1].data)
     if D < MAX_D:
         out &= _MASK16[D]
     return MatrixZq._new(out, D)
+
+
+def _unstack(M: MatrixZq) -> list[MatrixZq]:
+    """The 2-D matrices of a stack, in order; a 2-D matrix is a stack of one."""
+    if M.data.ndim == 2:
+        return [M]
+    return [MatrixZq._new(words, M.D) for words in M.data]
 
 
 def _paired(X: MatrixZq, Y: MatrixZq, k: int):
@@ -392,11 +394,13 @@ def _paired(X: MatrixZq, Y: MatrixZq, k: int):
 
 
 def _accumulate(total, sign: int, term: np.ndarray) -> np.ndarray:
-    """total + sign * term, in place; with no total yet, the fresh term
-    (negated in place) starts it."""
+    """total + sign * term, in place unless a 2-D total meets a stacked term
+    (then a fresh stack); with no total yet, the fresh term (negated in
+    place) starts it."""
     if total is None:
         return np.negative(term, out=term) if sign < 0 else term
-    return (np.subtract if sign < 0 else np.add)(total, term, out=total)
+    return (np.subtract if sign < 0 else np.add)(
+        total, term, out=total if total.ndim >= term.ndim else None)
 
 
 def signed_rep(x: int, D: int) -> int:
@@ -511,17 +515,22 @@ def sample_chi(rng: RngHandle, rows: int, cols: int, p: ParamSet) -> MatrixZq:
     return MatrixZq._new(words.reshape(rows, cols), p.D)
 
 
-def _chi_cut(rng: RngHandle, p: ParamSet, *shapes: tuple[int, int]) -> list[MatrixZq]:
-    """One chi draw for every matrix of `shapes`, cut row-major in order.
+def _chi_cut(rng: RngHandle, p: ParamSet, *shapes: tuple[int, int],
+             k: int = 1) -> list[MatrixZq]:
+    """One chi draw for k rounds of every matrix of `shapes`, cut row-major
+    in order.
 
     Matrix i takes its rows * cols words rounded up to a multiple of 4, so the
     next starts at a fresh Philox output (sample_chi): the result, and the
-    handle's position after it, are those of one sample_chi call per shape.
+    handle's position after it, are those of k rounds of one sample_chi call
+    per shape.  With k > 1 matrix i is a stack (module docstring) whose j-th
+    matrix is round j's; with k = 1 it is a 2-D matrix.
     """
     sizes = [-(-r * c // 4) * 4 for r, c in shapes]
-    flat, off, out = sample_chi(rng, 1, sum(sizes), p).data[0], 0, []
+    rounds, off, out = sample_chi(rng, k, sum(sizes), p).data, 0, []
     for (r, c), w in zip(shapes, sizes):
-        out.append(MatrixZq._new(flat[off:off + r * c].reshape(r, c), p.D))
+        cut = rounds[:, off:off + r * c].reshape(k, r, c)
+        out.append(MatrixZq._new(cut if k > 1 else cut[0], p.D))
         off += w
     return out
 

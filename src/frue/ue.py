@@ -80,13 +80,18 @@ def sample_token_randomness(rng: RngHandle, p: ParamSet) -> TokenRandomness:
       S'_(1), E'_(1) at nD x n, E''_(1) at nD x n_bar,
       S'_(2), E'_(2) at n x n,  E''_(2) at n x n_bar.
 
-    This is the one place the layout and order are written down; ue_tg and
-    the hybrid oracles both draw through it.  Like KeyGen and Enc, it draws
-    chi once, cut into its matrices by frue.matrix (_chi_cut).
+    This is the one place the layout and order are written down
+    (_token_shapes); ue_tg and the hybrid oracles both draw through it.  Like
+    KeyGen and Enc, it draws chi once, cut into its matrices by frue.matrix
+    (_chi_cut).
     """
+    return TokenRandomness(*_chi_cut(rng, p, *_token_shapes(p)))
+
+
+def _token_shapes(p: ParamSet) -> tuple[tuple[int, int], ...]:
+    """The shapes of sample_token_randomness's six matrices, in draw order."""
     nD = p.n * p.D
-    return TokenRandomness(*_chi_cut(rng, p, (nD, p.n), (nD, p.n), (nD, p.n_bar),
-                                     (p.n, p.n), (p.n, p.n), (p.n, p.n_bar)))
+    return (nD, p.n), (nD, p.n), (nD, p.n_bar), (p.n, p.n), (p.n, p.n), (p.n, p.n_bar)
 
 
 def token_from_randomness(p: ParamSet, A: MatrixZq, sk_prev: MatrixZq,
@@ -124,11 +129,20 @@ def ue_upd(rng: RngHandle, p: ParamSet, tok: UpdateToken, ct: UeCiphertext) -> U
     Checks the epochs before it draws R from chi at m_bar x n, then with
     O = ord_bits(C1) returns (O d1_a + R d2_a,  C2 + O d1_b + R d2_b).
     """
+    _check_update_epochs(tok, ct)
+    return _update(tok, ct, sample_chi(rng, p.m_bar, p.n, p))
+
+
+def _check_update_epochs(tok: UpdateToken, ct: UeCiphertext) -> None:
     if ct.epoch + 1 != tok.epoch:
         raise EpochMismatchError(
             f"token moves ciphertexts from epoch {tok.epoch - 1} to {tok.epoch}, "
             f"got one at epoch {ct.epoch}")
-    R = sample_chi(rng, p.m_bar, p.n, p)
+
+
+def _update(tok: UpdateToken, ct: UeCiphertext, R: MatrixZq) -> UeCiphertext:
+    """ue_upd's formula with its R given.  The token and R may be stacks
+    (frue.matrix), and the result then is one: k updates of ct."""
     O = ord_bits(ct.C1)
     return UeCiphertext(epoch=tok.epoch, C1=_lincomb((1, O, tok.d1_a), (1, R, tok.d2_a)),
                         C2=_lincomb((1, ct.C2), (1, O, tok.d1_b), (1, R, tok.d2_b)))

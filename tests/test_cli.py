@@ -26,7 +26,7 @@ from frue.matrix import RngHandle, sample_uniform
 from frue.params import (BENCH_LEVELS, BENCH_MODES, UnknownParamSetError,
                          paramset_for, registered_names)
 from frue.pke import MessageLengthError
-from frue.ue import UeCiphertext, ue_upd
+from frue.ue import UeCiphertext
 
 
 @pytest.fixture()
@@ -996,21 +996,6 @@ def test_bench_single_run_reports_zero_std(runner, tmp_path):
         assert r[0] == "640" and r[1] == "shake-like" and r[3] == "1"
         assert float(r[5]) == 0.0
         assert float(r[4]) >= 0.0
-
-
-def test_bench_updates_a_fresh_ciphertext_each_call(monkeypatch, toy16):
-    # ord_bits keeps the planes of the last matrix it saw, so a repeated C1
-    # would time a cheaper update than a storage side's
-    import frue.bench
-    seen = []
-
-    def upd(rng, p, tok, ct):
-        seen.append(ct)
-        return ue_upd(rng, p, tok, ct)
-
-    monkeypatch.setattr(frue.bench, "ue_upd", upd)
-    frue.bench.bench_level(toy16, 3)
-    assert len(seen) == 4 and len({id(ct.C1) for ct in seen}) == 4
 
 
 def test_bench_unknown_level(runner):

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from frue.hybrids import (high_bits_projection, hyb_ue_upd,
 from frue.matrix import DimensionMismatchError, MatrixZq, RngHandle, sample_chi
 from frue.params import load_paramset
 from frue.pke import encode, pke_enc_traced, pke_setup, random_message_bits
-from frue.ue import ue_dec, ue_kg, ue_upd
+from frue.ue import EpochMismatchError, ue_dec, ue_kg, ue_upd
 
 from conftest import adhoc_paramset, noiseless_paramset
 
@@ -176,6 +177,61 @@ def test_distance_estimates_refuse_an_empty_sample():
         statistical_distance_estimate(lambda: 0, lambda: 0, -1, int)
     with pytest.raises(ValueError, match=r"^num_samples must be >= 1, got -1$"):
         smudging_estimate(1, 2, -1, RngHandle(b"empty"))
+
+
+def _single_draws(inst, rng, sampler):
+    """Today's single calls on one handle: the reference for a batched sampler."""
+    p, msg = inst.p, encode(inst.m, inst.p)
+    while True:
+        tr = sample_token_randomness(rng, p)
+        if sampler is real_update_sampler:
+            tok = token_from_randomness(p, inst.A, inst.sk_prev, inst.pk_next, 1, tr)
+            yield ue_upd(rng, p, tok, inst.ct)
+        else:
+            yield hyb_ue_upd(rng, p, inst.A, inst.ct, inst.pk_next, msg, inst.E_ct, tr)
+
+
+@pytest.mark.parametrize("sampler", [real_update_sampler, hyb_update_sampler])
+@pytest.mark.parametrize("name", ["toy-16", "toy-8"])
+def test_batched_samplers_equal_single_draws(name, sampler):
+    # a sampler reads k = 24 draws ahead (toy-8's D = 8 masks every sum); its
+    # draws are 2-D and equal the single calls across batch boundaries, and
+    # after whole batches the handle is where k single draws leave it
+    p, k = load_paramset(name), 24
+    inst = make_update_instance(p)
+    rng, ref_rng = RngHandle(b"batched"), RngHandle(b"batched")
+    draw, ref = sampler(inst, rng), _single_draws(inst, ref_rng, sampler)
+    for i in range(3 * k):
+        ct = draw()
+        assert ct.C1.data.ndim == ct.C2.data.ndim == 2
+        assert ct == next(ref), i
+    assert rng.bytes(8) == ref_rng.bytes(8)
+    # one draw reads exactly one batch ahead
+    rng, ref_rng = RngHandle(b"one-batch"), RngHandle(b"one-batch")
+    sampler(inst, rng)()
+    ref = _single_draws(inst, ref_rng, sampler)
+    for _ in range(k):
+        next(ref)
+    assert rng.bytes(8) == ref_rng.bytes(8)
+
+
+def test_batched_real_draws_check_the_epochs(toy16):
+    # as ue_upd does, a batch refuses a ciphertext its token does not move
+    inst = make_update_instance(toy16)
+    late = replace(inst, ct=replace(inst.ct, epoch=1))
+    with pytest.raises(EpochMismatchError, match="got one at epoch 1"):
+        real_update_sampler(late, RngHandle(b"late"))()
+
+
+def test_batched_real_draw_at_frodo640_is_the_single_route():
+    # a frodo-640 draw is 3.3M chi words, so a batch holds one (k = 1): 2-D
+    # matrices throughout, pairing included
+    p = load_paramset("frodo-640-shake")
+    inst = make_update_instance(p)
+    rng, ref_rng = RngHandle(b"batched-640"), RngHandle(b"batched-640")
+    assert real_update_sampler(inst, rng)() == next(_single_draws(inst, ref_rng,
+                                                                   real_update_sampler))
+    assert rng.bytes(8) == ref_rng.bytes(8)
 
 
 def test_update_marginals_close_quick(toy16):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import frue.matrix
 from frue.matrix import (_CHI_BLOCK, _PAIR_ROWS, DimensionMismatchError, MatrixZq,
-                         RngHandle, _chi_cut, _chi_lut, _lincomb, gen_public_matrix,
-                         sample_chi, sample_uniform, signed_rep)
+                         RngHandle, _chi_cut, _chi_lut, _lincomb, _unstack,
+                         gen_public_matrix, sample_chi, sample_uniform, signed_rep)
 from frue.params import load_paramset, registered_names
 from frue.ue import ord_bits, tensor_d
 
@@ -262,6 +262,57 @@ def test_lincomb_guard_covers_the_whole_sum():
         assert not any(hasattr(m, s) for s in ("_f64", "_colpairs", "_pairs"))
     assert (bits @ wide).data.tolist() == [[(4_194_352 * (half + 1)) % 2**16]]
     assert (row @ col).data.tolist() == [[(4_194_256 * half * (half + 1)) % 2**16]]
+
+
+@pytest.mark.parametrize("D", (5, 15, 16))
+def test_stacked_lincomb_equals_the_lincomb_of_each_slice(D):
+    # stacks (k matrices along a leading axis) on either side of a product,
+    # beside 2-D products and matrix terms that act on every slice.  The 2-D
+    # terms come first, so a 2-D total (float64, and paired words from S @ U's
+    # 640 inner rows) grows into a stack; stacked products run in float64
+    p, k = adhoc_paramset(D=D), 5
+    rng = RngHandle(b"stacked")
+    X, Z, M = _chi_cut(rng, p, (3, 640), (3, 640), (3, 4), k=k)
+    (Y,) = _chi_cut(rng, p, (640, 4), k=k)
+    S, U = sample_chi(rng, 3, 640, p), sample_uniform(rng, 640, 4, p)
+    W, V = sample_uniform(rng, 3, 640, p), sample_uniform(rng, 3, 4, p)
+    T = ord_bits(sample_uniform(rng, 3, 3, p))
+    assert X.data.shape == (k, 3, 640) and Y.data.shape == (k, 640, 4)
+    terms = [(-1, T, tensor_d(V)), (1, S, U), (-1, V), (1, X, U), (-1, W, Y),
+             (1, Z, Y), (1, M)]
+    got = _lincomb(*terms)
+    assert got.data.shape == (k, 3, 4) and not got.data.flags.writeable
+    assert hasattr(U, "_colpairs") and hasattr(X, "_f64") and hasattr(Y, "_f64")
+    slices = _unstack(got)
+    assert len(slices) == k and all(s.data.shape == (3, 4) for s in slices)
+    for j, s in enumerate(slices):
+        one = [(t[0], *(m if m.data.ndim == 2 else _unstack(m)[j] for m in t[1:]))
+               for t in terms]
+        assert s == _lincomb(*one), j
+    # the public constructor refuses a stack's words; a 2-D matrix unstacks to itself
+    with pytest.raises(ValueError, match="two-dimensional"):
+        MatrixZq(got.data, D)
+    assert _unstack(V)[0] is V and len(_unstack(V)) == 1
+
+
+def test_stacked_lincomb_keeps_the_guard_and_conformance():
+    p = adhoc_paramset(D=16)
+    rng = RngHandle(b"stack-guard")
+    # each matrix of a stack is its own product: 8 388 608 inner rows at
+    # D = 16 are past the exact range for a stack as for a 2-D product
+    (X,) = _chi_cut(rng, p, (1, 8_388_608), k=2)
+    Y = MatrixZq.zeros(8_388_608, 1, 16)
+    with pytest.raises(DimensionMismatchError, match="8388608"):
+        _lincomb((1, X, Y))
+    assert not hasattr(X, "_f64") and not hasattr(Y, "_f64")
+    # stacks of unequal length, in a product or a sum, and shapes that do not
+    # conform on the last two axes, are refused by the one error type
+    A5, B5 = _chi_cut(rng, p, (2, 3), (3, 2), k=5)
+    A3, B3 = _chi_cut(rng, p, (2, 3), (3, 2), k=3)
+    for terms in (((1, A5, B3),), ((1, A5), (1, A3)), ((1, A5, B5), (1, A3, B3)),
+                  ((1, A5, A3),), ((1, A5), (1, B5))):
+        with pytest.raises(DimensionMismatchError):
+            _lincomb(*terms)
 
 
 @pytest.mark.parametrize("D", (15, 16))
@@ -631,6 +682,13 @@ def test_chi_cut_equals_consecutive_draws(toy8, toy16):
             got = _chi_cut(cut, p, *shapes)
             assert got == [sample_chi(one, r, c, p) for r, c in shapes], (p.name, shapes)
             assert not any(m.data.flags.writeable for m in got)
+            assert sample_chi(cut, 1, 5, p) == sample_chi(one, 1, 5, p), (p.name, shapes)
+            # k rounds in one draw: stacks whose j-th matrix is round j's
+            got = _chi_cut(cut, p, *shapes, k=3)
+            rounds = [[sample_chi(one, r, c, p) for r, c in shapes] for _ in range(3)]
+            for i, stack in enumerate(got):
+                assert stack.data.shape == (3, *shapes[i])
+                assert _unstack(stack) == [rnd[i] for rnd in rounds], (p.name, shapes, i)
             assert sample_chi(cut, 1, 5, p) == sample_chi(one, 1, 5, p), (p.name, shapes)
 
 

@@ -45,8 +45,10 @@ def test_traced_pass_installs_in_a_fresh_process(workloads):
 
 
 def test_traced_pass_intercepts_token_randomness(monkeypatch, toy16):
-    # ue_tg and the real-update oracle share one token-randomness path; a
-    # traced pass must see it from both, and TG must draw chi once
+    # ue_tg and the real-update oracle share token_from_randomness and the one
+    # chi sampler; a traced pass must see both from each.  The oracle's first
+    # draw makes a batch of 24: one chi draw of 24 rounds of the token noise
+    # and R, and one token_from_randomness on the stacks; TG draws chi once
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracer")
     inst = hybrids.make_update_instance(toy16)
@@ -56,8 +58,10 @@ def test_traced_pass_intercepts_token_randomness(monkeypatch, toy16):
     layers = ("hybrids.sample_token_randomness", "hybrids.token_from_randomness",
               "ue.ue_upd", "ue.ue_tg", "matrix.sample_chi")
     assert {name: t.counts[f"{name}.calls"] for name in layers} == {
-        "hybrids.sample_token_randomness": 2, "hybrids.token_from_randomness": 2,
-        "ue.ue_upd": 1, "ue.ue_tg": 1, "matrix.sample_chi": 3}
+        "hybrids.sample_token_randomness": 1, "hybrids.token_from_randomness": 2,
+        "ue.ue_upd": 0, "ue.ue_tg": 1, "matrix.sample_chi": 2}
+    tg = (toy16.n * toy16.D + toy16.n) * (2 * toy16.n + toy16.n_bar)
+    assert t.counts["matrix.sample_chi.words"] == 24 * (tg + toy16.m_bar * toy16.n) + tg
 
 
 def test_traced_steps_draw_chi_once(monkeypatch, toy16, deployment16):

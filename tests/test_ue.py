@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import frue.matrix
 import frue.pke
 import frue.ue
 from frue import envelope as env
@@ -38,27 +37,6 @@ def test_ord_reconstructs_input():
         y = ord_bits(m).data.reshape(2, 9, 3).astype(np.uint32)
         back = (y << np.arange(9, dtype=np.uint32)[None, :, None]).sum(axis=1) % p.q
         assert np.array_equal(back, m.data)
-
-
-def test_ord_bits_remembers_its_last_input_only():
-    rng = RngHandle(b"ordmemo")
-    p = adhoc_paramset(D=9)
-    M, M2, s = (sample_uniform(rng, 2, 3, p), sample_uniform(rng, 2, 3, p),
-                sample_uniform(rng, 3, 4, p))
-    first = ord_bits(M)
-    first @ tensor_d(s)
-    # the same object again: the same planes, with the copy a product made
-    assert ord_bits(M) is first and hasattr(first, "_f64")
-    # another matrix in between: M is decomposed afresh, to equal planes
-    assert ord_bits(M2) != first
-    again = ord_bits(M)
-    assert again is not first and again == first
-    # identity, not equality: equal words in another object are decomposed
-    twin = MatrixZq(M.data.copy(), p.D)
-    assert twin == M and ord_bits(twin) is not again and ord_bits(twin) == again
-    # the memo holds one matrix, the last, and its planes
-    last, planes = frue.matrix._last_bits
-    assert last is twin and planes is ord_bits(twin)
 
 
 def test_tensor_examples():
