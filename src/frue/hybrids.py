@@ -8,27 +8,30 @@ of encryption noise with key material, which the real update drags along),
 the two routes produce the same distribution; tests quantify the gap with
 an empirical total-variation estimate on projected marginals.
 
-real_update_sampler and hyb_update_sampler read ahead.  A draw pops one
-ciphertext from the sampler's list.  An empty list is refilled with k draws
-at once: one chi draw of k rounds of the token noise and R, then one call
-of the token and update formulas (or the hybrid's) on the stacks they form
-(frue.matrix).  The words and their order are those of k single draws, so
-each draw equals the single calls on the same handle (sample_token_randomness,
-token_from_randomness and ue_upd, or hyb_ue_upd) bit for bit, and after
-whole batches the handle is where those calls leave it.  k is
+real_update_sampler and hyb_update_sampler read ahead, k draws per batch: one
+chi draw of k rounds of the token noise and R, then one call of the token and
+update formulas (or the hybrid's) on the stacks they form (frue.matrix).  A
+batch builds its k ciphertexts and drops its stacks before it hands out the
+first.  The words and their order are those of k single draws, so each draw
+equals the single calls on the same handle (sample_token_randomness,
+token_from_randomness and ue_upd, or hyb_ue_upd) bit for bit, and after whole
+batches the handle is where those calls leave it.  k is
 min(24, max(1, 2**20 // w)), w the chi words of one draw: 24 at toy-16
 (w = 3392) and toy-8 (w = 1472), and 1 at every frodo set, whose draws keep
-the 2-D products, pairing included.  At toy-16 (one BLAS thread on a
-2-core shared x86-64 host) a draw read about 100 us single, 30 us at k = 8,
-20 us at k = 24 to 64 and 25-30 us at k = 256, as a batch's float64 stacks
-outgrow L2.  24 also divides the 72 real and 24 hybrid draws of a perfbench
-oracle-toy16 round, so each round starts with empty lists and the
-benchmark's two traced passes count the same calls.
+the 2-D products, pairing included.  At toy-16 (one BLAS thread on a 2-core
+shared x86-64 host) a draw read about 100 us single, 30 us at k = 8, 20 us at
+k = 24 to 64 and 25-30 us at k = 256, as a batch's float64 stacks outgrow L2.
+24 also divides the 72 real and 24 hybrid draws of a perfbench oracle-toy16
+round, so each round starts at a batch boundary and the benchmark's two
+traced passes count the same calls.
 
 A sampler owns its handle.  It draws the words of up to k - 1 draws before
 they are asked for, so another user of the same handle would read
 different words than with single calls.  The CLI, the tests and the
 benchmark each give every sampler a fresh handle (a new seed or derive()).
+real_update_sampler refuses a ciphertext its token does not move before it
+draws.  A batch that raises (a malformed instance, say keys of the wrong
+shape) spends its sampler: every later call raises StopIteration.
 
 The Sim procedures draw every matrix record of the object's file
 (envelope._layout) uniformly, in file order.
@@ -36,14 +39,14 @@ The Sim procedures draw every matrix record of the object's file
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .envelope import KIND_CIPHERTEXT, KIND_PUBLIC_KEY, KIND_TOKEN, _layout
-from .matrix import (MatrixZq, RngHandle, _chi_cut, _lincomb, _unstack, sample_chi,
-                     sample_uniform)
+from .matrix import MatrixZq, RngHandle, _chi_cut, _lincomb, _unstack, sample_uniform
 from .params import ParamSet
 from .pke import encode, pke_enc_traced, pke_setup, random_message_bits
 from .ue import (TokenRandomness, UeCiphertext, UpdateToken, _check_update_epochs,
@@ -64,7 +67,7 @@ def hyb_ue_upd(rng: RngHandle, p: ParamSet, A: MatrixZq, ct: UeCiphertext,
     plaintext m already encoded (encode(m, p)) and E_ct is the C2 noise of
     the ciphertext being updated (caller-instrumented).
     """
-    return _hyb_update(A, ct, pk_next, msg, E_ct, tr, sample_chi(rng, p.m_bar, p.n, p))
+    return _hyb_update(A, ct, pk_next, msg, E_ct, tr, *_chi_cut(rng, p, (p.m_bar, p.n)))
 
 
 def _hyb_update(A: MatrixZq, ct: UeCiphertext, pk_next: MatrixZq, msg: MatrixZq,
@@ -147,8 +150,7 @@ def make_update_instance(p: ParamSet, seed: bytes = b"frue-upd-instance") -> Upd
                           sk_next=k1.sk_S, m=m, ct=ct, E_ct=e_ct)
 
 
-# a sampler reads k = min(_BATCH, max(1, _BATCH_WORDS // w)) draws ahead, w
-# the chi words of one draw (module docstring)
+# k = min(_BATCH, max(1, _BATCH_WORDS // w)), w a draw's chi words (module docstring)
 _BATCH = 24
 _BATCH_WORDS = 2**20
 
@@ -156,36 +158,29 @@ _BATCH_WORDS = 2**20
 def _read_ahead(p: ParamSet, rng: RngHandle,
                 update: Callable[[TokenRandomness, MatrixZq], UeCiphertext]
                 ) -> Callable[[], UeCiphertext]:
-    """A sampler whose draw pops a ciphertext from a list.  An empty list is
-    refilled with k draws: one chi draw of k rounds of the token noise
-    (sample_token_randomness's shapes) and R, in the words and order of k
-    single draws, and one call of `update` on the stacks they form."""
+    """The draws of one batch after another: a batch is one chi draw of k
+    rounds of sample_token_randomness's shapes and R, in the words and order
+    of k single draws, and one call of `update` on the stacks they form."""
     shapes = (*_token_shapes(p), (p.m_bar, p.n))
     k = min(_BATCH, max(1, _BATCH_WORDS // sum(r * c for r, c in shapes)))
-    ahead: list[UeCiphertext] = []
 
-    def draw() -> UeCiphertext:
-        if not ahead:
-            *tr, R = _chi_cut(rng, p, *shapes, k=k)
-            ct = update(TokenRandomness(*tr), R)
-            ahead.extend(UeCiphertext(epoch=ct.epoch, C1=c1, C2=c2) for c1, c2
-                         in zip(_unstack(ct.C1), _unstack(ct.C2)))
-            ahead.reverse()
-        return ahead.pop()
+    def batch() -> list[UeCiphertext]:
+        *tr, R = _chi_cut(rng, p, *shapes, k=k)
+        ct = update(TokenRandomness(*tr), R)
+        return [UeCiphertext(epoch=ct.epoch, C1=c1, C2=c2)
+                for c1, c2 in zip(_unstack(ct.C1), _unstack(ct.C2))]
 
-    return draw
+    return itertools.chain.from_iterable(iter(batch, None)).__next__
 
 
 def real_update_sampler(inst: UpdateInstance, rng: RngHandle) -> Callable[[], UeCiphertext]:
     """One draw = fresh token randomness, then the real update route
     (token_from_randomness, then ue_upd), read ahead in batches; the
-    sampler owns `rng` (module docstring)."""
-    def update(tr: TokenRandomness, R: MatrixZq) -> UeCiphertext:
-        tok = token_from_randomness(inst.p, inst.A, inst.sk_prev, inst.pk_next, 1, tr)
-        _check_update_epochs(tok, inst.ct)
-        return _update(tok, inst.ct, R)
-
-    return _read_ahead(inst.p, rng, update)
+    sampler owns `rng`, and refuses a late ciphertext before it draws."""
+    _check_update_epochs(1, inst.ct)
+    return _read_ahead(inst.p, rng, lambda tr, R: _update(
+        token_from_randomness(inst.p, inst.A, inst.sk_prev, inst.pk_next, 1, tr),
+        inst.ct, R))
 
 
 def hyb_update_sampler(inst: UpdateInstance, rng: RngHandle) -> Callable[[], UeCiphertext]:

@@ -16,6 +16,7 @@ budget is 0 unless EMPIRICAL_CHAIN_EPOCHS lists it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -67,11 +68,14 @@ class ParamSet:
             raise ValueError("T_max must be positive")
         if self.gen_mode not in GEN_MODES:
             raise ValueError(f"unknown gen_mode {self.gen_mode!r}")
+        if not isinstance(self.chi_cdf, tuple) or not all(   # as operator.index tests
+                hasattr(type(c), "__index__") for c in self.chi_cdf):
+            raise ValueError(f"chi_cdf must be a tuple of integers, got {self.chi_cdf!r}")
         if not self.chi_cdf or any(b < a for a, b in zip(self.chi_cdf, self.chi_cdf[1:])):
             raise ValueError("chi_cdf must be non-empty and non-decreasing")
         if any(c < 0 for c in self.chi_cdf):
             raise ValueError("chi_cdf entries must be non-negative")
-        words = self.chi_cdf[-1] + 1
+        words = operator.index(self.chi_cdf[-1]) + 1
         if words & (words - 1) or words > 1 << 15:
             raise ValueError("chi_cdf must end at 2**k - 1 with k at most 15: the sampler "
                              f"reads one 16-bit word per entry, got {self.chi_cdf[-1]}")
@@ -84,7 +88,7 @@ class ParamSet:
     @property
     def chi_sample_bits(self) -> int:
         """k with chi_cdf[-1] == 2**k - 1: the bits of a draw's magnitude index."""
-        return self.chi_cdf[-1].bit_length()
+        return operator.index(self.chi_cdf[-1]).bit_length()
 
     @property
     def q(self) -> int:

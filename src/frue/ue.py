@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .matrix import (DimensionMismatchError, MatrixZq, RngHandle, _chi_cut,
-                     _lincomb, ord_bits, sample_chi, tensor_d)
+                     _lincomb, ord_bits, tensor_d)
 from .params import ParamSet
 from .pke import EpochKey, UeCiphertext, pke_dec, pke_enc, pke_keygen
 
@@ -81,9 +81,9 @@ def sample_token_randomness(rng: RngHandle, p: ParamSet) -> TokenRandomness:
       S'_(2), E'_(2) at n x n,  E''_(2) at n x n_bar.
 
     This is the one place the layout and order are written down
-    (_token_shapes); ue_tg and the hybrid oracles both draw through it.  Like
-    KeyGen and Enc, it draws chi once, cut into its matrices by frue.matrix
-    (_chi_cut).
+    (_token_shapes): ue_tg draws through it, and the oracle samplers of
+    frue.hybrids cut the same shapes, then R, from one chi draw per batch.
+    Like KeyGen and Enc, it draws chi once, cut by frue.matrix (_chi_cut).
     """
     return TokenRandomness(*_chi_cut(rng, p, *_token_shapes(p)))
 
@@ -129,14 +129,14 @@ def ue_upd(rng: RngHandle, p: ParamSet, tok: UpdateToken, ct: UeCiphertext) -> U
     Checks the epochs before it draws R from chi at m_bar x n, then with
     O = ord_bits(C1) returns (O d1_a + R d2_a,  C2 + O d1_b + R d2_b).
     """
-    _check_update_epochs(tok, ct)
-    return _update(tok, ct, sample_chi(rng, p.m_bar, p.n, p))
+    _check_update_epochs(tok.epoch, ct)
+    return _update(tok, ct, *_chi_cut(rng, p, (p.m_bar, p.n)))
 
 
-def _check_update_epochs(tok: UpdateToken, ct: UeCiphertext) -> None:
-    if ct.epoch + 1 != tok.epoch:
+def _check_update_epochs(epoch: int, ct: UeCiphertext) -> None:
+    if ct.epoch + 1 != epoch:
         raise EpochMismatchError(
-            f"token moves ciphertexts from epoch {tok.epoch - 1} to {tok.epoch}, "
+            f"token moves ciphertexts from epoch {epoch - 1} to {epoch}, "
             f"got one at epoch {ct.epoch}")
 
 

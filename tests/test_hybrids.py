@@ -223,9 +223,27 @@ def test_batched_real_draws_check_the_epochs(toy16):
         real_update_sampler(late, RngHandle(b"late"))()
 
 
+def test_late_real_sampler_is_refused_before_it_draws(toy16):
+    # the epoch check runs when the sampler is built, so a refused sampler
+    # has read nothing from its handle
+    inst = make_update_instance(toy16)
+    late = replace(inst, ct=replace(inst.ct, epoch=1))
+    rng = RngHandle(b"late")
+    with pytest.raises(EpochMismatchError, match="got one at epoch 1"):
+        real_update_sampler(late, rng)
+    assert rng.bytes(8) == RngHandle(b"late").bytes(8)
+    # a batch that raises all the same (an old secret key of the wrong
+    # shape) spends its sampler
+    draw = real_update_sampler(replace(inst, sk_prev=inst.ct.C1), rng)
+    with pytest.raises(DimensionMismatchError):
+        draw()
+    with pytest.raises(StopIteration):
+        draw()
+
+
 def test_batched_real_draw_at_frodo640_is_the_single_route():
-    # a frodo-640 draw is 3.3M chi words, so a batch holds one (k = 1): 2-D
-    # matrices throughout, pairing included
+    # a frodo-640 draw is 13 194 240 chi words (3 298 560 Philox outputs), so
+    # a batch holds one (k = 1): 2-D matrices throughout, pairing included
     p = load_paramset("frodo-640-shake")
     inst = make_update_instance(p)
     rng, ref_rng = RngHandle(b"batched-640"), RngHandle(b"batched-640")

@@ -560,6 +560,17 @@ def test_randomness_has_one_owner():
     assert found == []
 
 
+def test_chi_has_one_draw_path():
+    # every chi draw outside frue.matrix goes through _chi_cut, which alone
+    # calls sample_chi: the cut into matrices is written once
+    found = [f"{name}:{node.lineno}: {ast.unparse(node)}"
+             for name, node in _nodes_outside_matrix()
+             if isinstance(node, ast.Call)
+             and (node.func.id if isinstance(node.func, ast.Name)
+                  else getattr(node.func, "attr", None)) == "sample_chi"]
+    assert found == []
+
+
 # -- signed representative and norm ------------------------------------------
 
 def test_signed_rep_examples():

@@ -1,8 +1,10 @@
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from frue.matrix import RngHandle, sample_chi
 from frue.params import (ParamSet, UnknownParamSetError, bound_sides,
                          empirical_chain_epochs, load_by_id, load_paramset,
                          max_certified_epochs, params_dump, registered_names,
@@ -173,6 +175,20 @@ def test_invalid_constructions_rejected():
     for table in ((), (-1, 32767), (5, 6)):          # empty, negative, 7 words
         with pytest.raises(ValueError):
             adhoc_paramset(chi_cdf=table)
+    # a list can neither be hashed nor key the sampler's table cache, and
+    # floats or characters are no table
+    for table in ([16383, 32767], (16383.0, 32767.0), "01"):
+        with pytest.raises(ValueError, match="tuple of integers"):
+            adhoc_paramset(chi_cdf=table)
+
+
+def test_chi_cdf_takes_numpy_integers():
+    # operator.index accepts numpy integers, so a table read from an array
+    # builds the same set as Python ints
+    table = np.array([16383, 32767], dtype=np.int64)
+    p, ref = adhoc_paramset(chi_cdf=tuple(table)), adhoc_paramset()
+    assert p == ref and hash(p) == hash(ref) and p.chi_sample_bits == 15
+    assert sample_chi(RngHandle(b"np"), 3, 4, p) == sample_chi(RngHandle(b"np"), 3, 4, ref)
 
 
 def test_chi_cdf_fixes_s_and_chi_sample_bits():

@@ -97,6 +97,8 @@ def test_bits_bytes_roundtrip():
     assert bytes_from_bits(bits) == data
     with pytest.raises(MessageLengthError):
         bits_from_bytes(b"\x01", 9)
+    with pytest.raises(MessageLengthError):     # not a 5-bit slice of the byte
+        bits_from_bytes(b"\xff", -3)
 
 
 # -- keygen -------------------------------------------------------------------

@@ -328,13 +328,13 @@ def test_product_routes_keep_their_copies(toy16, monkeypatch):
     y = lift(A)
     assert np.array_equal(A._colpairs, y[:, :320] + 2**27 * y[:, 320:])
     drawn, planes = [], []
-    monkeypatch.setattr(frue.ue, "sample_chi",
-                        lambda *args: drawn.append(sample_chi(*args)) or drawn[-1])
+    monkeypatch.setattr(frue.ue, "_chi_cut",
+                        lambda *args: drawn.append(_chi_cut(*args)) or drawn[-1])
     monkeypatch.setattr(frue.ue, "ord_bits",
                         lambda M: planes.append(ord_bits(M)) or planes[-1])
     ue_upd(rng, p, tok, ct)
     monkeypatch.undo()
-    (R,) = drawn
+    ((R,),) = drawn
     assert slots(R) == ["data", "D", "_f64", "_k"] and R._f64.nbytes == 40_960
     # d1_a and d2_a, on the right of Upd's products, keep their column pairs
     # (9600 x 320 and 640 x 320 float64); C1's bit planes, fresh per ciphertext,
