@@ -53,6 +53,31 @@ its high half (Z + 2**26) >> 27 to entries i + ceil(n / 2).  Products below
 the floor, where packing costs more than it saves, run in float64 too;
 every toy-16 product has an inner dimension of at most 128.
 
+A chunk's Z is one BLAS call, or the sum of pieces of its inner rows, one
+call each, added into Z before the read-back.  OpenBLAS's SkylakeX core
+sends a float64 product to a small-matrix kernel that skips packing when
+M * N * K <= _SMALL_MNK = 10**6 (its dgemm small-kernel permit):
+8 x 390 @ 390 x 320 took 0.043 ms, 8 x 400 @ 400 x 320 0.088 ms (median of
+15; these timings ran one BLAS thread on a shared 2-core Intel Xeon).  A
+piece holds the most rows that keep rows(Z) * cols(Z) * piece within the
+permit, and lies inside its chunk, so the bound above holds for every
+partial sum.  A chunk splits only where a piece holds at least
+_MIN_PIECE = 320 rows (_piece): frodo-640's 8-row products (Upd's O @ d1_a and R @ d2_a,
+Enc's S1 @ A: Z 8 x 320) and TG's S'_(2) B (Z 320 x 8) take pieces of 390
+rows.  With pieces, steady updates at frodo-976 (Z 8 x 488, pieces of 256
+rows) read 27 % slower in the median and at frodo-1344 (186 rows) slower
+too, and TG's S'_(1) B and S'_(2) A would take pieces of 26 and 4 rows; all
+of them stay whole.  The kernel wins only while the operand it reads stays
+cached: frodo-640's O @ d1_a shape (8 x 9600 by 9600 x 320 column pairs,
+24.6 MB, in chunks of 4095) took 1.67 ms in pieces against 2.19-2.34 ms
+whole while the pairs stayed in the last-level cache, and 3.28-3.44 against
+2.83-2.92 ms with 64 MB streamed between calls.  So the floor, which lies
+between the 256 rows that lost and the 390 that won, sorts the products by
+their piece length, not by a property of the kernel.  On a core without the
+kernel each piece is one more packed product, about 10 more numpy calls per
+chunk: under OpenBLAS's Haswell core steady Upd read 3.2 ms with pieces
+against 3.4-4.2 ms whole.
+
 Each copy of an operand (float64 of the lift, packed rows, packed columns),
 like a matrix's tensor_d stack, is built on first use and kept, read-only,
 for the matrix's lifetime; matrices are immutable, so it never goes stale.
@@ -97,6 +122,8 @@ _MASK16 = [np.uint16((1 << D) - 1) for D in range(MAX_D + 1)]  # q - 1 per D, bu
 _PLANES = [np.arange(D, dtype=np.uint16)[:, None] for D in range(MAX_D + 1)]  # shifts per D
 _PAIR_ROWS = 512        # fewest inner rows of a paired product (module docstring)
 _PAIR_LIMIT = 2**26     # each half of a paired word is below it; x' is scaled by twice it
+_SMALL_MNK = 10**6      # most multiply-adds OpenBLAS's small-matrix kernel takes in one call
+_MIN_PIECE = 320        # fewest inner rows of a piece of a paired chunk (module docstring)
 
 
 class MatrixZq:
@@ -374,13 +401,18 @@ def _unstack(M: MatrixZq) -> list[MatrixZq]:
 
 def _paired(X: MatrixZq, Y: MatrixZq, k: int):
     """X @ Y mod 2**16 as uint16 words, one fresh array per chunk of k inner
-    rows: on X's packed rows when X has more rows than Y has columns, else
-    on Y's packed columns (module docstring)."""
+    rows, each chunk summed from _piece's pieces: on X's packed rows when X
+    has more rows than Y has columns, else on Y's packed columns (module
+    docstring)."""
     axis = 0 if X.rows > Y.cols else 1
     left, right = ((X._pairs_along(0), Y._float64()) if axis == 0
                    else (X._float64(), Y._pairs_along(1)))
+    step = _piece((len(left), right.shape[1]), k)
     for s in range(0, X.cols, k):
-        Z = left[:, s:s + k] @ right[s:s + k]
+        end = min(s + k, X.cols)        # pieces stay inside the chunk
+        Z = left[:, s:s + step] @ right[s:s + step]
+        for t in range(s + step, end, step):
+            Z += left[:, t:min(t + step, end)] @ right[t:min(t + step, end)]
         words = np.empty((X.rows, Y.cols), dtype=np.uint16)
         h, cut = Z.shape[axis], (slice(None),) * axis
         lo, hi = words[cut + (slice(h),)], words[cut + (slice(h, None),)]
@@ -391,6 +423,15 @@ def _paired(X: MatrixZq, Y: MatrixZq, k: int):
             z >>= _PAIR_LIMIT.bit_length()      # (Z + 2**26) >> 27
             high[...] = z[:len(high), :high.shape[1]]
         yield words
+
+
+def _piece(shape: tuple[int, int], k: int) -> int:
+    """Inner rows per BLAS call in a paired chunk of k rows whose Z has
+    `shape`: the most that keep rows * cols * piece within _SMALL_MNK, if at
+    least _MIN_PIECE and fewer than k; else k, one call per chunk (module
+    docstring)."""
+    step = _SMALL_MNK // (shape[0] * shape[1])
+    return step if _MIN_PIECE <= step < k else k
 
 
 def _accumulate(total, sign: int, term: np.ndarray) -> np.ndarray:

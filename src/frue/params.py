@@ -58,6 +58,9 @@ class ParamSet:
     paramset_id: int
 
     def __post_init__(self) -> None:
+        for name in ("D", "B", "n", "m_bar", "n_bar", "T_max", "paramset_id"):
+            if not hasattr(type(value := getattr(self, name)), "__index__"):  # as operator.index
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (1 <= self.B <= self.D <= MAX_D):
             raise ValueError(f"need 1 <= B <= D <= {MAX_D}, got B={self.B} D={self.D}")
         if self.n <= 0 or self.n % 8 != 0:

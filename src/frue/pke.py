@@ -59,7 +59,7 @@ def as_bits(m, ell: int) -> np.ndarray:
 
 
 def bits_from_bytes(data: bytes, nbits: int) -> np.ndarray:
-    if not 0 <= nbits <= 8 * len(data):
+    if not hasattr(type(nbits), "__index__") or not 0 <= nbits <= 8 * len(data):
         raise MessageLengthError(f"need 0 <= nbits <= {8 * len(data)}, got {nbits}")
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")[:nbits]
 

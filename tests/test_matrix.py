@@ -2,14 +2,15 @@ import ast
 import hashlib
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import frue.matrix
-from frue.matrix import (_CHI_BLOCK, _PAIR_ROWS, DimensionMismatchError, MatrixZq,
-                         RngHandle, _chi_cut, _chi_lut, _lincomb, _unstack,
+from frue.matrix import (_CHI_BLOCK, _PAIR_ROWS, _SMALL_MNK, DimensionMismatchError,
+                         MatrixZq, RngHandle, _chi_cut, _chi_lut, _lincomb, _piece, _unstack,
                          gen_public_matrix, sample_chi, sample_uniform, signed_rep)
 from frue.params import load_paramset, registered_names
 from frue.ue import ord_bits, tensor_d
@@ -211,12 +212,17 @@ def test_lincomb_matches_int64(D, data):
     # term, which at D = 15 and 16 spans more than two chunks of
     # k = (2**26 - 1) // (q/2) inner rows, and a term with small entries
     # (|x| <= s = 1).  The sum is tall (more rows than columns: X's rows pack
-    # for every paired term) or wide (Y's columns pack)
+    # for every paired term) or wide (Y's columns pack).  _SMALL_MNK is drawn
+    # so that each chunk's BLAS calls take `piece` inner rows: a piece shorter
+    # than a chunk splits it, and the bit-plane term's chunks are no multiple
+    # of the piece, so a piece past a chunk's end would be summed wrongly
     p = adhoc_paramset(D=D)
     rng = RngHandle(data.draw(st.binary(max_size=8)))
     tall = data.draw(st.booleans())
     rows = data.draw(st.integers(2 if tall else 1, 3))
     cols = data.draw(st.integers(1, rows - 1) if tall else st.integers(rows, 3))
+    z = -(-rows // 2) * cols if tall else rows * -(-cols // 2)    # Z's words
+    piece = data.draw(st.integers(frue.matrix._MIN_PIECE, 1100))
     chunk = (2**26 - 1) // 2**(D - 1)
     inner = 2 * chunk + 1 if D >= 15 else _PAIR_ROWS      # fewest inner rows
     width = data.draw(st.integers(1, 20)) + -(-inner // D)
@@ -236,7 +242,8 @@ def test_lincomb_matches_int64(D, data):
     for sign, *ops in terms:
         mats = [m.data.astype(np.int64) for m in ops]
         want += sign * (mats[0] @ mats[1] if len(mats) == 2 else mats[0])
-    got = _lincomb(*terms)
+    with mock.patch.object(frue.matrix, "_SMALL_MNK", piece * z):
+        got = _lincomb(*terms)
     assert type(got) is MatrixZq and got.D == D
     assert got.data.tolist() == (want & (2**D - 1)).tolist()
     # both paired terms pack by shape alone: the bit planes keep the chunk
@@ -313,6 +320,45 @@ def test_stacked_lincomb_keeps_the_guard_and_conformance():
                   ((1, A5, A3),), ((1, A5), (1, B5))):
         with pytest.raises(DimensionMismatchError):
             _lincomb(*terms)
+
+
+def test_update_pieces_match_int64():
+    # frodo-640's update products, O @ d1_a (ord_bits of an 8 x 640 word
+    # matrix at D = 15 against 9600 x 640) and R @ d2_a (chi 8 x 640 against
+    # 640 x 640), each run on the right side's column pairs: Z is 8 x 320, so
+    # a piece holds 10**6 // 2560 = 390 inner rows.  O's chunks of 4095 rows
+    # (two full, one of 1410) are no multiple of 390, so a piece that crossed
+    # a chunk's end would break this; R's one chunk splits into 390 + 250
+    p = load_paramset("frodo-640-shake")
+    rng = RngHandle(b"update-pieces")
+    O = ord_bits(sample_uniform(rng, 8, 640, p))
+    R = _chi_cut(rng, p, (8, 640))[0]
+    d1_a, d2_a = sample_uniform(rng, 9600, 640, p), sample_uniform(rng, 640, 640, p)
+    assert _piece((8, 320), O._chunk()) == 390 and O._chunk() == 4095
+    assert _piece((8, 320), R._chunk()) == 390 and R._chunk() == 640
+    want = (O.data.astype(np.int64) @ d1_a.data.astype(np.int64)
+            + R.data.astype(np.int64) @ d2_a.data.astype(np.int64)) & (p.q - 1)
+    assert _lincomb((1, O, d1_a), (1, R, d2_a)).data.tolist() == want.tolist()
+
+
+def test_split_rule_keeps_token_generation_whole():
+    # _piece(Z's shape, chunk): a chunk splits only where a piece, the most
+    # inner rows that keep rows * cols * piece within _SMALL_MNK, holds at
+    # least _MIN_PIECE rows.  Token generation's paired products keep one BLAS
+    # call per chunk: at frodo-640 S'_(1) A and S'_(1) B run on packed rows
+    # (Z 4800 x 640 and 4800 x 8, one chunk of n = 640), S'_(2) A on A's
+    # column pairs (Z 640 x 320; 640 x 640 whole too).  So do the update's
+    # O @ d1_a at frodo-976 and -1344 (Z 8 x 488 and 8 x 672, chunks of 2047,
+    # pieces of 256 and 186 rows) and toy-16's update (Z 8 x 8 over
+    # nD = 128 rows: below _PAIR_ROWS, so never paired)
+    for shape, k in (((4800, 640), 640), ((4800, 8), 640), ((640, 320), 640),
+                     ((640, 640), 640), ((8, 488), 2047), ((8, 672), 2047), ((8, 8), 2047)):
+        assert _piece(shape, k) == k, shape
+    # frodo-640's 8-row products, the update's O @ d1_a and R @ d2_a and
+    # Enc's S1 @ A (Z 8 x 320), and TG's S'_(2) B (Z 320 x 8) split into
+    # pieces of 390 rows, the most the small-matrix kernel takes
+    for shape, k in (((8, 320), 4095), ((8, 320), 640), ((320, 8), 640)):
+        assert _piece(shape, k) == _SMALL_MNK // 2560 == 390, shape
 
 
 @pytest.mark.parametrize("D", (15, 16))

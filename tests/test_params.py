@@ -180,6 +180,13 @@ def test_invalid_constructions_rejected():
     for table in ([16383, 32767], (16383.0, 32767.0), "01"):
         with pytest.raises(ValueError, match="tuple of integers"):
             adhoc_paramset(chi_cdf=table)
+    # so are dimensions that are not integers: n = 8.0 and m_bar = 2.0 built
+    # sets whose first chi draw raised numpy's TypeError, D = 4.0 one whose
+    # q raised TypeError
+    for field in ({"n": 8.0}, {"m_bar": 2.0}, {"D": 4.0}, {"B": 1.0}, {"n_bar": "2"},
+                  {"T_max": 1.5}, {"paramset_id": 999.0}):
+        with pytest.raises(ValueError, match=f"{next(iter(field))} must be an integer"):
+            adhoc_paramset(**field)
 
 
 def test_chi_cdf_takes_numpy_integers():

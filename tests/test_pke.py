@@ -99,6 +99,9 @@ def test_bits_bytes_roundtrip():
         bits_from_bytes(b"\x01", 9)
     with pytest.raises(MessageLengthError):     # not a 5-bit slice of the byte
         bits_from_bytes(b"\xff", -3)
+    with pytest.raises(MessageLengthError):     # not numpy's slice TypeError
+        bits_from_bytes(b"\xff", 3.0)
+    assert bits_from_bytes(b"\xff", np.int64(3)).tolist() == [1, 1, 1]
 
 
 # -- keygen -------------------------------------------------------------------
