@@ -55,28 +55,22 @@ every toy-16 product has an inner dimension of at most 128.
 
 A chunk's Z is one BLAS call, or the sum of pieces of its inner rows, one
 call each, added into Z before the read-back.  OpenBLAS's SkylakeX core
-sends a float64 product to a small-matrix kernel that skips packing when
-M * N * K <= _SMALL_MNK = 10**6 (its dgemm small-kernel permit):
-8 x 390 @ 390 x 320 took 0.043 ms, 8 x 400 @ 400 x 320 0.088 ms (median of
-15; these timings ran one BLAS thread on a shared 2-core Intel Xeon).  A
-piece holds the most rows that keep rows(Z) * cols(Z) * piece within the
-permit, and lies inside its chunk, so the bound above holds for every
-partial sum.  A chunk splits only where a piece holds at least
-_MIN_PIECE = 320 rows (_piece): frodo-640's 8-row products (Upd's O @ d1_a and R @ d2_a,
-Enc's S1 @ A: Z 8 x 320) and TG's S'_(2) B (Z 320 x 8) take pieces of 390
-rows.  With pieces, steady updates at frodo-976 (Z 8 x 488, pieces of 256
-rows) read 27 % slower in the median and at frodo-1344 (186 rows) slower
-too, and TG's S'_(1) B and S'_(2) A would take pieces of 26 and 4 rows; all
-of them stay whole.  The kernel wins only while the operand it reads stays
-cached: frodo-640's O @ d1_a shape (8 x 9600 by 9600 x 320 column pairs,
-24.6 MB, in chunks of 4095) took 1.67 ms in pieces against 2.19-2.34 ms
-whole while the pairs stayed in the last-level cache, and 3.28-3.44 against
-2.83-2.92 ms with 64 MB streamed between calls.  So the floor, which lies
-between the 256 rows that lost and the 390 that won, sorts the products by
-their piece length, not by a property of the kernel.  On a core without the
-kernel each piece is one more packed product, about 10 more numpy calls per
-chunk: under OpenBLAS's Haswell core steady Upd read 3.2 ms with pieces
-against 3.4-4.2 ms whole.
+runs a float64 product in a small-matrix kernel that skips packing when
+M * N * K <= _SMALL_MNK = 10**6, its dgemm small-kernel permit:
+8 x 390 @ 390 x 320 took 0.043 ms, 8 x 400 @ 400 x 320 0.088 ms (one BLAS
+thread on a shared 2-core Intel Xeon).  A piece holds the most rows that
+keep rows(Z) * cols(Z) * piece within the permit, and lies inside its
+chunk, so the bound above holds for every partial sum.  A chunk splits only
+where a piece holds at least _MIN_PIECE rows (_piece): the floor keeps
+whole frodo-976's and frodo-1344's updates, which measured slower in pieces
+of 256 and 186 rows, and token generation's S'_(1) B and S'_(2) A, whose
+pieces would hold 26 and 4 rows; only frodo-640's 8-row products and its
+S'_(2) B split.  The kernel reads a piece's rows where they lie, unpacked,
+so the packers start their copies on a 64-byte line (_aligned).  The pieces
+gain most while the operand stays cached, as a token does across the
+ciphertexts it updates one after another; evicted before every update, they
+cost about what whole chunks do.  A BLAS without the kernel runs each piece
+as one more packed product.
 
 Each copy of an operand (float64 of the lift, packed rows, packed columns),
 like a matrix's tensor_d stack, is built on first use and kept, read-only,
@@ -243,7 +237,7 @@ class MatrixZq:
             return getattr(self, slot)
         h, cut = -(-self.shape[axis] // 2), (slice(None),) * axis
         lo, hi = self.data[cut + (slice(h),)], self.data[cut + (slice(h, None),)]
-        P = np.empty(lo.shape)
+        P = _aligned(lo.shape)
         for b in _blocks(len(P), self.cols):
             out, x = P[b], _lift(hi[b], self.D)
             np.multiply(x, 2.0 * _PAIR_LIMIT, out=out[:len(x), :x.shape[1]])
@@ -429,9 +423,18 @@ def _piece(shape: tuple[int, int], k: int) -> int:
     """Inner rows per BLAS call in a paired chunk of k rows whose Z has
     `shape`: the most that keep rows * cols * piece within _SMALL_MNK, if at
     least _MIN_PIECE and fewer than k; else k, one call per chunk (module
-    docstring)."""
-    step = _SMALL_MNK // (shape[0] * shape[1])
+    docstring).  An empty Z takes k."""
+    step = _SMALL_MNK // max(1, shape[0] * shape[1])
     return step if _MIN_PIECE <= step < k else k
+
+
+def _aligned(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialised float64 array of `shape` whose first word starts a
+    64-byte cache line (module docstring)."""
+    n = shape[0] * shape[1]
+    buf = np.empty(n + 7)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start:start + n].reshape(shape)
 
 
 def _accumulate(total, sign: int, term: np.ndarray) -> np.ndarray:

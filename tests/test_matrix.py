@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import hashlib
 from fractions import Fraction
 from pathlib import Path
@@ -212,17 +213,18 @@ def test_lincomb_matches_int64(D, data):
     # term, which at D = 15 and 16 spans more than two chunks of
     # k = (2**26 - 1) // (q/2) inner rows, and a term with small entries
     # (|x| <= s = 1).  The sum is tall (more rows than columns: X's rows pack
-    # for every paired term) or wide (Y's columns pack).  _SMALL_MNK is drawn
-    # so that each chunk's BLAS calls take `piece` inner rows: a piece shorter
-    # than a chunk splits it, and the bit-plane term's chunks are no multiple
-    # of the piece, so a piece past a chunk's end would be summed wrongly
+    # for every paired term) or wide (Y's columns pack).  _SMALL_MNK is either
+    # kept, so each chunk is one BLAS call, or drawn so that each chunk's calls
+    # take `piece` inner rows: a piece shorter than a chunk splits it, and the
+    # bit-plane term's chunks are no multiple of the piece, so a piece past a
+    # chunk's end would be summed wrongly
     p = adhoc_paramset(D=D)
     rng = RngHandle(data.draw(st.binary(max_size=8)))
     tall = data.draw(st.booleans())
     rows = data.draw(st.integers(2 if tall else 1, 3))
     cols = data.draw(st.integers(1, rows - 1) if tall else st.integers(rows, 3))
     z = -(-rows // 2) * cols if tall else rows * -(-cols // 2)    # Z's words
-    piece = data.draw(st.integers(frue.matrix._MIN_PIECE, 1100))
+    piece = data.draw(st.none() | st.integers(frue.matrix._MIN_PIECE, 1100))
     chunk = (2**26 - 1) // 2**(D - 1)
     inner = 2 * chunk + 1 if D >= 15 else _PAIR_ROWS      # fewest inner rows
     width = data.draw(st.integers(1, 20)) + -(-inner // D)
@@ -242,7 +244,8 @@ def test_lincomb_matches_int64(D, data):
     for sign, *ops in terms:
         mats = [m.data.astype(np.int64) for m in ops]
         want += sign * (mats[0] @ mats[1] if len(mats) == 2 else mats[0])
-    with mock.patch.object(frue.matrix, "_SMALL_MNK", piece * z):
+    with (mock.patch.object(frue.matrix, "_SMALL_MNK", piece * z) if piece
+          else contextlib.nullcontext()):
         got = _lincomb(*terms)
     assert type(got) is MatrixZq and got.D == D
     assert got.data.tolist() == (want & (2**D - 1)).tolist()
@@ -359,6 +362,33 @@ def test_split_rule_keeps_token_generation_whole():
     # pieces of 390 rows, the most the small-matrix kernel takes
     for shape, k in (((8, 320), 4095), ((8, 320), 640), ((320, 8), 640)):
         assert _piece(shape, k) == _SMALL_MNK // 2560 == 390, shape
+
+
+def test_paired_products_of_empty_operands():
+    # a 0-row X, or a Y of 0 columns, with at least _PAIR_ROWS inner rows: Z
+    # has no words, so _piece keeps the chunk whole, and the product is empty
+    assert _piece((0, 2), 600) == _piece((5, 0), 600) == 600
+    for x, y in (((0, 600), (600, 3)), ((5, 600), (600, 0))):
+        got = MatrixZq(np.zeros(x, np.uint16), 15) @ MatrixZq(np.zeros(y, np.uint16), 15)
+        assert got.D == 15 and got.data.shape == (x[0], y[1])
+
+
+def test_kept_pairs_start_on_a_cache_line():
+    # the small-matrix kernel reads a piece's rows straight from the kept
+    # pairs, so both packers' copies start on a 64-byte line, whatever the
+    # allocator returns, and hold the same words as a plain packing
+    p = adhoc_paramset(D=15)
+    rng = RngHandle(b"aligned-pairs")
+    for rows, cols in ((640, 640), (9, 513), (512, 3), (2, 1)):
+        M = sample_uniform(rng, rows, cols, p)
+        lift = (M.data.astype(np.int64) ^ 2**14) - 2**14      # in [-q/2, q/2)
+        for axis in (0, 1):
+            P = M._pairs_along(axis)
+            assert P.ctypes.data % 64 == 0 and not P.flags.writeable
+            h = -(-M.shape[axis] // 2)
+            lo, hi = np.split(lift if axis == 0 else lift.T, [h])
+            want = lo + 2**27 * np.pad(hi, ((0, len(lo) - len(hi)), (0, 0)))
+            assert np.array_equal(P, want if axis == 0 else want.T)
 
 
 @pytest.mark.parametrize("D", (15, 16))
