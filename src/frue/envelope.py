@@ -166,12 +166,18 @@ def read_envelope(data: bytes) -> Envelope:
 
 
 def read_envelope_file(path, kind: int, *kinds: int) -> Envelope:
-    """Read a file whose header names kind or one of kinds, and at most _size + 1 bytes."""
+    """Read a file whose header names kind or one of kinds, and at most _size + 1 bytes.
+    The header is peeked, so the words stay in the one bytes object read; a first read
+    shorter than the header, as a pipe may return, is read and joined instead."""
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
+        head = fh.peek(_HEADER.size)
+        peeked = len(head) >= _HEADER.size
+        if not peeked:
+            head = fh.read(_HEADER.size)
         got, p, _ = _read_header(head)
         if got not in (kinds := (kind, *kinds)):
             names = " or ".join(KIND_NAMES[k] for k in kinds)
             raise MalformedEnvelopeError(f"expected {'an' if names[0] in 'aeiou' else 'a'} "
                                          f"{names} file, got {KIND_NAMES[got]}")
-        return read_envelope(head + fh.read(_size(got, p) - _HEADER.size + 1))
+        rest = _size(got, p) + 1
+        return read_envelope(fh.read(rest) if peeked else head + fh.read(rest - _HEADER.size))

@@ -27,13 +27,18 @@ raised before any copy is built.
 
 A product X @ Y with at least _PAIR_ROWS inner rows is paired: two entries
 of one operand share a float64 word, x + 2**27 * x', so one product Z of
-half the size yields two.  Three independent decisions set its route.
-(1) Orientation, by shape alone: axis 0 when X has more rows than Y has
-columns, else axis 1.  One packer, _pairs_along(axis), packs X's rows
-(axis 0) or Y's columns (axis 1) i and i + ceil(n / 2), and Z runs on the
-other operand's float64 copy.  (2) Chunk: Z is taken in chunks c of inner
-rows whose words are summed.  Each half of Z is at most rho(c) * q/2, where
-rho(c) bounds the l1 norm of a row of X over c inner rows, and c is the
+half the size yields two.  Every paired product runs one way, packed rows
+on the left and a float64 copy on the right, and three independent
+decisions set its route.  (1) Orientation, by shape alone: axis 0 when X
+has more rows than Y has columns, else axis 1.  One packer,
+_pairs_along(axis), packs rows i and i + ceil(n / 2) of X (axis 0) or of
+Y's transpose (axis 1: Y's columns, kept as ceil(cols / 2) rows that run
+along Y's rows), and Z = pairs(X) @ Y, or Z^T = pairs(Y) @ X^T on a
+C-contiguous float64 copy of X^T, since X @ Y = (Y^T X^T)^T.  Y's rows are
+lifted and packed in L2-sized blocks of at least _PACK_ROWS rows, then
+written transposed.  (2) Chunk: Z is taken in chunks c of inner rows whose
+words are summed.  Each half of Z is at most rho(c) * q/2, where rho(c)
+bounds the l1 norm of a row of X over c inner rows, and c is the
 longest chunk with rho(c) * q/2 below _PAIR_LIMIT = 2**26, the one limit on
 a half.  _chunk measures X's largest row l1 norm L once and keeps c: all
 inner rows while L * q/2 < 2**26, else none qualifies and the product runs
@@ -46,10 +51,11 @@ c = (2**26 - 1) // (q/2) on its output (4095 rows at D = 15, 2047 at
 D = 16), which is never measured.
 
 Every partial sum BLAS forms, in any order and with or without FMA, is then
-an integer below (2**26 - 1) * (2**27 + 1) < 2**53: exact.  One read-back,
-along the packer's axis, takes each chunk's Z as int64 and writes, as
-words, its low half Z mod 2**27 (so mod q) to entries i < ceil(n / 2) and
-its high half (Z + 2**26) >> 27 to entries i + ceil(n / 2).  Products below
+an integer below (2**26 - 1) * (2**27 + 1) < 2**53: exact.  One read-back
+takes each chunk's Z (or Z^T) as int64 and writes, as words, its low half
+Z mod 2**27 (so mod q) to rows i < ceil(n / 2) and its high half
+(Z + 2**26) >> 27 to rows i + ceil(n / 2) of the result, or of a transposed
+view of it on axis 1, so only the word array is transposed.  Products below
 the floor, where packing costs more than it saves, run in float64 too;
 every toy-16 product has an inner dimension of at most 128.
 
@@ -60,21 +66,24 @@ M * N * K <= _SMALL_MNK = 10**6, its dgemm small-kernel permit:
 8 x 390 @ 390 x 320 took 0.043 ms, 8 x 400 @ 400 x 320 0.088 ms (one BLAS
 thread on a shared 2-core Intel Xeon).  A piece holds the most rows that
 keep rows(Z) * cols(Z) * piece within the permit, and lies inside its
-chunk, so the bound above holds for every partial sum.  A chunk splits only
-where a piece holds at least _MIN_PIECE rows (_piece): the floor keeps
-whole frodo-976's and frodo-1344's updates, which measured slower in pieces
-of 256 and 186 rows, and token generation's S'_(1) B and S'_(2) A, whose
-pieces would hold 26 and 4 rows; only frodo-640's 8-row products and its
-S'_(2) B split.  The kernel reads a piece's rows where they lie, unpacked,
-so the packers start their copies on a 64-byte line (_aligned).  The pieces
-gain most while the operand stays cached, as a token does across the
-ciphertexts it updates one after another; evicted before every update, they
-cost about what whole chunks do.  A BLAS without the kernel runs each piece
-as one more packed product.
+chunk, so the bound above holds for every partial sum.  The kernel reads a
+piece where it lies, unpacked: each pair's run of inner rows is contiguous
+in the packed rows, so a piece streams the token row by row, and the
+packers start their copies on a 64-byte line (_aligned).  A chunk splits
+only where a piece holds at least _MIN_PIECE rows (_piece).  Every level's
+8-row products split (the update's O @ d1_a and R @ d2_a, Enc's S1 @ A and
+TG's S'_(2) B, in pieces of 390, 256 and 186 rows at frodo-640, -976 and
+-1344): steady updates in pieces took 0.65, 0.65 and 0.73 of the time of
+whole chunks, and 0.65-0.67, 0.72 and 0.76-0.78 with 400 MB read between
+updates, which evicts the token.  Token generation's S'_(1) B and S'_(2) A
+stay whole: their pieces would hold 26, 16 or 11 and 4 rows, and splitting
+them made frodo-640's TG 0.157 s against 0.129 s.  A BLAS without the
+kernel runs each piece as one more packed product.
 
-Each copy of an operand (float64 of the lift, packed rows, packed columns),
-like a matrix's tensor_d stack, is built on first use and kept, read-only,
-for the matrix's lifetime; matrices are immutable, so it never goes stale.
+Each copy of an operand (float64 of the lift or of its transpose, packed
+rows, packed columns), like a matrix's tensor_d stack, is built on first
+use and kept, read-only, for the matrix's lifetime; matrices are
+immutable, so it never goes stale.
 A token reused across many updates, or the public matrix across many
 products, is converted once.  The price is memory: the float64 copy is four
 times the uint16 words, packed rows or columns twice, the tensor_d stack D
@@ -117,16 +126,18 @@ _PLANES = [np.arange(D, dtype=np.uint16)[:, None] for D in range(MAX_D + 1)]  # 
 _PAIR_ROWS = 512        # fewest inner rows of a paired product (module docstring)
 _PAIR_LIMIT = 2**26     # each half of a paired word is below it; x' is scaled by twice it
 _SMALL_MNK = 10**6      # most multiply-adds OpenBLAS's small-matrix kernel takes in one call
-_MIN_PIECE = 320        # fewest inner rows of a piece of a paired chunk (module docstring)
+_MIN_PIECE = 128        # fewest inner rows of a piece of a paired chunk (module docstring)
+_PACK_ROWS = 128        # fewest rows of Y packed per L2 block before a transposed write
 
 
 class MatrixZq:
     """Immutable dense matrix over Z_{2**D}."""
 
-    # product copies (_f64: float64 of the lift; _colpairs, _pairs: packed
-    # columns, packed rows), _k (_chunk's length) and _tensor_d; each unset
-    # until first needed (_keep), so constructing a matrix costs nothing extra
-    __slots__ = ("data", "D", "_f64", "_colpairs", "_pairs", "_k", "_tensor_d")
+    # product copies (_f64, _f64t: float64 of the lift and of its transpose;
+    # _colpairs, _pairs: packed columns, packed rows), _k (_chunk's length)
+    # and _tensor_d; each unset until first needed (_keep), so constructing
+    # a matrix costs nothing extra
+    __slots__ = ("data", "D", "_f64", "_f64t", "_colpairs", "_pairs", "_k", "_tensor_d")
 
     def __init__(self, data, D: int):
         if not (1 <= D <= MAX_D):
@@ -228,21 +239,36 @@ class MatrixZq:
             return self._f64
         return self._keep("_f64", _lift(self.data, self.D).astype(np.float64))
 
+    def _float64_t(self) -> np.ndarray:
+        """Read-only C-contiguous float64 copy of the lift's transpose, the
+        right side of a product on Y's column pairs; built on first use and kept."""
+        if hasattr(self, "_f64t"):
+            return self._f64t
+        return self._keep("_f64t", _lift(self.data.T, self.D).astype(np.float64, order="C"))
+
     def _pairs_along(self, axis: int) -> np.ndarray:
         """Rows (axis 0, slot _pairs) or columns (axis 1, slot _colpairs) i and
         i + ceil(n / 2) of the lift in one word, x + 2 * _PAIR_LIMIT * x', zero
-        where an odd n leaves x' short; kept once built."""
+        where an odd n leaves x' short; pair i is row i of the copy, so column
+        pairs run along Y's rows, as rows of its transpose.  Kept once built."""
         slot = ("_pairs", "_colpairs")[axis]
         if hasattr(self, slot):
             return getattr(self, slot)
-        h, cut = -(-self.shape[axis] // 2), (slice(None),) * axis
-        lo, hi = self.data[cut + (slice(h),)], self.data[cut + (slice(h, None),)]
-        P = _aligned(lo.shape)
-        for b in _blocks(len(P), self.cols):
-            out, x = P[b], _lift(hi[b], self.D)
-            np.multiply(x, 2.0 * _PAIR_LIMIT, out=out[:len(x), :x.shape[1]])
-            out[len(x):], out[:, x.shape[1]:] = 0, 0
-            out += _lift(lo[b], self.D)
+        h = -(-self.shape[axis] // 2)
+        P = _aligned((h, self.shape[1 - axis]))
+        if axis == 0:
+            lo, hi = self.data[:h], self.data[h:]
+            for b in _blocks(h, self.cols):
+                _pack(_lift(lo[b], self.D), _lift(hi[b], self.D), P[b])
+            return self._keep(slot, P)
+        # each block of Y's rows is lifted and packed in L2, then written transposed
+        step = max(_PACK_ROWS, _CHI_BLOCK // max(1, self.cols))
+        block = np.empty((step, h))
+        for s in range(0, self.rows, step):
+            x = _lift(self.data[s:s + step], self.D)
+            t = block[:len(x)]
+            _pack(x[:, :h], x[:, h:], t)
+            P[:, s:s + len(t)] = t.T
         return self._keep(slot, P)
 
     def _chunk(self) -> int:
@@ -316,6 +342,13 @@ def _lift(data: np.ndarray, D: int) -> np.ndarray:
     return (data << np.uint16(MAX_D - D)).view(np.int16) >> (MAX_D - D)
 
 
+def _pack(lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> None:
+    """out = lo + 2 * _PAIR_LIMIT * hi for lifted words, zero where hi is short."""
+    np.multiply(hi, 2.0 * _PAIR_LIMIT, out=out[:len(hi), :hi.shape[1]])
+    out[len(hi):], out[:, hi.shape[1]:] = 0, 0
+    out += lo
+
+
 def ord_bits(M: MatrixZq) -> MatrixZq:
     """Bit-plane decomposition, least significant plane first.
 
@@ -327,6 +360,13 @@ def ord_bits(M: MatrixZq) -> MatrixZq:
     planes &= np.uint16(1)
     out = MatrixZq._new(planes.reshape(M.rows, -1), M.D)
     out._keep("_k", (_PAIR_LIMIT - 1) // (M.q // 2))
+    # out's transpose is the planes of M's transpose, stacked: the float64
+    # copy a paired product on Y's column pairs reads (_paired), built from
+    # M's cols rows rather than transposed from out's cols * D
+    if out.cols >= _PAIR_ROWS:
+        tplanes = np.ascontiguousarray(M.data.T)[None] >> _PLANES[M.D][:, :, None]
+        tplanes &= np.uint16(1)
+        out._keep("_f64t", tplanes.reshape(-1, M.rows).astype(np.float64))
     return out
 
 
@@ -395,12 +435,12 @@ def _unstack(M: MatrixZq) -> list[MatrixZq]:
 
 def _paired(X: MatrixZq, Y: MatrixZq, k: int):
     """X @ Y mod 2**16 as uint16 words, one fresh array per chunk of k inner
-    rows, each chunk summed from _piece's pieces: on X's packed rows when X
-    has more rows than Y has columns, else on Y's packed columns (module
-    docstring)."""
+    rows, each chunk summed from _piece's pieces of packed rows @ float64: X's
+    packed rows @ Y when X has more rows than Y has columns, else Y's packed
+    columns @ X's transpose, which gives the transpose (module docstring)."""
     axis = 0 if X.rows > Y.cols else 1
     left, right = ((X._pairs_along(0), Y._float64()) if axis == 0
-                   else (X._float64(), Y._pairs_along(1)))
+                   else (Y._pairs_along(1), X._float64_t()))
     step = _piece((len(left), right.shape[1]), k)
     for s in range(0, X.cols, k):
         end = min(s + k, X.cols)        # pieces stay inside the chunk
@@ -408,14 +448,14 @@ def _paired(X: MatrixZq, Y: MatrixZq, k: int):
         for t in range(s + step, end, step):
             Z += left[:, t:min(t + step, end)] @ right[t:min(t + step, end)]
         words = np.empty((X.rows, Y.cols), dtype=np.uint16)
-        h, cut = Z.shape[axis], (slice(None),) * axis
-        lo, hi = words[cut + (slice(h),)], words[cut + (slice(h, None),)]
+        rows = words.T if axis else words       # Z's rows pair these rows
+        lo, hi = rows[:len(Z)], rows[len(Z):]
         for b in _blocks(len(Z), Z.shape[1]):
             z, high = Z[b].astype(np.int64), hi[b]
             lo[b] = z                           # Z mod 2**16
             z += _PAIR_LIMIT
             z >>= _PAIR_LIMIT.bit_length()      # (Z + 2**26) >> 27
-            high[...] = z[:len(high), :high.shape[1]]
+            high[...] = z[:len(high)]
         yield words
 
 

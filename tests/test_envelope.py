@@ -1,7 +1,10 @@
 import ast
 import functools
 import hashlib
+import os
 import struct
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -228,6 +231,49 @@ def test_read_envelope_file_kind_check(tmp_path, toy16):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, f"read peaked at {peak} bytes"
+
+
+def test_read_envelope_file_keeps_one_copy_of_the_words(tmp_path):
+    # a 13.3 MB frodo-640 token file is read into one bytes object that its
+    # matrices view in place: the read peaks at about the file's size, not
+    # twice it (a header read, then the header joined to the rest)
+    p640 = load_paramset("frodo-640")
+    _, tok, _ = synthetic_objects(p640, b"one-copy")
+    path = tmp_path / "tok.frue"
+    path.write_bytes(env.pack_token(p640, tok))
+    size = path.stat().st_size
+    del tok
+    tracemalloc.start()
+    try:
+        got = env.read_envelope_file(path, env.KIND_TOKEN).payload
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * size, f"read of {size} bytes peaked at {peak} bytes"
+    assert not got.d1_a.data.flags.owndata and got.d1_a.shape == (9600, 640)
+
+
+def test_read_envelope_file_takes_a_header_split_across_pipe_reads(tmp_path, toy16):
+    # a pipe whose first read holds less than the 12-byte header: the
+    # header is read to its end and joined to the rest
+    _, tok, _ = synthetic_objects(toy16, b"split")
+    blob = env.pack_token(toy16, tok)
+    fifo = tmp_path / "tok.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(blob[:5])
+            fh.flush()
+            time.sleep(0.2)
+            fh.write(blob[5:])
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        assert env.read_envelope_file(fifo, env.KIND_TOKEN).payload == tok
+    finally:
+        writer.join(timeout=10)
 
 
 @functools.cache

@@ -143,8 +143,10 @@ def test_matmul_float_path_agrees_with_plain_integers():
         tall.append((ord_bits(MatrixZq(m, 16)),
                      MatrixZq(np.full((21504, 4), 2**15, dtype=np.uint16), 16)))
     # degenerate pairs: a one-column right side packs its columns with an
-    # empty high half (1 x 640 @ 640 x 1), and a three-row left side packs
-    # its rows with a zero high half in its second pair (3 x 640 @ 640 x 1)
+    # empty high half (1 x 640 @ 640 x 1), kept as one row of 640 words
+    # against the left side's transposed float64 copy, and a three-row left
+    # side packs its rows with a zero high half in its second pair
+    # (3 x 640 @ 640 x 1)
     thin = [(ord_bits(sample_uniform(rng, r, 40, p16)), sample_uniform(rng, 640, 1, p16))
             for r in (1, 3)]
     for x, y in tall + thin:
@@ -157,23 +159,27 @@ def test_matmul_float_path_agrees_with_plain_integers():
         assert x._pairs.shape == (5, 21504) and not hasattr(x, "_f64")
         assert hasattr(y, "_f64") and not hasattr(y, "_colpairs")
     (one, col), (three, thin_y) = thin
-    assert col._colpairs.shape == (640, 1) and not hasattr(col, "_f64")
-    assert hasattr(one, "_f64") and not hasattr(one, "_pairs")
+    assert col._colpairs.shape == (1, 640) and not hasattr(col, "_f64")
+    assert one._f64t.shape == (40 * 16, 1) and not hasattr(one, "_f64")
+    assert not hasattr(one, "_pairs")
     assert three._pairs.shape == (2, 640) and not hasattr(three, "_f64")
     assert hasattr(thin_y, "_f64") and not hasattr(thin_y, "_colpairs")
     assert plain._k == 0 and hasattr(plain, "_f64") and not hasattr(plain, "_pairs")
     assert hasattr(Y2, "_f64") and not hasattr(Y2, "_colpairs")
     assert plain @ Y2 == O @ Y
-    # each keeps its planes' float64 copy and, on the right, the packed lift
-    # y[:, j] + 2**27 * y[:, j + h], zero where an odd width pads the pair
+    # each keeps a C-contiguous float64 copy of its planes' transpose and, on
+    # the right, the packed lift as rows: row j holds y[:, j] + 2**27 *
+    # y[:, j + h], zero where an odd width pads the pair
     for x, y in bit_pairs:
-        assert hasattr(x, "_f64") and not hasattr(x, "_colpairs")
+        assert np.array_equal(x._f64t, x.data.T) and x._f64t.flags.c_contiguous
+        assert not hasattr(x, "_f64") and not hasattr(x, "_colpairs")
         assert not hasattr(y, "_f64")
         lift = ((y.data.astype(np.int64) + y.q // 2) & (y.q - 1)) - y.q // 2
         h = -(-y.cols // 2)
-        high = np.zeros((y.rows, h), dtype=np.int64)
-        high[:, :y.cols - h] = lift[:, h:]
-        assert np.array_equal(y._colpairs, lift[:, :h] + 2**27 * high)
+        high = np.zeros((h, y.rows), dtype=np.int64)
+        high[:y.cols - h] = lift[:, h:].T
+        assert y._colpairs.shape == (h, y.rows)
+        assert np.array_equal(y._colpairs, lift[:, :h].T + 2**27 * high)
 
 
 def test_matmul_exactness_guard():
@@ -213,7 +219,9 @@ def test_lincomb_matches_int64(D, data):
     # term, which at D = 15 and 16 spans more than two chunks of
     # k = (2**26 - 1) // (q/2) inner rows, and a term with small entries
     # (|x| <= s = 1).  The sum is tall (more rows than columns: X's rows pack
-    # for every paired term) or wide (Y's columns pack).  _SMALL_MNK is either
+    # for every paired term) or wide (Y's columns pack, as rows of Y's
+    # transpose, and the product runs as (Y^T X^T)^T; widths 3 and 5 leave
+    # the last pair's high half empty).  _SMALL_MNK is either
     # kept, so each chunk is one BLAS call, or drawn so that each chunk's calls
     # take `piece` inner rows: a piece shorter than a chunk splits it, and the
     # bit-plane term's chunks are no multiple of the piece, so a piece past a
@@ -222,7 +230,7 @@ def test_lincomb_matches_int64(D, data):
     rng = RngHandle(data.draw(st.binary(max_size=8)))
     tall = data.draw(st.booleans())
     rows = data.draw(st.integers(2 if tall else 1, 3))
-    cols = data.draw(st.integers(1, rows - 1) if tall else st.integers(rows, 3))
+    cols = data.draw(st.integers(1, rows - 1) if tall else st.integers(rows, 5))
     z = -(-rows // 2) * cols if tall else rows * -(-cols // 2)    # Z's words
     piece = data.draw(st.none() | st.integers(frue.matrix._MIN_PIECE, 1100))
     chunk = (2**26 - 1) // 2**(D - 1)
@@ -252,9 +260,15 @@ def test_lincomb_matches_int64(D, data):
     # both paired terms pack by shape alone: the bit planes keep the chunk
     # ord_bits recorded, and the small term's L <= 1024 is below every limit
     assert O._k == chunk and S._k == S.cols
+    # ord_bits keeps its planes' transpose, the right side of a column-paired
+    # product, however its product runs; S's is built only on that route
+    assert np.array_equal(O._f64t, O.data.T) and hasattr(S, "_f64t") == (not tall)
     for x, y in ((O, Y), (S, W)):
-        assert hasattr(x, "_pairs") == tall and hasattr(x, "_f64") == (not tall)
+        assert hasattr(x, "_pairs") == tall and not hasattr(x, "_f64")
         assert hasattr(y, "_f64") == tall and hasattr(y, "_colpairs") == (not tall)
+        assert not hasattr(y, "_f64t")
+        if not tall:
+            assert y._colpairs.shape == (-(-cols // 2), y.rows)
 
 
 def test_lincomb_guard_covers_the_whole_sum():
@@ -325,50 +339,62 @@ def test_stacked_lincomb_keeps_the_guard_and_conformance():
             _lincomb(*terms)
 
 
-def test_update_pieces_match_int64():
-    # frodo-640's update products, O @ d1_a (ord_bits of an 8 x 640 word
-    # matrix at D = 15 against 9600 x 640) and R @ d2_a (chi 8 x 640 against
-    # 640 x 640), each run on the right side's column pairs: Z is 8 x 320, so
-    # a piece holds 10**6 // 2560 = 390 inner rows.  O's chunks of 4095 rows
-    # (two full, one of 1410) are no multiple of 390, so a piece that crossed
-    # a chunk's end would break this; R's one chunk splits into 390 + 250
-    p = load_paramset("frodo-640-shake")
-    rng = RngHandle(b"update-pieces")
-    O = ord_bits(sample_uniform(rng, 8, 640, p))
-    R = _chi_cut(rng, p, (8, 640))[0]
-    d1_a, d2_a = sample_uniform(rng, 9600, 640, p), sample_uniform(rng, 640, 640, p)
-    assert _piece((8, 320), O._chunk()) == 390 and O._chunk() == 4095
-    assert _piece((8, 320), R._chunk()) == 390 and R._chunk() == 640
-    want = (O.data.astype(np.int64) @ d1_a.data.astype(np.int64)
-            + R.data.astype(np.int64) @ d2_a.data.astype(np.int64)) & (p.q - 1)
+@pytest.mark.parametrize("name, width, piece", (("frodo-640-shake", 640, 390),
+                                                ("frodo-640-shake", 641, 389),
+                                                ("frodo-976-shake", 976, 256),
+                                                ("frodo-1344-shake", 1344, 186)),
+                         ids=("640", "640-odd", "976", "1344"))
+def test_update_pieces_match_int64(name, width, piece):
+    # each level's update products, O @ d1_a (ord_bits of an 8 x n word
+    # matrix against nD x n) and R @ d2_a (chi 8 x n against n x n), run as
+    # Y's column pairs @ X's transpose: Z^T is ceil(n / 2) x 8, so a piece
+    # holds 10**6 // (8 * ceil(n / 2)) inner rows.  O's chunks (4095 inner
+    # rows at D = 15, 2047 at D = 16) are no multiple of the piece, so a
+    # piece that crossed a chunk's end would break this; R's one chunk of n
+    # rows splits too.  Width 641 leaves the last pair's high half empty
+    p = load_paramset(name)
+    rng = RngHandle(b"update-pieces-%d" % width)
+    O = ord_bits(sample_uniform(rng, 8, p.n, p))
+    R = _chi_cut(rng, p, (8, p.n))[0]
+    d1_a, d2_a = sample_uniform(rng, p.n * p.D, width, p), sample_uniform(rng, p.n, width, p)
+    k, h = (2**26 - 1) // (p.q // 2), -(-width // 2)
+    assert O._chunk() == k and R._chunk() == p.n
+    assert _piece((h, 8), k) == _piece((h, 8), p.n) == piece
+    # O's rows are 0/1: O @ d1_a sums the rows of d1_a that each row selects
+    o_d1a = np.stack([d1_a.data[row == 1].sum(axis=0, dtype=np.int64) for row in O.data])
+    want = (o_d1a + R.data.astype(np.int64) @ d2_a.data.astype(np.int64)) & (p.q - 1)
     assert _lincomb((1, O, d1_a), (1, R, d2_a)).data.tolist() == want.tolist()
+    assert d1_a._colpairs.shape == (h, p.n * p.D) and d2_a._colpairs.shape == (h, p.n)
 
 
 def test_split_rule_keeps_token_generation_whole():
     # _piece(Z's shape, chunk): a chunk splits only where a piece, the most
     # inner rows that keep rows * cols * piece within _SMALL_MNK, holds at
-    # least _MIN_PIECE rows.  Token generation's paired products keep one BLAS
-    # call per chunk: at frodo-640 S'_(1) A and S'_(1) B run on packed rows
-    # (Z 4800 x 640 and 4800 x 8, one chunk of n = 640), S'_(2) A on A's
-    # column pairs (Z 640 x 320; 640 x 640 whole too).  So do the update's
-    # O @ d1_a at frodo-976 and -1344 (Z 8 x 488 and 8 x 672, chunks of 2047,
-    # pieces of 256 and 186 rows) and toy-16's update (Z 8 x 8 over
-    # nD = 128 rows: below _PAIR_ROWS, so never paired)
-    for shape, k in (((4800, 640), 640), ((4800, 8), 640), ((640, 320), 640),
-                     ((640, 640), 640), ((8, 488), 2047), ((8, 672), 2047), ((8, 8), 2047)):
+    # least _MIN_PIECE rows.  Token generation's thin paired products keep
+    # one BLAS call per chunk: S'_(1) B runs on packed rows (Z nD/2 x 8, one
+    # chunk of n: pieces of 26, 16 and 11 rows at frodo-640, -976 and -1344),
+    # and so do S'_(1) A (Z 4800 x 640 at frodo-640) and S'_(2) A, which runs
+    # on A's column pairs against S'_(2)'s transpose (Z^T 320 x 640, pieces
+    # of 4).  toy-16's update (Z 8 x 8 over nD = 128 rows) is below
+    # _PAIR_ROWS, so never paired
+    for shape, k in (((4800, 8), 640), ((7808, 8), 976), ((10752, 8), 1344),
+                     ((4800, 640), 640), ((320, 640), 640), ((8, 8), 2047)):
         assert _piece(shape, k) == k, shape
-    # frodo-640's 8-row products, the update's O @ d1_a and R @ d2_a and
-    # Enc's S1 @ A (Z 8 x 320), and TG's S'_(2) B (Z 320 x 8) split into
-    # pieces of 390 rows, the most the small-matrix kernel takes
-    for shape, k in (((8, 320), 4095), ((8, 320), 640), ((320, 8), 640)):
-        assert _piece(shape, k) == _SMALL_MNK // 2560 == 390, shape
+    # every level's 8-row products, the update's O @ d1_a and R @ d2_a and
+    # Enc's S1 @ A (Z^T n/2 x 8), and TG's S'_(2) B (Z n/2 x 8), split into
+    # the most rows the small-matrix kernel takes: 390, 256 and 186
+    for shape, k, piece in (((320, 8), 4095, 390), ((320, 8), 640, 390),
+                            ((488, 8), 2047, 256), ((488, 8), 976, 256),
+                            ((672, 8), 2047, 186), ((672, 8), 1344, 186)):
+        assert _piece(shape, k) == _SMALL_MNK // (8 * shape[0]) == piece, shape
 
 
 def test_paired_products_of_empty_operands():
     # a 0-row X, or a Y of 0 columns, with at least _PAIR_ROWS inner rows: Z
-    # has no words, so _piece keeps the chunk whole, and the product is empty
+    # has no words, so _piece keeps the chunk whole, and the product is empty;
+    # both at once pack Y's no columns
     assert _piece((0, 2), 600) == _piece((5, 0), 600) == 600
-    for x, y in (((0, 600), (600, 3)), ((5, 600), (600, 0))):
+    for x, y in (((0, 600), (600, 3)), ((5, 600), (600, 0)), ((0, 600), (600, 0))):
         got = MatrixZq(np.zeros(x, np.uint16), 15) @ MatrixZq(np.zeros(y, np.uint16), 15)
         assert got.D == 15 and got.data.shape == (x[0], y[1])
 
@@ -376,19 +402,25 @@ def test_paired_products_of_empty_operands():
 def test_kept_pairs_start_on_a_cache_line():
     # the small-matrix kernel reads a piece's rows straight from the kept
     # pairs, so both packers' copies start on a 64-byte line, whatever the
-    # allocator returns, and hold the same words as a plain packing
+    # allocator returns, and hold the same words as a plain packing: pair i
+    # is row i of the copy, rows i and i + h of M (axis 0) or of M's
+    # transpose (axis 1), so column pairs run along M's rows.  700 x 640 and
+    # 700 x 641 take the transposed write in blocks of _PACK_ROWS rows, a
+    # short last one included
     p = adhoc_paramset(D=15)
     rng = RngHandle(b"aligned-pairs")
-    for rows, cols in ((640, 640), (9, 513), (512, 3), (2, 1)):
+    for rows, cols in ((700, 640), (700, 641), (9, 513), (512, 3), (2, 1)):
         M = sample_uniform(rng, rows, cols, p)
         lift = (M.data.astype(np.int64) ^ 2**14) - 2**14      # in [-q/2, q/2)
         for axis in (0, 1):
             P = M._pairs_along(axis)
             assert P.ctypes.data % 64 == 0 and not P.flags.writeable
+            assert P.flags.c_contiguous
             h = -(-M.shape[axis] // 2)
             lo, hi = np.split(lift if axis == 0 else lift.T, [h])
             want = lo + 2**27 * np.pad(hi, ((0, len(lo) - len(hi)), (0, 0)))
-            assert np.array_equal(P, want if axis == 0 else want.T)
+            assert np.array_equal(P, want)
+    assert 700 % frue.matrix._PACK_ROWS
 
 
 @pytest.mark.parametrize("D", (15, 16))
@@ -563,11 +595,11 @@ def test_matrices_immutable():
         a._f64 = np.zeros((64, 64))
     assert a @ b == before
     # so are the copies a bit-plane product keeps (inner 1024 is at least
-    # _PAIR_ROWS, so the product takes the column-paired route): the planes'
-    # float64 copy and the right side's column pairs
+    # _PAIR_ROWS, so the product takes the column-paired route): the float64
+    # copy of the planes' transpose and the right side's column pairs
     o, w = ord_bits(sample_uniform(rng, 2, 64, p16)), sample_uniform(rng, 1024, 64, p16)
     before = o @ w
-    for m, slot in ((o, "_f64"), (w, "_colpairs")):
+    for m, slot in ((o, "_f64t"), (w, "_colpairs")):
         with pytest.raises(ValueError):
             getattr(m, slot)[0, 0] = 1.0
         with pytest.raises(AttributeError):
@@ -599,12 +631,12 @@ def test_word_format_has_one_owner():
     # the slots it keeps, so widening the words (or changing the gadget or a
     # product route) touches that one module
     kept = set(MatrixZq.__slots__) - {"data", "D"}
-    assert {"_f64", "_colpairs", "_pairs", "_tensor_d"} <= kept
+    assert {"_f64", "_f64t", "_colpairs", "_pairs", "_tensor_d"} <= kept
     # nor its copy accessors: every private attribute of the class but _record,
     # which envelope.py serializes matrices with
     kept |= {name for name in dir(MatrixZq) if name.startswith("_")
              and not (name.startswith("__") and name.endswith("__"))} - {"_record"}
-    assert {"_float64", "_pairs_along", "_chunk", "_keep"} <= kept
+    assert {"_float64", "_float64_t", "_pairs_along", "_chunk", "_keep"} <= kept
     found = []
     for name, node in _nodes_outside_matrix():
         named = ((isinstance(node, ast.Name) and node.id == "uint16")

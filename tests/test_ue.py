@@ -286,7 +286,7 @@ def test_update_exact_at_frodo1344():
     # D = 16: the bit-plane products run in chunks of 2047 inner rows, 11 of
     # them over n * D = 21 504, each half of a chunk up to 2047 * 2**15
     tok = _updates_match_row_selection(load_paramset("frodo-1344-shake"), b"1344", 1)
-    assert tok.d1_a._colpairs.shape == (21_504, 672) and not hasattr(tok.d1_a, "_f64")
+    assert tok.d1_a._colpairs.shape == (672, 21_504) and not hasattr(tok.d1_a, "_f64")
 
 
 def test_product_routes_keep_their_copies(toy16, monkeypatch):
@@ -294,10 +294,11 @@ def test_product_routes_keep_their_copies(toy16, monkeypatch):
     # larger operand.  S'_(1) (nD rows) packs its rows against A and B and
     # keeps no float64 copy; S'_(2) (n rows) packs its rows against B and
     # pairs A's columns, as Enc's S_1 and Upd's R (m_bar rows) do, which
-    # keep only their float64 copies.  Every float copy holds the signed
-    # lift, in [-q/2, q/2).  KeyGen's uniform A on the left measures past the
-    # limit (_k = 0) and packs no rows.  toy-16's products are below the
-    # floor and keep float64 copies
+    # keep only a float64 copy of their transpose, the right side of
+    # pairs(Y) @ X^T.  Every float copy holds the signed lift, in
+    # [-q/2, q/2).  KeyGen's uniform A on the left measures past the limit
+    # (_k = 0) and packs no rows.  toy-16's products are below the floor and
+    # keep float64 copies
     p = load_paramset("frodo-640-shake")
 
     def lift(m):
@@ -315,18 +316,19 @@ def test_product_routes_keep_their_copies(toy16, monkeypatch):
     ct = ue_enc(rng, p, A, k0, random_message_bits(rng, p))
     monkeypatch.undo()
     S1 = drawn[0][0]
-    assert slots(S1) == ["data", "D", "_f64", "_k"] and S1._f64.nbytes == 40_960
+    assert slots(S1) == ["data", "D", "_f64t", "_k"] and S1._f64t.nbytes == 40_960
     tr = sample_token_randomness(rng, p)
     tok = token_from_randomness(p, A, k0.sk_S, k1.pk_B, 1, tr)
     assert all(type(getattr(tr, f.name)) is MatrixZq for f in fields(tr))
     assert slots(tr.S1p) == ["data", "D", "_pairs", "_k"] and tr.S1p._k == p.n
     assert tr.S1p._pairs.nbytes == 24_576_000           # 4800 x 640 float64
-    assert slots(tr.S2p) == ["data", "D", "_f64", "_pairs", "_k"]
-    assert tr.S2p._pairs.nbytes == 1_638_400 and tr.S2p._f64.nbytes == 3_276_800
+    assert slots(tr.S2p) == ["data", "D", "_f64t", "_pairs", "_k"]
+    assert tr.S2p._pairs.nbytes == 1_638_400 and tr.S2p._f64t.nbytes == 3_276_800
+    assert np.array_equal(tr.S2p._f64t, lift(tr.S2p).T)
     assert slots(A) == ["data", "D", "_f64", "_colpairs", "_k"] and A._k == 0
     assert A._f64.nbytes == 8 * p.n**2 and np.array_equal(A._f64, lift(A))
     y = lift(A)
-    assert np.array_equal(A._colpairs, y[:, :320] + 2**27 * y[:, 320:])
+    assert np.array_equal(A._colpairs, (y[:, :320] + 2**27 * y[:, 320:]).T)
     drawn, planes = [], []
     monkeypatch.setattr(frue.ue, "_chi_cut",
                         lambda *args: drawn.append(_chi_cut(*args)) or drawn[-1])
@@ -335,17 +337,19 @@ def test_product_routes_keep_their_copies(toy16, monkeypatch):
     ue_upd(rng, p, tok, ct)
     monkeypatch.undo()
     ((R,),) = drawn
-    assert slots(R) == ["data", "D", "_f64", "_k"] and R._f64.nbytes == 40_960
+    assert slots(R) == ["data", "D", "_f64t", "_k"] and R._f64t.nbytes == 40_960
     # d1_a and d2_a, on the right of Upd's products, keep their column pairs
-    # (9600 x 320 and 640 x 320 float64); C1's bit planes, fresh per ciphertext,
-    # keep a float64 copy, 8 x 9600, and the chunk ord_bits recorded
+    # as rows (320 x 9600 and 320 x 640 float64); C1's bit planes, fresh per
+    # ciphertext, keep a float64 copy of their transpose, 9600 x 8, and the
+    # chunk ord_bits recorded
     (O,) = planes
-    assert slots(O) == ["data", "D", "_f64", "_k"] and O._k == (2**26 - 1) // (p.q // 2)
-    assert O._f64.nbytes == 614_400 and np.array_equal(O._f64, O.data)
+    assert slots(O) == ["data", "D", "_f64t", "_k"] and O._k == (2**26 - 1) // (p.q // 2)
+    assert O._f64t.nbytes == 614_400 and np.array_equal(O._f64t, O.data.T)
+    assert O._f64t.flags.c_contiguous and R._f64t.flags.c_contiguous
     y = lift(tok.d1_a)
     assert slots(tok.d1_a) == ["data", "D", "_colpairs"]
-    assert tok.d1_a._colpairs.nbytes == 24_576_000
-    assert np.array_equal(tok.d1_a._colpairs, y[:, :320] + 2**27 * y[:, 320:])
+    assert tok.d1_a._colpairs.shape == (320, 9600)
+    assert np.array_equal(tok.d1_a._colpairs, (y[:, :320] + 2**27 * y[:, 320:]).T)
     assert not tok.d1_a._colpairs.flags.writeable
     assert slots(tok.d2_a) == ["data", "D", "_colpairs"]
     assert tok.d2_a._colpairs.nbytes == 1_638_400
