@@ -9,12 +9,15 @@ id, the length (`_size`), each record's shape and D, then for a paramset epoch 0
 current dump, and for a token an epoch of at least 1, all with MalformedEnvelopeError.  So
 pack writes only what parse accepts, every envelope that parses re-packs to the same
 bytes, and a later change to a registered set makes its older paramset files unreadable.
+A file or a pipe is read one way, into one buffer its matrices view (read_envelope_file).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+
+import numpy as np
 
 from .matrix import MatrixZq, _record_size
 from .params import ParamSet, UnknownParamSetError, load_by_id, params_dump
@@ -155,29 +158,28 @@ def _parse(data: bytes) -> Envelope:
         obj = _PAYLOAD_TYPES[kind](epoch=epoch, **fields)
     except EpochMismatchError as exc:       # a token into epoch 0, refused by UpdateToken
         raise MalformedEnvelopeError(str(exc)) from None
-    return Envelope(kind, p, epoch, (obj, data[off:]) if kind in _SEEDED else obj)
+    return Envelope(kind, p, epoch, (obj, bytes(data[off:])) if kind in _SEEDED else obj)
 
 
 def read_envelope(data: bytes) -> Envelope:
-    """Parse an envelope, or raise MalformedEnvelopeError.  The payload is, by kind:
-    paramset, the params_dump text; epoch-key, (EpochKey, a_seed); public-key,
-    (pk_B, a_seed); token, an UpdateToken; ciphertext, a UeCiphertext."""
+    """Parse envelope bytes or a read-only buffer, or raise MalformedEnvelopeError.  By kind,
+    the payload is: paramset, the params_dump text; epoch-key, (EpochKey, a_seed bytes);
+    public-key, (pk_B, a_seed bytes); token, an UpdateToken; ciphertext, a UeCiphertext."""
     return _parse(data)
 
 
 def read_envelope_file(path, kind: int, *kinds: int) -> Envelope:
     """Read a file whose header names kind or one of kinds, and at most _size + 1 bytes.
-    The header is peeked, so the words stay in the one bytes object read; a first read
-    shorter than the header, as a pipe may return, is read and joined instead."""
+    The header is read, then the rest with one readinto, into one uninitialised
+    buffer that the matrices view in place: a file and a pipe keep one copy alike."""
     with open(path, "rb") as fh:
-        head = fh.peek(_HEADER.size)
-        peeked = len(head) >= _HEADER.size
-        if not peeked:
-            head = fh.read(_HEADER.size)
+        head = fh.read(_HEADER.size)
         got, p, _ = _read_header(head)
         if got not in (kinds := (kind, *kinds)):
             names = " or ".join(KIND_NAMES[k] for k in kinds)
             raise MalformedEnvelopeError(f"expected {'an' if names[0] in 'aeiou' else 'a'} "
                                          f"{names} file, got {KIND_NAMES[got]}")
-        rest = _size(got, p) + 1
-        return read_envelope(fh.read(rest) if peeked else head + fh.read(rest - _HEADER.size))
+        buf = memoryview(np.empty(_size(got, p) + 1, np.uint8))
+        buf[:_HEADER.size] = head
+        end = _HEADER.size + fh.readinto(buf[_HEADER.size:])
+        return read_envelope(buf[:end].toreadonly())

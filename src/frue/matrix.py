@@ -122,7 +122,7 @@ _MATRIX_HEADER = struct.Struct("<IIB")  # rows, cols, D
 
 MAX_D = 16                                      # largest D a 16-bit word holds
 _MASK16 = [np.uint16((1 << D) - 1) for D in range(MAX_D + 1)]  # q - 1 per D, built once
-_PLANES = [np.arange(D, dtype=np.uint16)[:, None] for D in range(MAX_D + 1)]  # shifts per D
+_PLANES = [np.arange(D, dtype=np.uint16)[:, None, None] for D in range(MAX_D + 1)]  # D x 1 x 1
 _PAIR_ROWS = 512        # fewest inner rows of a paired product (module docstring)
 _PAIR_LIMIT = 2**26     # each half of a paired word is below it; x' is scaled by twice it
 _SMALL_MNK = 10**6      # most multiply-adds OpenBLAS's small-matrix kernel takes in one call
@@ -352,21 +352,18 @@ def _pack(lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> None:
 def ord_bits(M: MatrixZq) -> MatrixZq:
     """Bit-plane decomposition, least significant plane first.
 
-    Defined for any width: entry (i, j) satisfies
+    Defined for any shape, empty ones included: entry (i, j) satisfies
     M[i, j] = sum_k 2**(k-1) * out[i, (k-1)*cols + j].  Its entries are 0/1,
     so the result records its chunk (module docstring) and is never measured.
+    M is decomposed once, from M^T, into t = out^T; from _PAIR_ROWS columns of
+    out on, t's float64 cast is kept as out's _float64_t copy (_paired reads it).
     """
-    planes = M.data[:, None, :] >> _PLANES[M.D]
-    planes &= np.uint16(1)
-    out = MatrixZq._new(planes.reshape(M.rows, -1), M.D)
+    t = (np.ascontiguousarray(M.data.T) >> _PLANES[M.D]).reshape(M.D * M.cols, M.rows)
+    t &= np.uint16(1)
+    out = MatrixZq._new(np.ascontiguousarray(t.T), M.D)
     out._keep("_k", (_PAIR_LIMIT - 1) // (M.q // 2))
-    # out's transpose is the planes of M's transpose, stacked: the float64
-    # copy a paired product on Y's column pairs reads (_paired), built from
-    # M's cols rows rather than transposed from out's cols * D
     if out.cols >= _PAIR_ROWS:
-        tplanes = np.ascontiguousarray(M.data.T)[None] >> _PLANES[M.D][:, :, None]
-        tplanes &= np.uint16(1)
-        out._keep("_f64t", tplanes.reshape(-1, M.rows).astype(np.float64))
+        out._keep("_f64t", t.astype(np.float64))
     return out
 
 
@@ -374,8 +371,8 @@ def tensor_d(M: MatrixZq) -> MatrixZq:
     """Vertical stack of 2**(k-1) * M mod q for k = 1..D, low plane on top; kept on M."""
     if hasattr(M, "_tensor_d"):
         return M._tensor_d
-    stack = (M.data << _PLANES[M.D][:, :, None]) & _MASK16[M.D]   # uint16 shifts
-    return M._keep("_tensor_d", MatrixZq._new(stack.reshape(-1, M.cols), M.D))
+    stack = (M.data << _PLANES[M.D]) & _MASK16[M.D]   # uint16 shifts
+    return M._keep("_tensor_d", MatrixZq._new(stack.reshape(M.D * M.rows, M.cols), M.D))
 
 
 def _lincomb(*terms) -> MatrixZq:

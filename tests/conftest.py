@@ -1,3 +1,7 @@
+import os
+import threading
+import time
+
 import pytest
 
 from frue.matrix import RngHandle
@@ -38,3 +42,32 @@ def deployment16(toy16):
     tokens = {e: ue_tg(rng, toy16, A, keys[e - 1].sk_S, keys[e].pk_B, e)
               for e in range(1, toy16.T_max + 1)}
     return {"p": toy16, "a_seed": a_seed, "A": A, "keys": keys, "tokens": tokens}
+
+
+@pytest.fixture
+def fifo(tmp_path):
+    """fifo(blob, split=None) makes a FIFO and returns its path; a thread writes blob
+    to it, the first `split` bytes alone, then after a pause the rest, each sent from
+    a memoryview so that no slice copies the blob.  Writers are joined at teardown."""
+    writers = []
+
+    def make(blob: bytes, split: int | None = None):
+        path = tmp_path / f"pipe{len(writers)}.fifo"
+        os.mkfifo(path)
+        view = memoryview(blob)
+
+        def write():
+            with open(path, "wb") as fh:
+                if split is not None:
+                    fh.write(view[:split])
+                    fh.flush()
+                    time.sleep(0.2)     # the reader's first read holds only these bytes
+                fh.write(view[split or 0:])
+
+        writers.append(threading.Thread(target=write, daemon=True))
+        writers[-1].start()
+        return path
+
+    yield make
+    for w in writers:
+        w.join(timeout=10)

@@ -8,7 +8,6 @@ import stat
 import subprocess
 import sys
 import textwrap
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -388,16 +387,11 @@ def test_oversized_message_exit_code(runner, tmp_path, toy16):
     assert not (tmp_path / "ct.frue").exists()
 
 
-def test_decrypt_reads_a_ciphertext_from_a_pipe(runner, tmp_path):
+def test_decrypt_reads_a_ciphertext_from_a_pipe(runner, tmp_path, fifo):
     # the envelope reader reads forward only, so a FIFO works as --ct
     files = _lifecycle_files(runner, tmp_path)
-    fifo = tmp_path / "ct.fifo"
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_bytes, args=(files["ct0"],), daemon=True)
-    writer.start()
     res = runner.invoke(main, ["decrypt", "--key", str(tmp_path / "k0.frue"), "--ct",
-                               str(fifo), "--out", str(tmp_path / "o.bin")])
-    writer.join(timeout=10)
+                               str(fifo(files["ct0"])), "--out", str(tmp_path / "o.bin")])
     assert res.exit_code == 0, res.output
     assert (tmp_path / "o.bin").read_bytes() == b"hi"
 

@@ -1,10 +1,7 @@
 import ast
 import functools
 import hashlib
-import os
 import struct
-import threading
-import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from frue import envelope as env
 from frue.hybrids import sim_ue_tg
-from frue.matrix import MatrixZq, RngHandle, sample_uniform
+from frue.matrix import MatrixZq, RngHandle, gen_public_matrix, sample_uniform
 from frue.params import load_paramset, params_dump, registered_names
 from frue.pke import random_message_bits
 from frue.ue import EpochKey, UeCiphertext, UpdateToken, ue_enc
@@ -233,47 +230,58 @@ def test_read_envelope_file_kind_check(tmp_path, toy16):
     assert peak < 2**20, f"read peaked at {peak} bytes"
 
 
-def test_read_envelope_file_keeps_one_copy_of_the_words(tmp_path):
-    # a 13.3 MB frodo-640 token file is read into one bytes object that its
-    # matrices view in place: the read peaks at about the file's size, not
-    # twice it (a header read, then the header joined to the rest)
-    p640 = load_paramset("frodo-640")
-    _, tok, _ = synthetic_objects(p640, b"one-copy")
-    path = tmp_path / "tok.frue"
-    path.write_bytes(env.pack_token(p640, tok))
-    size = path.stat().st_size
-    del tok
+@functools.cache
+def _token640() -> bytes:
+    """A synthetic 13.3 MB frodo-640 token envelope."""
+    p = load_paramset("frodo-640")
+    return env.pack_token(p, synthetic_objects(p, b"one-copy")[1])
+
+
+def _traced_read(path) -> tuple[env.Envelope, int]:
+    """read_envelope_file of a token, and the peak of the memory it traced."""
     tracemalloc.start()
     try:
-        got = env.read_envelope_file(path, env.KIND_TOKEN).payload
-        peak = tracemalloc.get_traced_memory()[1]
+        got = env.read_envelope_file(path, env.KIND_TOKEN)
+        return got, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_read_envelope_file_keeps_one_copy_of_the_words(tmp_path):
+    # a 13.3 MB frodo-640 token file is read into one buffer that its
+    # matrices view in place: the read peaks at about the file's size, not
+    # twice it (the rest read, then joined to the header)
+    path = tmp_path / "tok.frue"
+    path.write_bytes(_token640())
+    size = path.stat().st_size
+    got, peak = _traced_read(path)
     assert peak < 1.2 * size, f"read of {size} bytes peaked at {peak} bytes"
-    assert not got.d1_a.data.flags.owndata and got.d1_a.shape == (9600, 640)
+    assert got.payload == env.read_envelope(path.read_bytes()).payload
+    assert not got.payload.d1_a.data.flags.owndata and got.payload.d1_a.shape == (9600, 640)
 
 
-def test_read_envelope_file_takes_a_header_split_across_pipe_reads(tmp_path, toy16):
-    # a pipe whose first read holds less than the 12-byte header: the
-    # header is read to its end and joined to the rest
-    _, tok, _ = synthetic_objects(toy16, b"split")
-    blob = env.pack_token(toy16, tok)
-    fifo = tmp_path / "tok.fifo"
-    os.mkfifo(fifo)
+def test_read_envelope_file_takes_a_header_split_across_pipe_reads(fifo):
+    # a pipe whose first read holds less than the 12-byte header is read as a
+    # file is: the header to its end, then the rest into the one buffer, so a
+    # 13.3 MB frodo-640 token keeps one copy of its words here too
+    blob = _token640()
+    got, peak = _traced_read(fifo(blob, split=5))
+    assert peak < 1.2 * len(blob), f"read of {len(blob)} bytes peaked at {peak} bytes"
+    assert got.payload == env.read_envelope(blob).payload
+    assert not got.payload.d1_a.data.flags.owndata
 
-    def write():
-        with open(fifo, "wb") as fh:
-            fh.write(blob[:5])
-            fh.flush()
-            time.sleep(0.2)
-            fh.write(blob[5:])
 
-    writer = threading.Thread(target=write, daemon=True)
-    writer.start()
-    try:
-        assert env.read_envelope_file(fifo, env.KIND_TOKEN).payload == tok
-    finally:
-        writer.join(timeout=10)
+def test_read_envelope_file_seeds_are_bytes(tmp_path, toy16):
+    # a seed is a value of its own, bytes, not a view of the buffer the file was read into
+    key, _, _ = synthetic_objects(toy16, b"seed")
+    a_seed = bytes(range(16))
+    for kind, blob in ((env.KIND_EPOCH_KEY, env.pack_epoch_key(toy16, key, a_seed)),
+                       (env.KIND_PUBLIC_KEY, env.pack_public_key(toy16, 2, key.pk_B, a_seed))):
+        path = tmp_path / f"{kind}.frue"
+        path.write_bytes(blob)
+        _, got = env.read_envelope_file(path, kind).payload
+        assert type(got) is bytes and got == a_seed
+        assert gen_public_matrix(got, toy16) == gen_public_matrix(a_seed, toy16)
 
 
 @functools.cache

@@ -3,7 +3,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import frue.pke
 import frue.ue
@@ -55,9 +55,12 @@ def test_tensor_blocks_are_scaled_copies():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8),
-       st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=12),
+@given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8),
+       st.integers(min_value=0, max_value=8), st.integers(min_value=1, max_value=12),
        st.integers())
+@example(0, 5, 3, 4, 0)     # ord_bits of 0 x n
+@example(3, 5, 0, 4, 0)     # tensor_d of n x 0
+@example(3, 0, 2, 4, 0)     # m x 0 @ 0 x k
 def test_ord_tensor_identity_random(rows, inner, cols, D, seed):
     rng = RngHandle(str(seed))
     p = adhoc_paramset(D=D)
