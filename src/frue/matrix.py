@@ -164,7 +164,8 @@ class MatrixZq:
 
     @classmethod
     def _new(cls, arr: np.ndarray, D: int) -> "MatrixZq":
-        # internal: arr must be a fresh contiguous uint16 array already < 2**D
+        # internal: arr holds uint16 words < 2**D, in any layout, that
+        # nothing writes afterwards
         obj = object.__new__(cls)
         arr.setflags(write=False)
         object.__setattr__(obj, "data", arr)
@@ -234,10 +235,10 @@ class MatrixZq:
         return copy
 
     def _float64(self) -> np.ndarray:
-        """Read-only float64 copy of the lift, built on first use and kept."""
+        """Read-only C-contiguous float64 copy of the lift; built on first use, kept."""
         if hasattr(self, "_f64"):
             return self._f64
-        return self._keep("_f64", _lift(self.data, self.D).astype(np.float64))
+        return self._keep("_f64", _lift(self.data, self.D).astype(np.float64, order="C"))
 
     def _float64_t(self) -> np.ndarray:
         """Read-only C-contiguous float64 copy of the lift's transpose, the
@@ -355,15 +356,12 @@ def ord_bits(M: MatrixZq) -> MatrixZq:
     Defined for any shape, empty ones included: entry (i, j) satisfies
     M[i, j] = sum_k 2**(k-1) * out[i, (k-1)*cols + j].  Its entries are 0/1,
     so the result records its chunk (module docstring) and is never measured.
-    M is decomposed once, from M^T, into t = out^T; from _PAIR_ROWS columns of
-    out on, t's float64 cast is kept as out's _float64_t copy (_paired reads it).
+    M is decomposed once, from M^T, into t = out^T; out's words are a view of t.
     """
     t = (np.ascontiguousarray(M.data.T) >> _PLANES[M.D]).reshape(M.D * M.cols, M.rows)
     t &= np.uint16(1)
-    out = MatrixZq._new(np.ascontiguousarray(t.T), M.D)
+    out = MatrixZq._new(t.T, M.D)
     out._keep("_k", (_PAIR_LIMIT - 1) // (M.q // 2))
-    if out.cols >= _PAIR_ROWS:
-        out._keep("_f64t", t.astype(np.float64))
     return out
 
 

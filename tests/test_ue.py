@@ -37,6 +37,38 @@ def test_ord_reconstructs_input():
         y = ord_bits(m).data.reshape(2, 9, 3).astype(np.uint32)
         back = (y << np.arange(9, dtype=np.uint32)[None, :, None]).sum(axis=1) % p.q
         assert np.array_equal(back, m.data)
+    # update-sized inputs: one C1 at each frodo level, 8 and 64 frodo-640 C1s
+    # stacked by rows, toy-16's 16 x 8 C1, and empty shapes.  Each records its
+    # chunk, and its words, in whatever layout, compare, hash and serialize as
+    # a C-order copy of them does
+    shapes = [(8, 640, 15), (64, 640, 15), (512, 640, 15), (8, 976, 16),
+              (8, 1344, 16), (16, 8, 16), (0, 5, 9), (5, 0, 9)]
+    for rows, cols, D in shapes:
+        p = adhoc_paramset(D=D)
+        m = sample_uniform(rng, rows, cols, p)
+        out = ord_bits(m)
+        assert out.shape == (rows, cols * D) and out._k == (2**26 - 1) // (p.q // 2)
+        y = out.data.reshape(rows, D, cols).astype(np.uint32)
+        back = (y << np.arange(D, dtype=np.uint32)[None, :, None]).sum(axis=1)
+        assert np.array_equal(back, m.data)
+        plain = MatrixZq(np.ascontiguousarray(out.data), D)
+        assert out == plain and hash(out) == hash(plain)
+        assert out.to_bytes() == plain.to_bytes()
+    # the planes keep no product copy until a product reads one: an 8-row
+    # left side pairs its right side's columns against a C-contiguous float64
+    # copy of its transpose, built then
+    p = adhoc_paramset(D=15)
+    O = ord_bits(sample_uniform(rng, 8, 640, p))
+    assert [s for s in MatrixZq.__slots__ if hasattr(O, s)] == ["data", "D", "_k"]
+    O @ sample_uniform(rng, 9600, 640, p)
+    assert O._f64t.dtype == np.float64 and O._f64t.flags.c_contiguous
+    assert np.array_equal(O._f64t, O.data.T)
+    # below the pairing floor (toy-16's inner 128) the planes' float64 copy
+    # of the lift is C-contiguous too, though the words are a transposed view
+    p = adhoc_paramset(D=16)
+    T = ord_bits(sample_uniform(rng, 16, 8, p))
+    T @ sample_uniform(rng, 128, 8, p)
+    assert T._f64.flags.c_contiguous and np.array_equal(T._f64, T.data)
 
 
 def test_tensor_examples():
