@@ -1,10 +1,10 @@
-"""Timing harness for the five scheme operations across parameter levels.
+"""Timing harness for the five scheme operations on registered parameter sets.
 
 Only the library calls are timed (no I/O), on the monotonic clock, with one
 discarded warm-up call per operation.  Reports the per-operation mean and
 sample standard deviation; a single run reports a standard deviation of 0.
 
-BLAS runs on one thread while a level is set up and timed (where the BLAS
+BLAS runs on one thread while a set is set up and timed (where the BLAS
 library lets itself be told so at run time).  A multithreaded GEMM hands part
 of every product to a second core.  When that core has been idle, as on a
 small or shared virtual machine, each hand-off can wait for the core to be
@@ -27,15 +27,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .matrix import RngHandle
-from .params import ParamSet, paramset_for
+from .params import ParamSet, load_paramset
 from .pke import pke_setup, random_message_bits
 from .ue import ue_dec, ue_enc, ue_kg, ue_tg, ue_upd
 
 
 @dataclass(frozen=True)
 class BenchResult:
-    level: str
-    mode: str
+    params: str
     op: str
     runs: int
     mean_s: float
@@ -87,7 +86,7 @@ def _time_op(fn, runs: int) -> tuple[float, float]:
 
 
 @_single_blas_thread()
-def bench_level(p: ParamSet, runs: int) -> list[BenchResult]:
+def bench_set(p: ParamSet, runs: int) -> list[BenchResult]:
     rng = RngHandle(b"frue-bench")
     _, A = pke_setup(rng, p)
     k0 = ue_kg(rng, p, A, 0)
@@ -106,32 +105,32 @@ def bench_level(p: ParamSet, runs: int) -> list[BenchResult]:
     out = []
     for op, fn in ops.items():
         mean, std = _time_op(fn, runs)
-        out.append(BenchResult(str(p.n), p.gen_mode, op, runs, mean, std))
+        out.append(BenchResult(p.name, op, runs, mean, std))
     return out
 
 
-def run_benchmarks(levels, modes, runs: int) -> list[BenchResult]:
-    """Time each distinct (level, mode) once, in first-seen order.  Every
-    target is resolved before the first is timed, so a bad one fails fast."""
+def run_benchmarks(names, runs: int) -> list[BenchResult]:
+    """Time each distinct set once, in first-seen order.  Every name (or
+    alias) is resolved before the first set is timed, so a bad one fails fast."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    targets = dict.fromkeys(paramset_for(level, mode) for level in levels for mode in modes)
-    return [r for p in targets for r in bench_level(p, runs)]
+    sets = dict.fromkeys(load_paramset(name) for name in names)
+    return [r for p in sets for r in bench_set(p, runs)]
 
 
 def to_csv(results: list[BenchResult]) -> str:
     lines = [",".join(f.name for f in fields(BenchResult))]
     for r in results:
-        lines.append(f"{r.level},{r.mode},{r.op},{r.runs},{r.mean_s:.6f},{r.std_s:.6f}")
+        lines.append(f"{r.params},{r.op},{r.runs},{r.mean_s:.6f},{r.std_s:.6f}")
     return "\n".join(lines) + "\n"
 
 
 def format_table(results: list[BenchResult]) -> str:
-    """One block per run of same-(level, mode) results, as run_benchmarks groups them."""
+    """One block per run of same-set results, as run_benchmarks groups them."""
     blocks = []
-    for (level, mode), group in itertools.groupby(results, lambda r: (r.level, r.mode)):
+    for name, group in itertools.groupby(results, lambda r: r.params):
         rows = list(group)
-        blocks.append(f"frodo-{level} ({mode}), {rows[0].runs} runs")
+        blocks.append(f"{name}, {rows[0].runs} runs")
         blocks.append(f"  {'operation':<8} {'mean [s]':>12} {'std [s]':>12}")
         for r in rows:
             blocks.append(f"  {r.op:<8} {r.mean_s:>12.6f} {r.std_s:>12.6f}")

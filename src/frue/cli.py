@@ -7,7 +7,7 @@ output path that resolves to a key or token file the command reads or to
 its other output, or a file the OS will not open, such as an output path
 in a missing directory), 3 malformed envelope, game-run script record or
 mismatched input files, 4 epoch mismatch, 5 message length error, 6 unknown
-parameter-set name or bench target.  One place maps exceptions to codes:
+parameter-set name.  One place maps exceptions to codes:
 the group class of `main`, so every command shares it.
 
 File encryption frames the plaintext inside the ell-bit message block as an
@@ -32,9 +32,9 @@ from .hybrids import (high_bits_projection, hyb_update_sampler,
                       make_update_instance, real_update_sampler, sim_ue_enc,
                       smudging_estimate, statistical_distance_estimate)
 from .matrix import DimensionMismatchError, RngHandle, gen_public_matrix
-from .params import (BENCH_LEVELS, BENCH_MODES, UnknownParamSetError, bound_sides,
-                     empirical_chain_epochs, load_paramset, max_certified_epochs,
-                     params_dump, registered_names, validate_correctness_bound)
+from .params import (UnknownParamSetError, bound_sides, empirical_chain_epochs,
+                     load_paramset, max_certified_epochs, params_dump,
+                     registered_names, validate_correctness_bound)
 from .pke import (MessageLengthError, bits_from_bytes, bytes_from_bits, pke_enc,
                   pke_setup)
 from .ue import EpochKey, EpochMismatchError, ue_dec, ue_kg, ue_tg, ue_upd
@@ -327,18 +327,16 @@ def verify_bound(params_name, T):
 
 
 @main.command("bench")
-@click.option("--level", "levels", multiple=True, default=BENCH_LEVELS,
-              help=f"Repeatable; one of {' / '.join(BENCH_LEVELS)}.")
-@click.option("--mode", "modes", multiple=True, default=BENCH_MODES,
-              help=f"Repeatable; one of {' / '.join(BENCH_MODES)}.")
+@click.option("--params", "names", multiple=True, default=registered_names(),
+              help="Repeatable parameter-set name; default: every registered set.")
 @click.option("--runs", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--out", "out_csv", type=_OUT_FILE, default=None,
               help="Also write machine-readable CSV here.")
-def bench(levels, modes, runs, out_csv):
-    """Time UE.KG / UE.Enc / UE.Dec / UE.TG / UE.Upd per level and mode."""
+def bench(names, runs, out_csv):
+    """Time UE.KG / UE.Enc / UE.Dec / UE.TG / UE.Upd per parameter set."""
     from . import bench as bench_mod    # the timing harness loads only here
 
-    results = bench_mod.run_benchmarks(levels, modes, runs)
+    results = bench_mod.run_benchmarks(names, runs)
     click.echo(bench_mod.format_table(results), nl=False)
     if out_csv:
         _write(out_csv, bench_mod.to_csv(results).encode())

@@ -657,6 +657,7 @@ def gen_public_matrix(seed: bytes, p: ParamSet) -> MatrixZq:
     Expansion is row-striped (the row index is mixed into each per-row
     stream) so rows could be generated independently.  The aes-like and
     shake-like modes use AES-128-ECB counter blocks and SHAKE128
-    respectively; toy mode reuses the seeded uniform sampler.
+    respectively; toy mode draws each row i from its own
+    RngHandle(seed).derive(f"row:{i}") as 16-bit words, masked to q.
     """
     return MatrixZq._new(_EXPANDERS[p.gen_mode](seed, p) & _MASK16[p.D], p.D)

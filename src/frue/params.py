@@ -1,5 +1,4 @@
-"""Parameter sets: registry, validation, the epoch-correctness bound, and the
-levels and generation modes `frue bench` can time.
+"""Parameter sets: registry, validation and the epoch-correctness bound.
 
 Every scheme constant lives in a ParamSet: the modulus exponent D (q = 2**D),
 the message width B, the LWE dimension n, the ciphertext block shape
@@ -27,7 +26,7 @@ if TYPE_CHECKING:
 
 
 class UnknownParamSetError(KeyError):
-    """Raised when a parameter-set name or id, or a bench target, is not registered."""
+    """Raised when a parameter-set name or id is not registered."""
 
     # KeyError's str() is the repr of its argument; report the message
     __str__ = Exception.__str__
@@ -204,17 +203,6 @@ def load_paramset(name: str) -> ParamSet:
             f"unknown parameter set {name!r}; registered: "
             f"{', '.join(registered_names())}; aliases: {', '.join(_ALIASES)}"
         ) from None
-
-
-BENCH_LEVELS = tuple(str(n) for n, *_ in _LEVELS)
-BENCH_MODES = ("aes-like", "shake-like")
-
-
-def paramset_for(level: str, mode: str) -> ParamSet:
-    """The registered set `frue bench` times for one level and mode."""
-    if str(level) not in BENCH_LEVELS or mode not in BENCH_MODES:
-        raise UnknownParamSetError(f"no benchmark target for level={level} mode={mode}")
-    return next(p for p in _REGISTRY.values() if (str(p.n), p.gen_mode) == (str(level), mode))
 
 
 def load_by_id(paramset_id: int) -> ParamSet:

@@ -257,14 +257,15 @@ def test_criterion_9_trivial_win_coin(deployment16):
 
 def test_criterion_10_benchmark_trends():
     runs = 20
-    results = run_benchmarks(["640", "976", "1344"], ["shake-like"], runs)
-    mean = {(r.level, r.op): r.mean_s for r in results}
-    for level in ("640", "976", "1344"):
-        assert mean[(level, "UE.Dec")] < mean[(level, "UE.KG")], level
-        assert mean[(level, "UE.Dec")] < mean[(level, "UE.Enc")], level
-        assert mean[(level, "UE.Enc")] < mean[(level, "UE.Upd")], level
-        assert mean[(level, "UE.Upd")] < mean[(level, "UE.TG")], level
-    tg = [mean[(level, "UE.TG")] for level in ("640", "976", "1344")]
+    results = run_benchmarks(["frodo-640", "frodo-976", "frodo-1344"], runs)
+    mean = {(r.params, r.op): r.mean_s for r in results}
+    names = ("frodo-640-shake", "frodo-976-shake", "frodo-1344-shake")
+    for name in names:
+        assert mean[(name, "UE.Dec")] < mean[(name, "UE.KG")], name
+        assert mean[(name, "UE.Dec")] < mean[(name, "UE.Enc")], name
+        assert mean[(name, "UE.Enc")] < mean[(name, "UE.Upd")], name
+        assert mean[(name, "UE.Upd")] < mean[(name, "UE.TG")], name
+    tg = [mean[(name, "UE.TG")] for name in names]
     assert tg[0] < tg[1] < tg[2]
     report(10, "benchmark trends",
            f"{runs} runs/op; TG means {tg[0]:.2f}s < {tg[1]:.2f}s < {tg[2]:.2f}s; "

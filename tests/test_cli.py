@@ -22,8 +22,7 @@ from frue.cli import (EXIT_EPOCH, EXIT_MALFORMED, EXIT_MSGLEN,
                       EXIT_UNKNOWN_NAME, main, message_capacity, pack_message,
                       unpack_message)
 from frue.matrix import RngHandle, sample_uniform
-from frue.params import (BENCH_LEVELS, BENCH_MODES, UnknownParamSetError,
-                         paramset_for, registered_names)
+from frue.params import UnknownParamSetError, load_paramset, registered_names
 from frue.pke import MessageLengthError
 from frue.ue import UeCiphertext
 
@@ -489,7 +488,7 @@ _ARGS_WITH_DIRS = {         # each command's other arguments; {d} is a directory
     "update": ["--token", "{f}", "--ct", "{f}", "--out", "{d}/o"],
     "game-run": ["--script", "{f}"],
     "params show": ["toy-16", "--out", "{d}/o"],
-    "bench": ["--level", "640", "--mode", "shake-like", "--runs", "1", "--out", "{d}/o"],
+    "bench": ["--params", "toy-16", "--runs", "1", "--out", "{d}/o"],
 }
 
 
@@ -753,6 +752,23 @@ def test_every_path_option_rejects_directories():
     assert [p for p in paths if p[2]] == []
 
 
+def test_readme_walkthrough_flags_exist():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI walkthrough", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    lines = [words for words in lines if words]
+    assert len(lines) == 12
+    for words in lines:
+        assert words[0] == "frue", words
+        cmd, rest = main, words[1:]
+        while isinstance(cmd, click.Group):     # walk into `params`
+            cmd, rest = cmd.commands[rest[0]], rest[1:]
+        options = {opt for param in cmd.params for opt in param.opts}
+        for word in rest:
+            if word.startswith("--"):
+                assert word.split("=", 1)[0] in options, (cmd.name, word)
+
+
 def test_params_commands(runner):
     res = invoke(runner, "params", "list")
     assert res.exit_code == 0
@@ -977,56 +993,58 @@ def test_hybrids_test_default_seed(runner):
 
 def test_bench_single_run_reports_zero_std(runner, tmp_path):
     out = tmp_path / "bench.csv"
-    # a repeated level is timed once
-    res = invoke(runner, "bench", "--level", "640", "--mode", "shake-like",
-                 "--level", "640", "--runs", "1", "--out", str(out))
+    # an alias and its canonical name are one set, timed once
+    res = invoke(runner, "bench", "--params", "frodo-640", "--params", "frodo-640-shake",
+                 "--runs", "1", "--out", str(out))
     assert res.exit_code == 0
-    assert res.output.count("frodo-640 (shake-like)") == 1
+    assert res.output.count(" runs\n") == 1
+    assert res.output.startswith("frodo-640-shake, 1 runs\n")
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "level,mode,op,runs,mean_s,std_s"
+    assert lines[0] == "params,op,runs,mean_s,std_s"
     rows = [line.split(",") for line in lines[1:]]
-    assert [r[2] for r in rows] == ["UE.KG", "UE.Enc", "UE.Dec", "UE.TG", "UE.Upd"]
+    assert [r[1] for r in rows] == ["UE.KG", "UE.Enc", "UE.Dec", "UE.TG", "UE.Upd"]
     for r in rows:
-        assert r[0] == "640" and r[1] == "shake-like" and r[3] == "1"
-        assert float(r[5]) == 0.0
-        assert float(r[4]) >= 0.0
+        assert r[0] == "frodo-640-shake" and r[2] == "1"
+        assert float(r[4]) == 0.0
+        assert float(r[3]) >= 0.0
 
 
-def test_bench_unknown_level(runner):
-    res = runner.invoke(main, ["bench", "--level", "123", "--runs", "1"])
+@pytest.mark.parametrize("args", [("--params", "123"),
+                                  ("--params", "frodo-640", "--params", "123")])
+def test_bench_unknown_target(runner, args):
+    res = runner.invoke(main, ["bench", *args, "--runs", "1"])
     assert res.exit_code == EXIT_UNKNOWN_NAME
-    # every target is resolved before any is timed
-    res = runner.invoke(main, ["bench", "--level", "640", "--level", "123", "--runs", "1"])
-    assert res.exit_code == EXIT_UNKNOWN_NAME
-    assert "frodo-640" not in res.output and "UE." not in res.output
-    # the library raises the one unknown-name error, with the same message
+    # every name is resolved before any set is timed, with load_paramset's message
+    assert res.stdout == ""
     with pytest.raises(UnknownParamSetError) as exc:
-        paramset_for("123", "aes-like")
-    assert str(exc.value) == "no benchmark target for level=123 mode=aes-like"
+        load_paramset("123")
+    assert res.stderr == f"error: {exc.value}\n"
+    assert "UE." not in res.output
     from frue.bench import run_benchmarks
     with pytest.raises(ValueError, match="runs must be >= 1"):
-        run_benchmarks(["640"], ["shake-like"], runs=0)
+        run_benchmarks(["frodo-640"], runs=0)
 
 
-def test_bench_targets_are_the_registered_frodo_sets():
-    for level in BENCH_LEVELS:
-        for mode in BENCH_MODES:
-            p = paramset_for(level, mode)
-            assert p.name in registered_names() and p.name.startswith("frodo-")
-            assert (str(p.n), p.gen_mode) == (level, mode)
-    # and conversely: every registered non-toy set is one target, named once
-    targets = [paramset_for(level, mode).name for level in BENCH_LEVELS for mode in BENCH_MODES]
-    assert sorted(targets) == sorted(n for n in registered_names() if not n.startswith("toy-"))
+def test_bench_targets_are_the_registered_sets():
+    option = next(o for o in cli.bench.params if o.name == "names")
+    assert list(option.default) == registered_names()
+    # toy-16 and toy-8 share n and mode, and are still two sets
+    from frue.bench import format_table, run_benchmarks
+    results = run_benchmarks(["toy-16", "toy-8"], 1)
+    assert [r.params for r in results] == ["toy-16"] * 5 + ["toy-8"] * 5
+    table = format_table(results)
+    assert [line for line in table.splitlines() if line.endswith(" runs")] == [
+        "toy-16, 1 runs", "toy-8, 1 runs"]
 
 
 def _openblas_thread_count_calls():
     """(get, set) thread-count calls of the OpenBLAS numpy links to; skip
     the test when numpy's BLAS exposes none of them."""
+    from frue.bench import _OPENBLAS_THREAD_CALLS
+
     core = getattr(np, "_core", None) or np.core
     lib = ctypes.CDLL(core._multiarray_umath.__file__)
-    for get, set_ in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-                      ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-                      ("openblas_get_num_threads", "openblas_set_num_threads")):
+    for get, set_ in _OPENBLAS_THREAD_CALLS:
         if hasattr(lib, get) and hasattr(lib, set_):
             return getattr(lib, get), getattr(lib, set_)
     pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count calls")
@@ -1059,15 +1077,3 @@ def test_single_blas_thread_sets_one_thread_and_restores_the_count(monkeypatch):
         assert inside == 2
     finally:
         set_threads(start)
-
-
-UNKNOWN_TARGETS = {("--mode", "aes"): "level=640 mode=aes",
-                   ("--level", "0640"): "level=0640 mode=aes-like"}
-
-
-@pytest.mark.parametrize("args", list(UNKNOWN_TARGETS))
-def test_bench_unknown_target(runner, args):
-    res = runner.invoke(main, ["bench", *args, "--runs", "1"])
-    assert res.exit_code == EXIT_UNKNOWN_NAME
-    assert res.stdout == ""
-    assert res.stderr == f"error: no benchmark target for {UNKNOWN_TARGETS[args]}\n"
