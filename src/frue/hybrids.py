@@ -18,9 +18,10 @@ token_from_randomness and ue_upd, or hyb_ue_upd) bit for bit, and after whole
 batches the handle is where those calls leave it.  k is
 min(24, max(1, 2**20 // w)), w the chi words of one draw: 24 at toy-16
 (w = 3392) and toy-8 (w = 1472), and 1 at every frodo set, whose draws keep
-the 2-D products, pairing included.  At toy-16 (one BLAS thread on a 2-core
-shared x86-64 host) a draw read about 100 us single, 30 us at k = 8, 20 us at
-k = 24 to 64 and 25-30 us at k = 256, as a batch's float64 stacks outgrow L2.
+the 2-D products, pairing included.  At toy-16 (one BLAS thread on a shared
+2-core Xeon, 105 MiB L3; minimum of 5 passes of about 4096 draws) a real /
+hybrid draw read 33/30 us at k = 24, 49/41 at 48, 60/48 at 96, 46/51 at 192,
+46/41 at 384 and 46/38 at 1024, so 24 is still the best k.
 24 also divides the 72 real and 24 hybrid draws of a perfbench oracle-toy16
 round, so each round starts at a batch boundary and the benchmark's two
 traced passes count the same calls.

@@ -68,22 +68,21 @@ thread on a shared 2-core Intel Xeon).  A piece holds the most rows that
 keep rows(Z) * cols(Z) * piece within the permit, and lies inside its
 chunk, so the bound above holds for every partial sum.  The kernel reads a
 piece where it lies, unpacked: each pair's run of inner rows is contiguous
-in the packed rows, so a piece streams the token row by row, and the
-packers start their copies on a 64-byte line (_aligned).  A chunk splits
-only where a piece holds at least _MIN_PIECE rows (_piece).  Every level's
-8-row products split (the update's O @ d1_a and R @ d2_a, Enc's S1 @ A and
-TG's S'_(2) B, in pieces of 390, 256 and 186 rows at frodo-640, -976 and
--1344): steady updates in pieces took 0.65, 0.65 and 0.73 of the time of
-whole chunks, and 0.65-0.67, 0.72 and 0.76-0.78 with 400 MB read between
-updates, which evicts the token.  Token generation's S'_(1) B and S'_(2) A
-stay whole: their pieces would hold 26, 16 or 11 and 4 rows, and splitting
-them made frodo-640's TG 0.157 s against 0.129 s.  A BLAS without the
-kernel runs each piece as one more packed product.
+in the packed rows, so a piece streams the token row by row.  A chunk
+splits only where a piece holds at least _MIN_PIECE rows (_piece).  Every
+level's 8-row products split (the update's O @ d1_a and R @ d2_a, Enc's
+S1 @ A and TG's S'_(2) B, in pieces of 390, 256 and 186 rows at frodo-640,
+-976 and -1344): steady updates in pieces took 0.65, 0.65 and 0.73 of the
+time of whole chunks, and 0.65-0.67, 0.72 and 0.76-0.78 with 400 MB read
+between updates, which evicts the token.  Token generation's S'_(1) B and
+S'_(2) A stay whole: their pieces would hold 26, 16 or 11 and 4 rows, and
+splitting them made frodo-640's TG 0.157 s against 0.129 s.  A BLAS without
+the kernel runs each piece as one more packed product.
 
-Each copy of an operand (float64 of the lift or of its transpose, packed
-rows, packed columns), like a matrix's tensor_d stack, is built on first
-use and kept, read-only, for the matrix's lifetime; matrices are
-immutable, so it never goes stale.
+Each copy of an operand (float64 of the lift or of its transpose, from one
+_float64(axis); packed rows or columns, from one _pairs_along(axis)), like
+a matrix's tensor_d stack, is built on first use and kept, read-only, for
+the matrix's lifetime; matrices are immutable, so it never goes stale.
 A token reused across many updates, or the public matrix across many
 products, is converted once.  The price is memory: the float64 copy is four
 times the uint16 words, packed rows or columns twice, the tensor_d stack D
@@ -234,18 +233,15 @@ class MatrixZq:
         object.__setattr__(self, slot, copy)
         return copy
 
-    def _float64(self) -> np.ndarray:
-        """Read-only C-contiguous float64 copy of the lift; built on first use, kept."""
-        if hasattr(self, "_f64"):
-            return self._f64
-        return self._keep("_f64", _lift(self.data, self.D).astype(np.float64, order="C"))
-
-    def _float64_t(self) -> np.ndarray:
-        """Read-only C-contiguous float64 copy of the lift's transpose, the
-        right side of a product on Y's column pairs; built on first use and kept."""
-        if hasattr(self, "_f64t"):
-            return self._f64t
-        return self._keep("_f64t", _lift(self.data.T, self.D).astype(np.float64, order="C"))
+    def _float64(self, axis: int = 0) -> np.ndarray:
+        """Read-only C-contiguous float64 copy of the lift (axis 0, slot _f64)
+        or of its transpose (axis 1, slot _f64t, the right side of a product
+        on Y's column pairs).  Kept once built."""
+        slot = ("_f64", "_f64t")[axis]
+        if hasattr(self, slot):
+            return getattr(self, slot)
+        words = self.data.T if axis else self.data
+        return self._keep(slot, _lift(words, self.D).astype(np.float64, order="C"))
 
     def _pairs_along(self, axis: int) -> np.ndarray:
         """Rows (axis 0, slot _pairs) or columns (axis 1, slot _colpairs) i and
@@ -256,7 +252,7 @@ class MatrixZq:
         if hasattr(self, slot):
             return getattr(self, slot)
         h = -(-self.shape[axis] // 2)
-        P = _aligned((h, self.shape[1 - axis]))
+        P = np.empty((h, self.shape[1 - axis]))
         if axis == 0:
             lo, hi = self.data[:h], self.data[h:]
             for b in _blocks(h, self.cols):
@@ -435,7 +431,7 @@ def _paired(X: MatrixZq, Y: MatrixZq, k: int):
     columns @ X's transpose, which gives the transpose (module docstring)."""
     axis = 0 if X.rows > Y.cols else 1
     left, right = ((X._pairs_along(0), Y._float64()) if axis == 0
-                   else (Y._pairs_along(1), X._float64_t()))
+                   else (Y._pairs_along(1), X._float64(1)))
     step = _piece((len(left), right.shape[1]), k)
     for s in range(0, X.cols, k):
         end = min(s + k, X.cols)        # pieces stay inside the chunk
@@ -461,15 +457,6 @@ def _piece(shape: tuple[int, int], k: int) -> int:
     docstring).  An empty Z takes k."""
     step = _SMALL_MNK // max(1, shape[0] * shape[1])
     return step if _MIN_PIECE <= step < k else k
-
-
-def _aligned(shape: tuple[int, int]) -> np.ndarray:
-    """An uninitialised float64 array of `shape` whose first word starts a
-    64-byte cache line (module docstring)."""
-    n = shape[0] * shape[1]
-    buf = np.empty(n + 7)
-    start = -buf.ctypes.data % 64 // 8
-    return buf[start:start + n].reshape(shape)
 
 
 def _accumulate(total, sign: int, term: np.ndarray) -> np.ndarray:

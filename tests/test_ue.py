@@ -62,13 +62,20 @@ def test_ord_reconstructs_input():
     assert [s for s in MatrixZq.__slots__ if hasattr(O, s)] == ["data", "D", "_k"]
     O @ sample_uniform(rng, 9600, 640, p)
     assert O._f64t.dtype == np.float64 and O._f64t.flags.c_contiguous
-    assert np.array_equal(O._f64t, O.data.T)
+    assert np.array_equal(O._f64t, O.data.T) and O._float64(1) is O._f64t
     # below the pairing floor (toy-16's inner 128) the planes' float64 copy
     # of the lift is C-contiguous too, though the words are a transposed view
     p = adhoc_paramset(D=16)
     T = ord_bits(sample_uniform(rng, 16, 8, p))
     T @ sample_uniform(rng, 128, 8, p)
     assert T._f64.flags.c_contiguous and np.array_equal(T._f64, T.data)
+    assert T._float64() is T._f64
+    # one accessor keeps both copies: axis 1 lifts the transpose
+    p = adhoc_paramset(D=15)
+    M = sample_uniform(rng, 3, 640, p)
+    lift = (M.data.astype(np.int64) ^ 2**14) - 2**14      # in [-q/2, q/2)
+    t = M._float64(1)
+    assert t.dtype == np.float64 and t.flags.c_contiguous and np.array_equal(t, lift.T)
 
 
 def test_tensor_examples():
